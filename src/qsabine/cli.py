@@ -28,7 +28,7 @@ import math
 import sys
 import time
 import warnings
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,15 +45,40 @@ from .disk import (
     write_resonance_csv,
 )
 from .reflectivity import BoundaryDamping, DeltaPotential, TransparentObstacle
-from .sabine import band_report, glancing_bands, sabine_bounds, sabine_quotient
+from .sabine import band_report, glancing_bands, sabine_bounds, sabine_quotient, wave_speed
 from .specfun import airy_zeros
 
 __all__ = ["ConfigError", "RunConfig", "FigureSpec", "emit_figure", "run", "main"]
 
 _COMMANDS = ("bounds", "resonances", "bands", "verify", "plot")
-_PROBLEMS = ("transparent", "delta", "damping")
 _FIGURES = ("circle", "bands")
 _CBRT2 = 2.0 ** (1.0 / 3.0)
+
+
+@dataclasses.dataclass(frozen=True)
+class _ProblemEntry:
+    """Parameter fields of one problem, its disk class and its reflectivity
+    model built from (params, Re window or None)."""
+
+    fields: Tuple[str, ...]
+    disk: type
+    model: Callable
+
+
+_PROBLEM_TABLE = {
+    "transparent": _ProblemEntry(
+        ("c", "alpha"), TransparentDisk,
+        lambda p, window: TransparentObstacle(p["c"], p["alpha"])),
+    # the semiclassical parameter is the inverse mid-window frequency
+    "delta": _ProblemEntry(
+        ("v0", "v_exponent"), DeltaDisk,
+        lambda p, window: DeltaPotential(p["v0"], -p["v_exponent"],
+                                         2.0 / sum(window) if window else 1.0)),
+    "damping": _ProblemEntry(
+        ("a",), DampingDisk,
+        lambda p, window: BoundaryDamping(p["a"])),
+}
+_PROBLEMS = tuple(_PROBLEM_TABLE)
 
 
 class ConfigError(ValueError):
@@ -117,19 +142,10 @@ class RunConfig:
             raise ConfigError(str(err)) from err
 
     def disk_problem(self):
-        if self.problem == "transparent":
-            return TransparentDisk(self.c, self.alpha)
-        if self.problem == "delta":
-            return DeltaDisk(self.v0, self.v_exponent)
-        return DampingDisk(self.a)
+        return _PROBLEM_TABLE[self.problem].disk(**self.params())
 
     def reflectivity_model(self):
-        if self.problem == "transparent":
-            return TransparentObstacle(self.c, self.alpha)
-        if self.problem == "delta":
-            lo, hi = self.re_window
-            return DeltaPotential(self.v0, -self.v_exponent, 2.0 / (lo + hi))
-        return BoundaryDamping(self.a)
+        return _model_from_params(self.problem, self.params(), self.re_window)
 
     def modes(self) -> range:
         if self.n_range is not None:
@@ -139,11 +155,7 @@ class RunConfig:
         return range(0, cap + 1)
 
     def params(self) -> dict:
-        if self.problem == "transparent":
-            return {"c": self.c, "alpha": self.alpha}
-        if self.problem == "delta":
-            return {"v0": self.v0, "v_exponent": self.v_exponent}
-        return {"a": self.a}
+        return {name: getattr(self, name) for name in _PROBLEM_TABLE[self.problem].fields}
 
     def config_hash(self) -> str:
         # Only computation-relevant fields: output path and worker count
@@ -194,19 +206,14 @@ def figure_specs(config: RunConfig) -> Tuple[FigureSpec, ...]:
 
 
 def _model_from_params(problem: str, params: dict, re_window=None):
-    if problem == "transparent":
-        return TransparentObstacle(params["c"], params["alpha"])
-    if problem == "delta":
-        h = 2.0 / sum(re_window) if re_window else 1.0
-        return DeltaPotential(params["v0"], -params["v_exponent"], h)
-    return BoundaryDamping(params["a"])
+    return _PROBLEM_TABLE[problem].model(params, re_window)
 
 
 def _decay_curve(problem: str, params: dict, tf_max: float):
     """(tangent frequency, quotient) samples of the one-bounce decay law."""
     domain = ConvexDomain.disk()
     model = _model_from_params(problem, params)
-    speed = params["c"] if problem == "transparent" else 1.0
+    speed = wave_speed(model)
     hi = min(tf_max, 0.999 / speed)
     tfs = np.linspace(0.0, hi, 160)
     ys = []

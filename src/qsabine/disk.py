@@ -13,6 +13,11 @@ its zeros in the open lower half plane.  Three variants are supported:
   damping       an absorbing boundary condition with damping a:
                 f = Jn' - i a Jn
 
+Each secular function is written once, together with its derivative
+and the two terms whose moduli normalize the residual; the same formula
+serves point evaluation (Newton, with guarded Bessel factors) and array
+evaluation (argument-principle contours and the Newton guard).
+
 Zeros are located by a trust-region Newton iteration started from
 asymptotic seed families (normal-incidence and transverse phase
 conditions, Airy corrections for nearly glancing modes) and the result
@@ -37,7 +42,9 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import hankel1, jv
 
-from .specfun import ScaledMagnitudeError, airy_zeros, bessel_quad, phi_minus
+# bessel_quad is not called here: perfbench/tracing.py wraps it on this
+# module by name.
+from .specfun import ScaledMagnitudeError, airy_zeros, bessel_pair, bessel_quad, phi_minus
 
 __all__ = [
     "TransparentDisk",
@@ -226,39 +233,50 @@ def _second_derivative(n: int, z: complex, f: complex, fp: complex) -> complex:
     return -(1.0 - (n * n) / (z * z)) * f - fp / z
 
 
-def _secular_parts(problem: DiskProblem, n: int, lam: complex):
-    """(f, f', scale) at one point, scale being the residual normalizer."""
-    lam = complex(lam)
+def _secular_terms(problem: DiskProblem, n: int, z):
+    """f, f' and the two terms A, B of f whose moduli sum to its scale.
+
+    One formula per problem, evaluated either at a Python complex (the
+    Newton path: guarded Bessel pairs, Python arithmetic) or elementwise
+    over an ndarray (contours and the Newton guard: unguarded, callers
+    keep z inside the box).  The point path must not go through arrays:
+    numpy's complex abs and division differ from Python's in the last
+    bit, which moves residuals and roots.
+    """
     if isinstance(problem, TransparentDisk):
         c = problem.c
         alpha = problem.alpha
-        w = lam / c
-        inner = bessel_quad(n, w)
-        outer = bessel_quad(n, lam)
-        jpp = _second_derivative(n, w, inner.j, inner.j_prime)
-        hpp = _second_derivative(n, lam, outer.h1, outer.h1_prime)
-        f = inner.j_prime * outer.h1 / c - alpha * outer.h1_prime * inner.j
-        fp = (
-            jpp * outer.h1 / (c * c)
-            + inner.j_prime * outer.h1_prime / c
-            - alpha * (hpp * inner.j + outer.h1_prime * inner.j_prime / c)
-        )
-        scale = abs(inner.j_prime * outer.h1 / c) + abs(alpha * outer.h1_prime * inner.j)
-    elif isinstance(problem, DeltaDisk):
-        quad = bessel_quad(n, lam)
-        v = problem.strength(lam)
-        vp = problem.v0 * problem.v_exponent * lam ** (problem.v_exponent - 1.0)
-        f = quad.j * quad.h1 - 2j / (pi * v)
-        fp = quad.j_prime * quad.h1 + quad.j * quad.h1_prime + (2j / pi) * vp / (v * v)
-        scale = abs(quad.j * quad.h1) + abs(2.0 / (pi * v))
-    elif isinstance(problem, DampingDisk):
-        quad = bessel_quad(n, lam)
-        jpp = _second_derivative(n, lam, quad.j, quad.j_prime)
-        f = quad.j_prime - 1j * problem.a * quad.j
-        fp = jpp - 1j * problem.a * quad.j_prime
-        scale = abs(quad.j_prime) + abs(problem.a * quad.j)
-    else:
-        raise TypeError(f"not a disk problem: {problem!r}")
+        w = z / c
+        j, jp = bessel_pair(jv, n, w)
+        h, hp = bessel_pair(hankel1, n, z)
+        jpp = _second_derivative(n, w, j, jp)
+        hpp = _second_derivative(n, z, h, hp)
+        inner = jp * h / c
+        outer = alpha * hp * j
+        fp = jpp * h / (c * c) + jp * hp / c - alpha * (hpp * j + hp * jp / c)
+        return inner - outer, fp, inner, outer
+    if isinstance(problem, DeltaDisk):
+        j, jp = bessel_pair(jv, n, z)
+        h, hp = bessel_pair(hankel1, n, z)
+        v = problem.v0 * z ** problem.v_exponent
+        vp = problem.v0 * problem.v_exponent * z ** (problem.v_exponent - 1.0)
+        jh = j * h
+        f = jh - 2j / (pi * v)
+        fp = jp * h + j * hp + (2j / pi) * vp / (v * v)
+        return f, fp, jh, 2.0 / (pi * v)
+    if isinstance(problem, DampingDisk):
+        j, jp = bessel_pair(jv, n, z)
+        jpp = _second_derivative(n, z, j, jp)
+        f = jp - 1j * problem.a * j
+        fp = jpp - 1j * problem.a * jp
+        return f, fp, jp, problem.a * j
+    raise TypeError(f"not a disk problem: {problem!r}")
+
+
+def _secular_parts(problem: DiskProblem, n: int, lam: complex):
+    """(f, f', scale) at one point, scale being the residual normalizer."""
+    f, fp, a, b = _secular_terms(problem, n, complex(lam))
+    scale = abs(a) + abs(b)
     return f, fp, (scale if scale > 0.0 else 1.0)
 
 
@@ -272,50 +290,9 @@ def secular(problem: DiskProblem, n: int, lam: complex) -> tuple:
     return f, fp
 
 
-def residual(problem: DiskProblem, n: int, lam: complex) -> float:
-    """|f| relative to the local magnitude scale of its terms."""
-    f, _, scale = _secular_parts(problem, n, lam)
-    return abs(f) / scale
-
-
-def _jv_pair(n: int, z: np.ndarray):
-    j = jv(n, z)
-    return j, jv(n - 1, z) - (n / z) * j
-
-
-def _h1_pair(n: int, z: np.ndarray):
-    h = hankel1(n, z)
-    return h, hankel1(n - 1, z) - (n / z) * h
-
-
-def _secular_array(problem: DiskProblem, n: int, z: np.ndarray):
-    """Vectorized (f, f') along contours; callers keep z inside the
-    guarded argument box of the scalar path."""
-    z = np.asarray(z, dtype=complex)
-    if isinstance(problem, TransparentDisk):
-        c = problem.c
-        alpha = problem.alpha
-        w = z / c
-        j, jp = _jv_pair(n, w)
-        h, hp = _h1_pair(n, z)
-        jpp = -(1.0 - (n * n) / (w * w)) * j - jp / w
-        hpp = -(1.0 - (n * n) / (z * z)) * h - hp / z
-        f = jp * h / c - alpha * hp * j
-        fp = jpp * h / (c * c) + jp * hp / c - alpha * (hpp * j + hp * jp / c)
-    elif isinstance(problem, DeltaDisk):
-        j, jp = _jv_pair(n, z)
-        h, hp = _h1_pair(n, z)
-        v = problem.v0 * z ** problem.v_exponent
-        vp = problem.v0 * problem.v_exponent * z ** (problem.v_exponent - 1.0)
-        f = j * h - 2j / (pi * v)
-        fp = jp * h + j * hp + (2j / pi) * vp / (v * v)
-    elif isinstance(problem, DampingDisk):
-        j, jp = _jv_pair(n, z)
-        jpp = -(1.0 - (n * n) / (z * z)) * j - jp / z
-        f = jp - 1j * problem.a * j
-        fp = jpp - 1j * problem.a * jp
-    else:
-        raise TypeError(f"not a disk problem: {problem!r}")
+def _secular_array(problem: DiskProblem, n: int, z):
+    """Vectorized (f, f') of the same formula, without Bessel guards."""
+    f, fp, _, _ = _secular_terms(problem, n, np.asarray(z, dtype=complex))
     return f, fp
 
 
@@ -566,7 +543,11 @@ def _transparent_seeds(problem, n, re_lo, re_hi, q_max):
                 out.append((lam0, "normal", _SEED_TRUST))
     if n >= 1:
         out.extend(_transverse_sweep(problem, n, re_lo, re_hi, q_max))
-        out.extend(_transparent_glancing(problem, n, re_lo, re_hi))
+        if c > 1.0:
+            # the interior ray grazes the circle; the exterior Hankel
+            # factor's Debye phase sets the leak (only meaningful for c > 1)
+            leak = c / (alpha * math.sqrt(c * c - 1.0))
+            out.extend(_airy_cluster(n, c, -leak, re_lo, re_hi))
     return out
 
 
@@ -609,40 +590,22 @@ def _transverse_sweep(problem, n, re_lo, re_hi, q_max):
     return out
 
 
-def _transparent_glancing(problem, n, re_lo, re_hi):
-    """Airy-corrected starts where the interior ray grazes the circle.
+def _airy_cluster(n, c, im, re_lo, re_hi):
+    """Airy-corrected starts where rays in a medium of speed c graze the circle.
 
-    For lambda near c n the interior factor degenerates to an Airy
-    function; the first zeros sit at w = n + |a_j| n^(1/3) / 2^(1/3)
-    with the outgoing leak -i c / (alpha sqrt(c^2 - 1)) from the Debye
-    phase of the exterior Hankel factor.  Only meaningful for c > 1.
+    Near lambda = c n the order-n factor of argument lambda / c
+    degenerates to an Airy function; its first zeros sit at lambda / c =
+    n + |a_j| n^(1/3) / 2^(1/3).  im is the start height, set by the leak
+    through the boundary.
     """
-    c, alpha = problem.c, problem.alpha
-    if c <= 1.0 or n < 4:
+    if n < 4 or c * (n + 6.0 * n ** (1.0 / 3.0)) < re_lo or c * n > re_hi:
         return []
-    cluster_lo = c * n
-    cluster_hi = c * (n + 6.0 * n ** (1.0 / 3.0))
-    if cluster_hi < re_lo or cluster_lo > re_hi:
-        return []
-    leak = c / (alpha * math.sqrt(c * c - 1.0))
     out = []
     for zeta in airy_zeros(6).zeros:
-        w = n + abs(float(zeta)) * n ** (1.0 / 3.0) / _CBRT2
-        lam0 = complex(c * w, -leak)
+        lam0 = complex(c * (n + abs(float(zeta)) * n ** (1.0 / 3.0) / _CBRT2), im)
         if re_lo <= lam0.real <= re_hi:
             out.append((lam0, "glancing", _GLANCING_TRUST))
     return out
-
-
-def _exterior_phase(r: float) -> float:
-    """sqrt(r^2 - 1) - arcsec(r), the free exterior angular phase."""
-    return math.sqrt(r * r - 1.0) - math.acos(1.0 / r)
-
-
-def _invert_exterior_phase(target: float) -> float:
-    lo = 1.0 + 1e-13
-    hi = target + pi / 2.0 + 1.0
-    return brentq(lambda r: _exterior_phase(r) - target, lo, hi, xtol=1e-13)
 
 
 def _damping_seeds(problem, n, re_lo, re_hi):
@@ -675,14 +638,14 @@ def _damping_seeds(problem, n, re_lo, re_hi):
     # bulk: solve Re theta = pi k (+ pi/2 on the overdamped branch)
     r_hi = re_hi / n
     if r_hi > 1.0 + 1e-9:
-        t_hi = _exterior_phase(r_hi)
+        t_hi = _phase_integral(1.0, r_hi)
         k_hi = math.floor((t_hi * n - pi / 4.0) / pi) + 1
         for k in range(0, k_hi + 1):
             for extra in (0.0, 0.5):
                 target = (pi * (k + extra) + pi / 4.0) / n
                 if not 0.0 < target <= t_hi:
                     continue
-                r = _invert_exterior_phase(target)
+                r = _invert_phase(1.0, target)
                 t = math.sqrt(r * r - 1.0)
                 if abs(t - a * r) < 1e-12 * a * r:
                     continue
@@ -699,12 +662,7 @@ def _damping_seeds(problem, n, re_lo, re_hi):
                 lam0 = complex(n * r, im)
                 if re_lo <= lam0.real <= re_hi:
                     out.append((lam0, "normal", _SEED_TRUST))
-    # glancing cluster
-    if n >= 4 and n + 6.0 * n ** (1.0 / 3.0) >= re_lo and n <= re_hi:
-        for zeta in airy_zeros(6).zeros:
-            lam0 = complex(n + abs(float(zeta)) * n ** (1.0 / 3.0) / _CBRT2, -1.0 / a)
-            if re_lo <= lam0.real <= re_hi:
-                out.append((lam0, "glancing", _GLANCING_TRUST))
+    out.extend(_airy_cluster(n, 1.0, -1.0 / a, re_lo, re_hi))
     return out
 
 
@@ -732,9 +690,10 @@ def _delta_seeds(problem, n, re_lo, re_hi, glancing_depth):
         if r_hi <= 1.0 + 1e-6:
             return out
         r_lo = max(re_lo / n, 1.0 + 1e-6)
-        t_lo, t_hi = n * _exterior_phase(r_lo) - pi / 4.0, n * _exterior_phase(r_hi) - pi / 4.0
+        t_lo = n * _phase_integral(1.0, r_lo) - pi / 4.0
+        t_hi = n * _phase_integral(1.0, r_hi) - pi / 4.0
         def lam_of(theta):
-            return n * _invert_exterior_phase((theta + pi / 4.0) / n)
+            return n * _invert_phase(1.0, (theta + pi / 4.0) / n)
     for k in range(math.ceil(t_lo / pi - 1.0), math.floor(t_hi / pi) + 2):
         # fixed point of Re theta = pi k + arg(rhs)/2, two passes
         theta_re = pi * k + pi / 2.0

@@ -5,7 +5,9 @@ bands) reduces to four kinds of evaluations collected here:
 
 * the Airy function ``Ai`` and the outgoing combination
   ``A_-(z) = Ai(e^{2 pi i/3} z)``,
-* the quadruple ``(J_n, J_n', H^(1)_n, H^(1)_n')`` at complex argument,
+* the pairs ``(J_n, J_n')`` and ``(H^(1)_n, H^(1)_n')`` at complex
+  argument, one point at a time (guarded) or over arrays, and the
+  quadruple of both,
 * the transition variable ``zeta(z)`` of the uniform large-order Bessel
   asymptotics,
 * the glancing symbol functions built from ``Ai`` and ``A_-``.
@@ -34,6 +36,7 @@ __all__ = [
     "airy_minus",
     "phi_minus",
     "airy_zeros",
+    "bessel_pair",
     "bessel_quad",
     "uniform_zeta",
     "uniform_zeta_prime",
@@ -230,19 +233,42 @@ def _bessel_log_magnitude(n: int, z: complex) -> float:
     return n * phi
 
 
-def _jh_arrays(n: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (J, J', H^(1), H^(1)') at integer order over complex z.
+def bessel_pair(fn, n: int, z):
+    """(C_n, C_n') of the cylinder function C = fn at integer order n.
 
-    No domain guards; callers are responsible for staying inside the
-    representable regime.  Non-finite entries propagate.
+    ``fn`` is scipy's ``jv`` or ``hankel1``; the derivative follows the
+    three-term relation C_n' = C_{n-1} - (n/z) C_n.  An ndarray ``z`` is
+    evaluated without guards and non-finite entries propagate.  Any other
+    ``z`` must lie in the box of ``bessel_quad`` (ValueError otherwise)
+    and the pair comes back as Python complex numbers, evaluated through
+    one-element arrays; ScaledMagnitudeError is raised when C_n or C_n'
+    overflows, or C_n underflows to zero in the order-dominated regime.
     """
-    z = np.asarray(z, dtype=complex)
-    j = _sp.jv(n, z)
-    jm = _sp.jv(n - 1, z)
-    h = _sp.hankel1(n, z)
-    hm = _sp.hankel1(n - 1, z)
-    ratio = n / z
-    return j, jm - ratio * j, h, hm - ratio * h
+    if isinstance(z, np.ndarray):
+        c = fn(n, z)
+        return c, fn(n - 1, z) - (n / z) * c
+    if n != int(n):
+        raise ValueError("order must be an integer")
+    n = int(n)
+    if not 0 <= n <= BESSEL_ORDER_MAX:
+        raise ValueError(f"order {n} outside 0..{BESSEL_ORDER_MAX}")
+    z = complex(z)
+    if not 1.0 <= abs(z) <= BESSEL_ARG_MAX:
+        raise ValueError(f"argument modulus {abs(z):.3g} outside [1, {BESSEL_ARG_MAX:.3g}]")
+    if abs(z.imag) > BESSEL_IM_MAX:
+        raise ValueError(f"|Im z| = {abs(z.imag):.3g} exceeds {BESSEL_IM_MAX:.3g}")
+    c, cp = (complex(v[0]) for v in bessel_pair(fn, n, np.array([z])))
+    if not (cmath.isfinite(c) and cmath.isfinite(cp)):
+        raise ScaledMagnitudeError(
+            f"order-{n} cylinder function overflows double precision at z = {z}",
+            _bessel_log_magnitude(n, z),
+        )
+    if c == 0 and n > abs(z):
+        raise ScaledMagnitudeError(
+            f"order-{n} cylinder function underflows double precision at z = {z}",
+            -_bessel_log_magnitude(n, z),
+        )
+    return c, cp
 
 
 def bessel_quad(n: int, z: complex) -> BesselQuad:
@@ -258,33 +284,12 @@ def bessel_quad(n: int, z: complex) -> BesselQuad:
     ------
     ScaledMagnitudeError
         when the order so dominates the argument that H overflows (or J
-        underflows) double precision; carries log |H| at the failure.
+        underflows) double precision; carries log |H| (or log |J|) at the
+        failure.
     """
-    if n != int(n):
-        raise ValueError("order must be an integer")
-    n = int(n)
-    if not 0 <= n <= BESSEL_ORDER_MAX:
-        raise ValueError(f"order {n} outside 0..{BESSEL_ORDER_MAX}")
-    z = complex(z)
-    if not 1.0 <= abs(z) <= BESSEL_ARG_MAX:
-        raise ValueError(f"argument modulus {abs(z):.3g} outside [1, {BESSEL_ARG_MAX:.3g}]")
-    if abs(z.imag) > BESSEL_IM_MAX:
-        raise ValueError(f"|Im z| = {abs(z.imag):.3g} exceeds {BESSEL_IM_MAX:.3g}")
-    j, jp, h, hp = (complex(v[0]) for v in _jh_arrays(n, np.array([z]))[0:4])
-
-    def _bad(v: complex) -> bool:
-        return not cmath.isfinite(v)
-
-    if _bad(h) or _bad(hp) or (j == 0 and n > abs(z)):
-        raise ScaledMagnitudeError(
-            f"H^(1)_{n} exceeds double precision at z = {z}",
-            _bessel_log_magnitude(n, z),
-        )
-    if _bad(j) or _bad(jp):
-        raise ScaledMagnitudeError(
-            f"J_{n} not representable at z = {z}", -_bessel_log_magnitude(n, z)
-        )
-    return BesselQuad(order=n, argument=z, j=j, j_prime=jp, h1=h, h1_prime=hp)
+    h, hp = bessel_pair(_sp.hankel1, n, z)
+    j, jp = bessel_pair(_sp.jv, n, z)
+    return BesselQuad(order=int(n), argument=complex(z), j=j, j_prime=jp, h1=h, h1_prime=hp)
 
 
 def _zeta_seam(w: float) -> float:

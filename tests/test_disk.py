@@ -44,6 +44,7 @@ from qsabine.disk import (
 )
 from qsabine.reflectivity import TransparentObstacle
 from qsabine.sabine import sabine_quotient
+from qsabine.specfun import ScaledMagnitudeError
 
 from oracles import airy_series, airy_zero_bisect
 
@@ -160,6 +161,31 @@ class TestSecular:
                 f_lo, _ = secular(prob, n, lam - h)
                 fd = (f_hi - f_lo) / (2.0 * h)
                 assert abs(fp - fd) <= 1e-6 * max(abs(fp), abs(fd), 1e-20)
+
+    def test_point_and_array_paths_agree(self):
+        # Newton evaluates one point at a time, contours and the guard
+        # evaluate arrays; both must give the same f and f'.
+        rng = np.random.default_rng(9)
+        problems = (TE_FAST, TransparentDisk(0.5, 1.3), DeltaDisk(2.0, 0.5), DampingDisk(2.0))
+        lams = [complex(rng.uniform(200, 300), -rng.uniform(0.01, 3.0)) for _ in range(8)]
+        for prob in problems:
+            for n in (0, 1, 7, 150, 360):
+                f_arr, fp_arr = qsabine.disk._secular_array(prob, n, np.array(lams))
+                for lam, fa, fpa in zip(lams, f_arr, fp_arr):
+                    f, fp = secular(prob, n, lam)
+                    assert abs(f - fa) <= 1e-13 * abs(fa)
+                    assert abs(fp - fpa) <= 1e-13 * abs(fpa)
+
+    def test_point_path_guards(self):
+        # J_2000(850 - 0.5i) underflows: the point path refuses it
+        with pytest.raises(ScaledMagnitudeError):
+            secular(TE_FAST, 2000, 1700.0 - 1.0j)
+        with pytest.raises(ValueError):
+            secular(TE_FAST, 10, 100.0 - 60.0j)
+        with pytest.raises(ValueError):
+            secular(DampingDisk(2.0), 10, 0.5 - 0.1j)
+        f, fp = secular(DampingDisk(2.0), 2000, 1500.0 - 1.0j)
+        assert cmath.isfinite(f) and cmath.isfinite(fp)
 
     def test_mode_symmetry(self):
         rng = np.random.default_rng(7)
