@@ -46,13 +46,11 @@ from .disk import (
 )
 from .reflectivity import BoundaryDamping, DeltaPotential, TransparentObstacle
 from .sabine import band_report, glancing_bands, sabine_bounds, sabine_quotient, wave_speed
-from .specfun import airy_zeros
 
 __all__ = ["ConfigError", "RunConfig", "FigureSpec", "emit_figure", "run", "main"]
 
 _COMMANDS = ("bounds", "resonances", "bands", "verify", "plot")
 _FIGURES = ("circle", "bands")
-_CBRT2 = 2.0 ** (1.0 / 3.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -273,12 +271,10 @@ def emit_figure(table: Sequence, specs) -> str:
             elif overlay == "glancing_bands":
                 if spec.problem != "delta":
                     raise ValueError("glancing band overlay needs the delta problem")
-                tab = airy_zeros(3)
-                ex = 5.0 / 3.0 - 2.0 * spec.params["v_exponent"]
+                model = DeltaPotential(spec.params["v0"], -spec.params["v_exponent"])
                 gx = np.geomspace(window[0], window[1], 64)
-                for j in range(3):
-                    depth = _CBRT2 * abs(tab.im_phi_minus[j]) / spec.params["v0"] ** 2
-                    gy = depth * gx ** ex
+                for b in glancing_bands(model, m_bands=3):
+                    gy = np.array([-b.predicted_im_lambda(1.0 / x) for x in gx])
                     if log_y:
                         panel.line(gx, gy, color="#c53030", dash="5,4")
                     else:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import csv
+import functools
 import logging
 import math
 import warnings
@@ -94,6 +95,15 @@ _MIN_CELL = 1e-3
 _MAX_DEPTH = 48
 
 _SEED_TAGS = ("normal", "transverse", "glancing", "continuation")
+
+# Fixed scan settings: the rectangle's ceiling just below the real axis;
+# the largest tangent frequency n / Re lambda a scan admits (also a
+# Resonance invariant); the largest reduced rotation denominator whose
+# starts are tagged transverse; and the glancing starts per delta mode.
+_IM_CEILING = -1e-6
+_TANGENT_CAP = 1.2
+_Q_MAX = 12
+_GLANCING_DEPTH = 4
 
 
 class NoConvergenceError(RuntimeError):
@@ -192,9 +202,13 @@ class Resonance:
 
     residual is |f| at the zero relative to the local magnitude scale of
     the terms of f, so it stays meaningful under the exponential growth
-    of the Hankel factor below the real axis.  seed records which start
-    family produced the zero; guarded is the trust-region certificate of
-    the refinement (uniqueness of the zero in the start disk).
+    of the Hankel factor below the real axis.  seed names the start
+    family of the refinement that was kept: when several starts of one
+    mode converge to the same zero (within 1e-6), a scan keeps the one
+    with the lowest residual, seed tag and guard flag included, so the
+    tag need not be the first or the only family that reaches the zero.
+    guarded is the trust-region certificate of the refinement
+    (uniqueness of the zero in the start disk).
     """
 
     lam: complex
@@ -213,9 +227,10 @@ class Resonance:
             raise ValueError("mode index must be >= 0")
         if self.seed not in _SEED_TAGS:
             raise ValueError(f"unknown seed tag {self.seed!r}")
-        if self.tangent_freq > 1.2:
+        if self.tangent_freq > _TANGENT_CAP:
             raise ValueError(
-                f"tangent frequency {self.tangent_freq!r} exceeds 1.2: not a disk resonance"
+                f"tangent frequency {self.tangent_freq!r} exceeds {_TANGENT_CAP}:"
+                " not a disk resonance"
             )
 
     @property
@@ -466,10 +481,11 @@ def newton_refine(
     """Refine a start point to a resonance within trust radius epsilon.
 
     Stops once the scaled residual is below 1e-10.  A start point that
-    is already below 1e-12 is returned unchanged.  The disk-uniqueness
-    guard is evaluated at the start; on failure the iteration still runs
-    but the result is marked unguarded, as is any zero that lands
-    outside the trust disk.
+    is already below 1e-12 is returned unchanged.  The result is marked
+    guarded when the zero lies inside the trust disk and the
+    disk-uniqueness guard, built from |f|, |f'| and the scale at the
+    start, passes; the guard is evaluated only for such a zero, so
+    refinements that fail or leave the disk never pay for it.
 
     Raises NoConvergenceError (with the visited points attached) on a
     vanishing derivative, three consecutive steps longer than epsilon,
@@ -487,7 +503,8 @@ def newton_refine(
             lam=lam, n=n, residual=abs(f) / scale, seed=tag,
             problem=problem.tag, guarded=True,
         )
-    guard_ok = _newton_guard(problem, n, lam, epsilon, abs(f) / scale, abs(fp) / scale, scale)
+    lam0 = lam
+    start = (abs(f) / scale, abs(fp) / scale, scale)
     trace = [lam]
     oversize = 0
     for _ in range(50):
@@ -515,7 +532,8 @@ def newton_refine(
                 )
             return Resonance(
                 lam=lam, n=n, residual=abs(f) / scale, seed=tag, problem=problem.tag,
-                guarded=bool(guard_ok and abs(lam - complex(lambda_0)) <= epsilon),
+                guarded=(abs(lam - lam0) <= epsilon
+                         and _newton_guard(problem, n, lam0, epsilon, *start)),
             )
     raise NoConvergenceError("no convergence within 50 iterations", trace)
 
@@ -532,7 +550,7 @@ def _normal_k_range(c, n, sigma, re_lo, re_hi):
     return range(k_lo, k_hi + 1)
 
 
-def _transparent_seeds(problem, n, re_lo, re_hi, q_max):
+def _transparent_seeds(problem, n, re_lo, re_hi):
     c, alpha = problem.c, problem.alpha
     out = []
     if abs(alpha * c - 1.0) > 1e-14:
@@ -542,7 +560,7 @@ def _transparent_seeds(problem, n, re_lo, re_hi, q_max):
             if lam0.real > 0.0:
                 out.append((lam0, "normal", _SEED_TRUST))
     if n >= 1:
-        out.extend(_transverse_sweep(problem, n, re_lo, re_hi, q_max))
+        out.extend(_transverse_sweep(problem, n, re_lo, re_hi))
         if c > 1.0:
             # the interior ray grazes the circle; the exterior Hankel
             # factor's Debye phase sets the leak (only meaningful for c > 1)
@@ -551,10 +569,10 @@ def _transparent_seeds(problem, n, re_lo, re_hi, q_max):
     return out
 
 
-def _transverse_sweep(problem, n, re_lo, re_hi, q_max):
+def _transverse_sweep(problem, n, re_lo, re_hi):
     """Transverse starts for mode n with Re lambda_0 in window.
 
-    Phase targets with reduced rotation denominator q <= q_max are the
+    Phase targets with reduced rotation denominator q <= _Q_MAX are the
     transverse family proper; the rest of the integer sweep reuses the
     same phase condition as plain continuation starts.
     """
@@ -585,7 +603,7 @@ def _transverse_sweep(problem, n, re_lo, re_hi, q_max):
             if lam0.real < re_lo:
                 continue
             q = n // math.gcd(n, -k)
-            out.append((lam0, "transverse" if q <= q_max else "continuation",
+            out.append((lam0, "transverse" if q <= _Q_MAX else "continuation",
                         _SEED_TRUST))
     return out
 
@@ -666,11 +684,11 @@ def _damping_seeds(problem, n, re_lo, re_hi):
     return out
 
 
-def _delta_seeds(problem, n, re_lo, re_hi, glancing_depth):
+def _delta_seeds(problem, n, re_lo, re_hi):
     """Glancing Airy starts plus bulk phase-condition starts."""
     out = []
     if n >= 1:
-        for j in range(1, glancing_depth + 1):
+        for j in range(1, _GLANCING_DEPTH + 1):
             try:
                 lam0 = seed_glancing(problem, n, j)
             except ValueError:
@@ -727,15 +745,19 @@ def _delta_seeds(problem, n, re_lo, re_hi, glancing_depth):
     return out
 
 
-def _seed_points(problem, n, re_lo, re_hi, q_max, glancing_depth):
+_SEED_FAMILIES = {
+    TransparentDisk: _transparent_seeds,
+    DampingDisk: _damping_seeds,
+    DeltaDisk: _delta_seeds,
+}
+
+
+def _seed_points(problem, n, re_lo, re_hi):
+    seeds = _SEED_FAMILIES.get(type(problem))
+    if seeds is None:
+        raise TypeError(f"not a disk problem: {problem!r}")
     pad = 3.0
-    if isinstance(problem, TransparentDisk):
-        return _transparent_seeds(problem, n, re_lo - pad, re_hi + pad, q_max)
-    if isinstance(problem, DampingDisk):
-        return _damping_seeds(problem, n, re_lo - pad, re_hi + pad)
-    if isinstance(problem, DeltaDisk):
-        return _delta_seeds(problem, n, re_lo - pad, re_hi + pad, glancing_depth)
-    raise TypeError(f"not a disk problem: {problem!r}")
+    return seeds(problem, n, re_lo - pad, re_hi + pad)
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +818,12 @@ def _in_box(lam: complex, box) -> bool:
 
 
 def _absorb(roots: list, cand: Resonance, box) -> bool:
-    """Keep cand if it lies in the scan box and is not a duplicate."""
+    """Keep cand if it lies in the scan box and is not a duplicate.
+
+    A duplicate (within _DEDUP_TOL of a kept root) whose residual is
+    lower replaces the kept root, seed tag and guard flag included; True
+    only when cand adds a new root.
+    """
     if not _in_box(cand.lam, box):
         return False
     for i, known in enumerate(roots):
@@ -853,20 +880,19 @@ def _complete_cell(problem, n, box, roots, scan_box, incomplete, depth=0):
     incomplete.append((n, box, count, inside))
 
 
-def _scan_mode(problem, n, re_window, im_floor, im_ceiling, tangent_cap,
-               tangent_floor, q_max, glancing_depth):
+def _scan_mode(problem, re_window, im_floor, tangent_floor, n):
     """All resonances of one angular mode in the window, plus any cells
     where completeness could not be certified."""
     re_lo, re_hi = re_window
     if n > 0:
-        re_lo = max(re_lo, n / tangent_cap)
+        re_lo = max(re_lo, n / _TANGENT_CAP)
         if tangent_floor > 0.0:
             re_hi = min(re_hi, n / tangent_floor)
     if not re_lo < re_hi:
         return [], []
-    box = (re_lo, re_hi, im_floor, im_ceiling)
+    box = (re_lo, re_hi, im_floor, _IM_CEILING)
     roots: list = []
-    for lam0, tag, trust in _seed_points(problem, n, re_lo, re_hi, q_max, glancing_depth):
+    for lam0, tag, trust in _seed_points(problem, n, re_lo, re_hi):
         if lam0.imag < im_floor - 1.0:
             continue
         try:
@@ -880,33 +906,27 @@ def _scan_mode(problem, n, re_window, im_floor, im_ceiling, tangent_cap,
     return roots, incomplete
 
 
-def _scan_mode_star(args):
-    return _scan_mode(*args)
-
-
 def scan(
     problem: DiskProblem,
     re_window,
     im_floor: float,
     n_range,
     *,
-    im_ceiling: float = -1e-6,
-    tangent_cap: float = 1.2,
     tangent_floor: float = 0.0,
-    q_max: int = 12,
-    glancing_depth: int = 4,
     workers: int = 0,
 ) -> list:
     """All resonances in a window, certified complete mode by mode.
 
     Every mode n in n_range is swept over the rectangle
-    [re_window] x [im_floor, im_ceiling], clipped per mode to tangent
-    frequencies n / Re lambda in [tangent_floor, tangent_cap].  Seeds of
-    every applicable asymptotic family are refined by guarded Newton;
-    an argument-principle count over the rectangle then certifies the
-    root list, with binary subdivision and fresh Newton casts wherever
-    the count disagrees.  Cells whose count never reconciles are
-    reported through IncompleteScanWarning.
+    [re_window] x [im_floor, -1e-6], clipped per mode to tangent
+    frequencies n / Re lambda in [tangent_floor, 1.2].  Seeds of every
+    applicable asymptotic family are refined by guarded Newton (transverse
+    starts are tagged as such up to rotation denominator 12, and the
+    delta problem gets the first four glancing starts per mode); an
+    argument-principle count over the rectangle then certifies the root
+    list, with binary subdivision and fresh Newton casts wherever the
+    count disagrees.  Cells whose count never reconciles are reported
+    through IncompleteScanWarning.
 
     workers > 1 distributes modes over processes; results are merged in
     a stable (Re lambda, n) order either way, so the output is
@@ -922,12 +942,12 @@ def scan(
             "window must start at or above c: the interior argument "
             "lambda / c would leave the guarded special-function box"
         )
-    if not im_floor < im_ceiling < 0.0:
-        raise ValueError("need im_floor < im_ceiling < 0")
+    if not im_floor < _IM_CEILING:
+        raise ValueError(f"need im_floor < {_IM_CEILING}")
     if im_floor < -50.0:
         raise ValueError("im_floor below the guarded special-function box")
-    if not 0.0 <= tangent_floor < tangent_cap:
-        raise ValueError("need 0 <= tangent_floor < tangent_cap")
+    if not 0.0 <= tangent_floor < _TANGENT_CAP:
+        raise ValueError(f"need 0 <= tangent_floor < {_TANGENT_CAP}")
     modes = sorted({int(n) for n in n_range})
     if not modes:
         return []
@@ -935,16 +955,14 @@ def scan(
         raise ValueError("modes are indexed by n >= 0 (negative n is redundant)")
     if modes[-1] > 20000:
         raise ValueError("mode index beyond the guarded special-function box")
-    jobs = [
-        (problem, n, (re_lo, re_hi), float(im_floor), float(im_ceiling),
-         float(tangent_cap), float(tangent_floor), int(q_max), int(glancing_depth))
-        for n in modes
-    ]
+    job = functools.partial(
+        _scan_mode, problem, (re_lo, re_hi), float(im_floor), float(tangent_floor)
+    )
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-            outcomes = list(pool.map(_scan_mode_star, jobs))
+            outcomes = list(pool.map(job, modes))
     else:
-        outcomes = [_scan_mode_star(job) for job in jobs]
+        outcomes = [job(n) for n in modes]
     found: list = []
     for (mode_roots, incomplete) in outcomes:
         found.extend(mode_roots)

@@ -45,6 +45,14 @@ __all__ = [
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
 
+# Fixed band-extremizer settings: footpoints on the coarsest grid, the
+# endpoint movement that counts as converged, and the grid doublings
+# allowed before giving up.  Reflectivity zeros are excised by
+# BREWSTER_WINDOW.
+_S_POINTS = 4
+_TOL = 1e-3
+_MAX_REFINE = 6
+
 
 def wave_speed(model: ReflectivityModel) -> float:
     """Interior wave speed of a reflectivity model (1 except for obstacles)."""
@@ -189,31 +197,24 @@ def sabine_bounds(
     model: ReflectivityModel,
     n_max: int = 8,
     xi_points: int = 33,
-    s_points: int = 4,
-    collar: Optional[float] = None,
-    zero_window: float = BREWSTER_WINDOW,
-    tol: float = 1e-3,
-    max_refine: int = 6,
 ) -> SabineBand:
     """Extremize the Sabine quotient over a refining (footpoint, xi) grid.
 
-    The xi grid is uniform on [0, 1 - collar] with any analytically known
-    reflectivity zeros excised by ``zero_window``; footpoints are uniform
-    on the boundary.  Both grids double until the band endpoints move by
-    less than ``tol``, after which an interior extremum (if any) is
-    sharpened by bounded 1-d minimization between its grid neighbors.
-    Raises RuntimeError if the band fails to stabilize within
-    ``max_refine`` doublings.
+    The xi grid is uniform on [0, 1 - collar], the collar being 1e-6
+    (h^0.2 clamped to [1e-6, 0.5] for a delta potential), with any
+    analytically known reflectivity zeros excised by a window of
+    half-width 1e-3; 4 footpoints are uniform on the boundary.  Both
+    grids double until the band endpoints move by less than 1e-3, after
+    which an interior extremum (if any) is sharpened by bounded 1-d
+    minimization between its grid neighbors.  Raises RuntimeError if the
+    band fails to stabilize within 6 doublings.
     """
     n_max = int(n_max)
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
-    if xi_points < 3 or s_points < 1:
-        raise ValueError("grid needs at least 3 xi points and 1 footpoint")
-    if collar is None:
-        collar = _default_collar(model)
-    if not 0.0 < collar < 1.0:
-        raise ValueError("collar must lie in (0, 1)")
+    if xi_points < 3:
+        raise ValueError("grid needs at least 3 xi points")
+    collar = _default_collar(model)
 
     zeros = _reflectivity_zeros(model)
     # A zero reachable inside the grid range makes the true inf -inf no
@@ -243,13 +244,13 @@ def sabine_bounds(
         full = np.linspace(0.0, 1.0 - collar, p)
         keep = np.ones(p, dtype=bool)
         for z in zeros:
-            keep &= np.abs(full - z) >= zero_window
+            keep &= np.abs(full - z) >= BREWSTER_WINDOW
         if not keep.any():
             raise ValueError(
                 "the zero excision window covers the whole xi grid "
                 "(degenerate model)"
             )
-        s_vals = np.linspace(0.0, perim, s_points * 2**level, endpoint=False)
+        s_vals = np.linspace(0.0, perim, _S_POINTS * 2**level, endpoint=False)
         return full[keep], s_vals
 
     lower = upper = math.nan
@@ -257,7 +258,7 @@ def sabine_bounds(
     vals = xi_vals = s_vals = None
     level = 0
     converged = False
-    for level in range(max_refine + 1):
+    for level in range(_MAX_REFINE + 1):
         prev_lower, prev_upper = lower, upper
         xi_vals, s_vals = masked_grid(level)
         vals = evaluate(xi_vals, s_vals)
@@ -267,15 +268,15 @@ def sabine_bounds(
         if level > 0:
             # Finer grids only widen the bracket.
             assert lower <= prev_lower + 1e-9 and upper >= prev_upper - 1e-9
-            if _endpoints_close(lower, prev_lower, tol) and _endpoints_close(
-                upper, prev_upper, tol
+            if _endpoints_close(lower, prev_lower, _TOL) and _endpoints_close(
+                upper, prev_upper, _TOL
             ):
                 converged = True
                 break
     if not converged:
         raise RuntimeError(
-            f"Sabine band did not stabilize to {tol} within "
-            f"{max_refine} grid doublings"
+            f"Sabine band did not stabilize to {_TOL} within "
+            f"{_MAX_REFINE} grid doublings"
         )
 
     lower, upper = _sharpen_extrema(
@@ -395,10 +396,9 @@ def glancing_limit(
 class GlancingBand:
     """One near-glancing resonance band of the delta-potential problem.
 
-    Band j sits at Im lambda ~ (Q/|s_v|^2) ((2 h Q)^{1/3} (1 + a1)
-    ImPhi_-(zeta_j) + h Im V1) where s_v = v0 h^{1 + alpha_exp} is the
-    semiclassical coupling, zeta_j the j-th Airy zero, and Q ranges over
-    the glancing set.  ``b_min``/``b_max`` are the values of the scale
+    Band j sits at Im lambda ~ (Q/|s_v|^2) (2 h Q)^{1/3} ImPhi_-(zeta_j)
+    where s_v = v0 h^{1 + alpha_exp} is the semiclassical coupling,
+    zeta_j the j-th Airy zero, and Q ranges over the glancing set.  ``b_min``/``b_max`` are the values of the scale
     factor B = 2^{1/3} Q^{4/3} / (v0 h^{alpha_exp})^2 at the endpoints of
     the Q range; ``gap_below`` reports whether band j separates from
     band j+1 (B_min/B_max above the Airy ratio).
@@ -414,8 +414,6 @@ class GlancingBand:
     gap_below: bool
     v0: float
     alpha_exp: float
-    a1: float
-    im_v1: float
     q_min: float
     q_max: float
 
@@ -433,42 +431,27 @@ class GlancingBand:
         """
         if q is None:
             q = 0.5 * (self.q_min + self.q_max)
-        return _band_value(
-            self.v0, self.alpha_exp, self.a1, self.im_v1, float(h), float(q), self.im_phi_j
-        )
+        return _band_value(self.v0, self.alpha_exp, float(h), float(q), self.im_phi_j)
 
 
-def _band_value(
-    v0: float,
-    alpha_exp: float,
-    a1: float,
-    im_v1: float,
-    h: float,
-    q: float,
-    im_phi: float,
-) -> float:
+def _band_value(v0: float, alpha_exp: float, h: float, q: float, im_phi: float) -> float:
     sigma_hv = v0 * h ** (1.0 + alpha_exp)
-    return (q / sigma_hv**2) * (
-        (2.0 * h * q) ** (1.0 / 3.0) * (1.0 + a1) * im_phi + h * im_v1
-    )
+    return (q / sigma_hv**2) * ((2.0 * h * q) ** (1.0 / 3.0) * im_phi)
 
 
 def glancing_bands(
     model: DeltaPotential,
     m_bands: int = 3,
     q_range: Tuple[float, float] = (1.0, 1.0),
-    h: Optional[float] = None,
-    a1: float = 0.0,
-    im_v1: float = 0.0,
 ) -> Tuple[GlancingBand, ...]:
     """Predict the first ``m_bands`` near-glancing resonance bands.
 
-    Each band is the range of the band expression as Q sweeps
-    ``q_range`` (constant 1 on the unit disk, where every band is a
-    point).  ``h`` defaults to the model's semiclassical parameter; the
-    optional ``a1`` and ``im_v1`` feed the subprincipal corrections of
-    generalized models and default to 0.  Requires a constant-amplitude
-    potential; bands of a vanishing potential are undefined.
+    Each band is the range of (Q/|s_v|^2) (2 h Q)^{1/3} ImPhi_-(zeta_j)
+    as Q sweeps ``q_range`` (constant 1 on the unit disk, where every
+    band is a point), at the model's semiclassical parameter h; the
+    subprincipal corrections of generalized models are not included.
+    Requires a constant-amplitude potential; bands of a vanishing
+    potential are undefined.
     """
     if not isinstance(model, DeltaPotential):
         raise TypeError("glancing bands are defined for delta potentials")
@@ -477,9 +460,7 @@ def glancing_bands(
     v0 = float(model.v0)
     if v0 <= 0.0:
         raise ValueError("glancing bands of a vanishing potential are undefined")
-    h_val = model.h if h is None else float(h)
-    if h_val <= 0.0:
-        raise ValueError("h must be positive")
+    h_val = model.h
     m = int(m_bands)
     if not 1 <= m <= 99:
         raise ValueError("m_bands must lie in 1..99")
@@ -497,7 +478,7 @@ def glancing_bands(
         im_phi = table.im_phi_minus[j - 1]
         vals = np.array(
             [
-                _band_value(v0, model.alpha_exp, a1, im_v1, h_val, q, im_phi)
+                _band_value(v0, model.alpha_exp, h_val, q, im_phi)
                 for q in q_grid
             ]
         )
@@ -515,8 +496,6 @@ def glancing_bands(
             ),
             v0=v0,
             alpha_exp=model.alpha_exp,
-            a1=a1,
-            im_v1=im_v1,
             q_min=q_lo,
             q_max=q_hi,
         )

@@ -225,6 +225,23 @@ class TestPlotCommand:
         assert strip(ta) == strip(tb)
         assert "<!-- generated " in ta
 
+    def test_bands_figure_from_data(self, tmp_path, capsys):
+        data = tmp_path / "delta.csv"
+        delta = ["--problem", "delta", "--v0", "1", "--v-exponent", "0.5"]
+        rows = [Resonance(complex(1010.0 + 10.0 * k, -1.0 - 0.5 * k), 1000, 0.0,
+                          "glancing", "delta") for k in range(3)]
+        buf = io.StringIO()
+        write_resonance_csv(rows, buf)
+        data.write_text(buf.getvalue())
+        out = tmp_path / "fig.svg"
+        status, _, _ = run_argv(["plot", "--fig", "bands", "--data", str(data),
+                                 "--out", str(out)] + delta, capsys)
+        assert status == 0
+        root = ET.fromstring(out.read_text())
+        dashed = [el for el in root.iter() if el.get("stroke-dasharray") == "5,4"]
+        assert len(dashed) == 3
+        assert all(el.get("stroke") == "#c53030" for el in dashed)
+
     def test_missing_data_file_exits_4(self, tmp_path, capsys):
         status, _, err = run_argv(
             ["plot", "--data", str(tmp_path / "nope.csv")] + TINY, capsys)

@@ -325,6 +325,16 @@ class TestNewtonRefine:
         assert len(err.value.trace) >= 2
         assert all(isinstance(z, complex) for z in err.value.trace)
 
+    def test_failed_refinement_skips_the_guard(self, monkeypatch):
+        # The uniqueness guard is only evaluated for a zero inside the
+        # trust disk, so a diverging refinement never reaches it.
+        def guard(*args, **kwargs):
+            raise AssertionError("guard evaluated for a failing refinement")
+
+        monkeypatch.setattr(qsabine.disk, "_newton_guard", guard)
+        with pytest.raises(NoConvergenceError):
+            newton_refine(TransparentDisk(2.0, 1.0), 0, complex(150.0, -0.5), 0.05)
+
     def test_dirichlet_limit_of_strong_delta(self):
         # V -> infinity pins the n = 0 root to the first zero of J_0
         # with an O(1/V) shift and width.
@@ -468,6 +478,10 @@ class TestScan:
             scan(TE_FAST, (200.0, 300.0), -60.0, [0])
         with pytest.raises(ValueError):
             scan(TE_FAST, (200.0, 300.0), -3.0, [-1])
+
+    def test_unknown_problem_rejected(self):
+        with pytest.raises(TypeError, match="not a disk problem"):
+            scan(object(), (200.0, 300.0), -3.0, [0])
 
     def test_duplicate_modes_collapse(self):
         once = scan(TE_FAST, (200.0, 215.0), -3.0, [0])
