@@ -12,10 +12,24 @@ follows the ray to its unique second boundary intersection, and reads
 the new tangential frequency off the exit tangent.  The Euclidean
 distance between the two footpoints is the chord length of the step.
 
+The exit point is the root of a signed cross product on a bracket one
+perimeter long, found by Brent's method.  The map is written once, for
+arrays: every row of a batch of phase points is stepped in lockstep, and
+``billiard_step`` is the one-row case.  ``_brentq_rows`` is a row-wise
+port of scipy's ``brentq`` (its brentq.c, after Brent 1973): each row
+takes the interpolation, extrapolation and bisection steps the scalar
+solver would take, and converged rows drop out, so a row of a batch is
+bit-identical to stepping that point alone.  This matters because band
+endpoints computed near the glancing edge move at the 1e-11 level when
+the last bit of an exit point moves.
+
 Domains are built from a smooth underlying parametrization.  Arclength
 is accumulated with composite Gauss-Legendre quadrature and inverted by
 a guarded Newton iteration, so positions, unit tangents and curvatures
-are available directly in the arclength variable.
+are available directly in the arclength variable.  Array accessors are
+exact stacks of the scalar ones: each element leaves the Newton loop on
+its own residual, and each row's quadrature is summed by its own dot
+product.
 """
 
 from __future__ import annotations
@@ -26,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "GLANCING_MARGIN",
@@ -50,6 +63,12 @@ GLANCING_MARGIN = 1e-12
 # Forward offset (in units of the perimeter) that excludes the starting
 # footpoint from the exit-point bracket.
 _START_OFFSET = 1e-9
+
+# Exit-point solver settings, those of scipy.optimize.brentq's defaults
+# except the absolute tolerance.
+_XTOL = 1e-13
+_RTOL = 4.0 * np.finfo(float).eps
+_MAXITER = 100
 
 _ARC_PANELS = 64
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -231,10 +250,17 @@ class ConvexDomain:
         half = 0.5 * (th - a)
         nodes = (a + half)[:, None] + half[:, None] * _GL_NODES[None, :]
         speeds = self._speed(nodes.ravel()).reshape(nodes.shape)
-        return self._arc_edges[k] + half * (speeds @ _GL_WEIGHTS)
+        # One dot product per row: a multi-row ``speeds @ w`` goes through
+        # gemv, whose summation order differs from the one-row dot.
+        quad = np.matmul(speeds[:, None, :], _GL_WEIGHTS)[:, 0]
+        return self._arc_edges[k] + half * quad
 
     def _theta_of_arc(self, s):
-        """Invert the arclength map on a 1-d array, Newton to 1e-13."""
+        """Invert the arclength map on a 1-d array, Newton to 1e-13.
+
+        Each element stops iterating once its own residual is below the
+        tolerance, as it would alone.
+        """
         t = np.mod(np.asarray(s, dtype=float), self.perimeter)
         k = np.clip(np.searchsorted(self._arc_edges, t, side="right") - 1,
                     0, _ARC_PANELS - 1)
@@ -242,11 +268,14 @@ class ConvexDomain:
         sa, sb = self._arc_edges[k], self._arc_edges[k + 1]
         theta = a + (t - sa) * (b - a) / (sb - sa)
         tol = 1e-13 * max(1.0, self.perimeter)
+        todo = np.arange(theta.size)
         for _ in range(40):
-            res = self._arc_of_theta(theta) - t
-            if np.max(np.abs(res)) < tol:
+            res = self._arc_of_theta(theta[todo]) - t[todo]
+            live = ~(np.abs(res) < tol)
+            todo, res = todo[live], res[live]
+            if todo.size == 0:
                 break
-            theta = theta - res / self._speed(theta)
+            theta[todo] = theta[todo] - res / self._speed(theta[todo])
         else:
             raise RuntimeError("arclength inversion did not converge")
         return theta
@@ -317,26 +346,137 @@ def billiard_step(domain: ConvexDomain, q: PhasePoint):
     G(s) = d x (gamma(s) - gamma(s0)) on (s0, s0 + L): by strict
     convexity the full line meets the boundary only at the footpoint
     and the exit, and G < 0 just after s0, G > 0 just before s0 + L.
+    This is the one-row case of ``_billiard_steps``.
     """
     if abs(q.xi) >= 1.0 - GLANCING_MARGIN:
         raise GlancingError(f"billiard map undefined this close to glancing: xi = {q.xi!r}")
-    L = domain.perimeter
-    s0 = q.s % L
-    p0, d = domain.ray(q)
+    s1, xi1, chord = _billiard_steps(domain, [q.s], [q.xi])
+    return PhasePoint(float(s1[0]), float(xi1[0])), float(chord[0])
 
-    def crossing(s):
-        r = domain.position(s) - p0
-        return d[0] * r[1] - d[1] * r[0]
+
+def _billiard_steps(domain: ConvexDomain, s, xi):
+    """The billiard map on arrays of phase points, all rows in lockstep.
+
+    Returns arrays (s1, xi1, chord) shaped like ``s``.  Row i is bit for
+    bit what ``billiard_step`` gives for (s[i], xi[i]); a row with
+    |xi| >= 1 - GLANCING_MARGIN (or NaN) comes back NaN instead of
+    raising.  The next points are not validated as PhasePoints.
+    """
+    s = np.asarray(s, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    s1, xi1, chord = (np.full(s.shape, np.nan) for _ in range(3))
+    ok = np.abs(xi) < 1.0 - GLANCING_MARGIN
+    if not ok.any():
+        return s1, xi1, chord
+    L = domain.perimeter
+    s0 = np.mod(s[ok], L)
+    x0 = xi[ok]
+    p0 = domain.position(s0)
+    t0 = domain.tangent(s0)
+    n0 = np.stack([-t0[:, 1], t0[:, 0]], axis=-1)
+    d = x0[:, None] * t0 + np.sqrt(1.0 - x0 * x0)[:, None] * n0
+
+    def crossing(x, rows):
+        r = domain.position(x) - p0[rows]
+        return d[rows, 0] * r[:, 1] - d[rows, 1] * r[:, 0]
 
     lo = s0 + _START_OFFSET * L
     hi = s0 + (1.0 - _START_OFFSET) * L
-    s1 = brentq(crossing, lo, hi, xtol=1e-13, rtol=4.0 * np.finfo(float).eps)
-    s1 = s1 % L
-    p1 = domain.position(s1)
-    chord = float(np.hypot(p1[0] - p0[0], p1[1] - p0[1]))
-    t1 = domain.tangent(s1)
-    xi1 = float(d[0] * t1[0] + d[1] * t1[1])
-    return PhasePoint(float(s1), xi1), chord
+    exit_s = np.mod(_brentq_rows(crossing, lo, hi), L)
+    p1 = domain.position(exit_s)
+    t1 = domain.tangent(exit_s)
+    s1[ok] = exit_s
+    chord[ok] = np.hypot(p1[:, 0] - p0[:, 0], p1[:, 1] - p0[:, 1])
+    xi1[ok] = d[:, 0] * t1[:, 0] + d[:, 1] * t1[:, 1]
+    return s1, xi1, chord
+
+
+def _brentq_rows(f, a, b):
+    """Brent's method on every row of a set of brackets [a, b] at once.
+
+    A row-wise port of scipy.optimize.brentq (brentq.c; Brent 1973,
+    ch. 4): each row takes the interpolation, extrapolation or bisection
+    step the scalar solver takes, with the same settings (``_XTOL``,
+    ``_RTOL``, ``_MAXITER``) and the same arithmetic, so its root is
+    bit-identical to ``brentq`` on that row.
+    ``f(x, rows)`` evaluates the function of the rows with indices
+    ``rows`` at the abscissae ``x``; converged rows drop out of later
+    calls.  Raises ValueError when f is NaN or a bracket does not change
+    sign, and RuntimeError when a row has not converged after
+    ``_MAXITER`` iterations.
+    """
+
+    def call(x, rows):
+        fx = np.asarray(f(x, rows), dtype=float)
+        if np.isnan(fx).any():
+            bad = x[np.isnan(fx)][0]
+            raise ValueError(f"the function value at x={bad!r} is NaN; solver cannot continue")
+        return fx
+
+    xpre = np.array(a, dtype=float)
+    xcur = np.array(b, dtype=float)
+    root = np.empty(xpre.shape)
+    rows = np.arange(xpre.size)
+    fpre = call(xpre, rows)
+    fcur = call(xcur, rows)
+    at_a = fpre == 0.0
+    at_b = (fcur == 0.0) & ~at_a
+    root[at_a] = xpre[at_a]
+    root[at_b] = xcur[at_b]
+    live = ~(at_a | at_b)
+    if np.any(np.signbit(fpre[live]) == np.signbit(fcur[live])):
+        raise ValueError("f(a) and f(b) must have different signs")
+    if not live.any():
+        return root
+    rows, xpre, xcur, fpre, fcur = (v[live] for v in (rows, xpre, xcur, fpre, fcur))
+    xblk, fblk, spre, scur = (np.zeros(rows.size) for _ in range(4))
+
+    for _ in range(_MAXITER):
+        # Keep the root bracketed by [xcur, xblk] ...
+        flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk = np.where(flip, xpre, xblk)
+        fblk = np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, xcur - xpre, scur)
+        # ... with xcur the end of smaller |f|.
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+
+        delta = (_XTOL + _RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            root[rows[done]] = xcur[done]
+            keep = ~done
+            if not keep.any():
+                return root
+            rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                v[keep] for v in (rows, xpre, xcur, xblk, fpre, fcur, fblk,
+                                  spre, scur, delta, sbis))
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # Secant step when xpre is the bracket end, else inverse
+            # quadratic extrapolation through the three points.
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            quadratic = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, secant, quadratic)
+        limit = 3 * np.abs(sbis) - delta
+        limit = np.where(np.abs(spre) < limit, np.abs(spre), limit)
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry) < limit))
+        spre = np.where(short, scur, sbis)
+        scur = np.where(short, stry, sbis)
+
+        xpre, fpre = xcur, fcur
+        xcur = np.where(np.abs(scur) > delta, xcur + scur,
+                        xcur + np.where(sbis > 0, delta, -delta))
+        fcur = call(xcur, rows)
+    raise RuntimeError(f"Brent's method did not converge after {_MAXITER} iterations")
 
 
 def orbit(domain: ConvexDomain, q: PhasePoint, n_steps: int) -> OrbitSegment:

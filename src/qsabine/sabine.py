@@ -19,7 +19,13 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .billiards import ConvexDomain, GlancingError, PhasePoint, orbit
+from .billiards import (
+    ConvexDomain,
+    GlancingError,
+    PhasePoint,
+    _billiard_steps,
+    orbit,  # unused here; perfbench/tracing.py wraps sabine.orbit by name
+)
 from .reflectivity import (
     BREWSTER_WINDOW,
     TOTAL_TRANSMISSION,
@@ -64,23 +70,40 @@ def wave_speed(model: ReflectivityModel) -> float:
 def _prefix_quotients(
     domain: ConvexDomain,
     model: ReflectivityModel,
-    start: PhasePoint,
+    s: np.ndarray,
+    xi: np.ndarray,
     n_max: int,
 ) -> np.ndarray:
-    """Sabine quotients of the first N = 1..n_max steps of one orbit.
+    """Sabine quotients of the first N = 1..n_max steps of many orbits.
 
-    Returns an array of shape (n_max,).  A reflectivity zero anywhere on
-    the orbit makes every quotient from that bounce onward -inf; -inf
-    plus a finite float stays -inf under cumulative summation, so no
-    special casing is needed.
+    The orbits start at the rows of (s, xi) and are stepped together.
+    Returns an array of shape (rows, n_max); the row of an orbit that
+    meets the glancing guard is NaN and costs no reflectivity call.
+    Every computed point is validated as a PhasePoint.  A reflectivity
+    zero anywhere on an orbit makes every quotient from that bounce
+    onward -inf; -inf plus a finite float stays -inf under cumulative
+    summation, so no special casing is needed.
     """
-    seg = orbit(domain, start, n_max)
-    logs = np.array(
-        [log_reflectivity(model, p.xi, p.s) for p in seg.points[1:]], dtype=float
-    )
-    chords = np.asarray(seg.chords, dtype=float)
+    s = np.asarray(s, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    pts_s = np.empty((s.size, n_max))
+    pts_xi = np.empty((s.size, n_max))
+    chords = np.empty((s.size, n_max))
+    for k in range(n_max):
+        s, xi, chords[:, k] = _billiard_steps(domain, s, xi)
+        for i in np.flatnonzero(~np.isnan(chords[:, k])).tolist():
+            PhasePoint(float(s[i]), float(xi[i]))
+        pts_s[:, k], pts_xi[:, k] = s, xi
+    out = np.full(chords.shape, np.nan)
     speed = wave_speed(model)
-    return speed * np.cumsum(logs) / (2.0 * np.cumsum(chords))
+    for i in np.flatnonzero(~np.isnan(chords).any(axis=1)):
+        logs = np.array(
+            [log_reflectivity(model, x, t)
+             for t, x in zip(pts_s[i].tolist(), pts_xi[i].tolist())],
+            dtype=float,
+        )
+        out[i] = speed * np.cumsum(logs) / (2.0 * np.cumsum(chords[i]))
+    return out
 
 
 def sabine_quotient(
@@ -100,7 +123,10 @@ def sabine_quotient(
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError("n_steps must be a positive integer")
-    return float(_prefix_quotients(domain, model, start, n_steps)[-1])
+    quotients = _prefix_quotients(domain, model, [start.s], [start.xi], n_steps)[0]
+    if np.isnan(quotients).any():
+        raise GlancingError(f"orbit from {start!r} meets the glancing guard")
+    return float(quotients[-1])
 
 
 def _reflectivity_zeros(model: ReflectivityModel) -> Tuple[float, ...]:
@@ -225,19 +251,15 @@ def sabine_bounds(
     perim = domain.perimeter
 
     def evaluate(xi_vals: np.ndarray, s_vals: np.ndarray) -> np.ndarray:
-        rows = []
-        for s in s_vals:
-            for xi in xi_vals:
-                key = (float(s), float(xi))
-                if key not in cache:
-                    try:
-                        cache[key] = _prefix_quotients(
-                            domain, model, PhasePoint(key[0], key[1]), n_max
-                        )
-                    except GlancingError:
-                        cache[key] = np.full(n_max, np.nan)
-                rows.append(cache[key])
-        return np.array(rows)
+        # Rows in grid order (footpoint-major); the orbits not cached
+        # from a coarser level are stepped as one batch.
+        keys = [(float(s), float(xi)) for s in s_vals for xi in xi_vals]
+        new = [key for key in keys if key not in cache]
+        if new:
+            starts = np.array(new)
+            rows = _prefix_quotients(domain, model, starts[:, 0], starts[:, 1], n_max)
+            cache.update(zip(new, rows))
+        return np.array([cache[key] for key in keys])
 
     def masked_grid(level: int) -> Tuple[np.ndarray, np.ndarray]:
         p = (xi_points - 1) * 2**level + 1
@@ -334,12 +356,8 @@ def _sharpen_extrema(
             return None  # an excision window sits between the neighbors
 
         def objective(xi: float) -> float:
-            try:
-                q = _prefix_quotients(
-                    domain, model, PhasePoint(s0, float(xi)), n_index + 1
-                )[n_index]
-            except GlancingError:
-                return math.inf
+            # A glancing orbit's row is NaN, which scores as inf.
+            q = _prefix_quotients(domain, model, [s0], [float(xi)], n_index + 1)[0, n_index]
             return sign * q if math.isfinite(q) else math.inf
 
         res = minimize_scalar(

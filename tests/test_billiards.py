@@ -9,6 +9,8 @@ Independent routes used here:
   * the elliptic billiard first integral (oracles.foci_momentum_product)
   * finite differences for the generating-function partials and the
     symplectic Jacobian
+  * scipy.optimize.brentq for the row-wise Brent port, and the one-row
+    billiard_step for the lockstep map, both bit for bit
 """
 
 import csv
@@ -18,10 +20,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import ellipe
 
+from qsabine import billiards
 from qsabine.billiards import (
     ConvexDomain,
+    GLANCING_MARGIN,
     GlancingError,
     OrbitSegment,
     PhasePoint,
@@ -31,6 +36,7 @@ from qsabine.billiards import (
     orbit,
     write_orbit_csv,
 )
+from qsabine.billiards import _GL_WEIGHTS, _billiard_steps, _brentq_rows
 
 from oracles import ellipse_ray_exit, foci_momentum_product
 
@@ -127,6 +133,25 @@ class TestConvexDomain:
         assert dom.tangent(s).shape == (3, 2)
         assert dom.curvature(s).shape == (3,)
         assert np.allclose(dom.position(s)[1], dom.position(2.0))
+
+    def test_array_accessors_stack_scalar_calls(self):
+        # Each element of an array call is bit for bit its scalar call,
+        # on an eccentric ellipse where the Newton inversion needs a
+        # different number of steps from element to element.
+        dom = ConvexDomain.ellipse(3.0, 1.0)
+        s = np.random.default_rng(7).uniform(0.0, dom.perimeter, 600)
+        for accessor in (dom.position, dom.tangent, dom.curvature):
+            stacked = np.array([accessor(float(x)) for x in s])
+            assert np.array_equal(accessor(s), stacked)
+
+    def test_row_dot_premise(self):
+        # The arclength quadrature sums each row with a stacked matmul,
+        # which must equal the one-row product that a scalar call makes
+        # (a multi-row product may be summed in another order).
+        A = np.random.default_rng(3).uniform(0.1, 5.0, (500, _GL_WEIGHTS.size))
+        rows = np.matmul(A[:, None, :], _GL_WEIGHTS)[:, 0]
+        single = np.array([(A[i:i + 1] @ _GL_WEIGHTS)[0] for i in range(len(A))])
+        assert np.array_equal(rows, single)
 
 
 class TestPhasePoint:
@@ -304,6 +329,107 @@ class TestOrbit:
             assert float(row[2]) == seg.points[k].xi
             if k > 0:
                 assert float(row[3]) == seg.chords[k - 1]
+
+
+def crossing_rows(dom, s, xi):
+    """Exit-point crossing functions of billiard_step, scalar and batched."""
+    qs = [PhasePoint(float(a), float(b)) for a, b in zip(s, xi)]
+    rays = [dom.ray(q) for q in qs]
+    p0 = np.array([r[0] for r in rays])
+    d = np.array([r[1] for r in rays])
+
+    def scalar(i):
+        def f(x):
+            r = dom.position(x) - p0[i]
+            return d[i, 0] * r[1] - d[i, 1] * r[0]
+        return f
+
+    def batch(x, rows):
+        r = dom.position(x) - p0[rows]
+        return d[rows, 0] * r[:, 1] - d[rows, 1] * r[:, 0]
+
+    L = dom.perimeter
+    s0 = np.mod(s, L)
+    return scalar, batch, s0 + 1e-9 * L, s0 + (1.0 - 1e-9) * L
+
+
+class TestLockstepMap:
+    DOMAINS = (ConvexDomain.disk(), ConvexDomain.ellipse(1.5, 1.0), wavy_domain())
+    TOL = dict(xtol=1e-13, rtol=4.0 * np.finfo(float).eps)
+
+    def test_brentq_rows_matches_scipy(self):
+        rng = np.random.default_rng(11)
+        for dom in self.DOMAINS:
+            s = rng.uniform(0.0, dom.perimeter, 40)
+            xi = rng.uniform(-0.999, 0.999, 40)
+            scalar, batch, lo, hi = crossing_rows(dom, s, xi)
+            roots = _brentq_rows(batch, lo, hi)
+            expected = [brentq(scalar(i), lo[i], hi[i], **self.TOL) for i in range(40)]
+            assert np.array_equal(roots, expected)
+
+    def test_brentq_rows_exact_endpoint_zeros(self):
+        # Rows whose function vanishes exactly at a or at b return that
+        # end, as brentq does, while the other rows iterate.
+        a = np.array([0.0, -1.0, 0.5, -2.0])
+        b = np.array([2.0, 3.0, 1.5, 4.0])
+        c = np.array([0.0, 3.0, 0.7, 1.0 / 3.0])
+        roots = _brentq_rows(lambda x, rows: x ** 3 - c[rows] ** 3, a, b)
+        expected = [brentq(lambda x, ci=ci: x ** 3 - ci ** 3, ai, bi, **self.TOL)
+                    for ai, bi, ci in zip(a, b, c)]
+        assert np.array_equal(roots, expected)
+        assert roots[0] == 0.0 and roots[1] == 3.0
+        # A batch in which every row ends at a bracket end, and one row.
+        roots = _brentq_rows(lambda x, rows: x ** 3 - c[rows] ** 3, a[:2], b[:2])
+        assert np.array_equal(roots, expected[:2])
+        assert _brentq_rows(lambda x, rows: x, [0.0], [1.0])[0] == brentq(lambda x: x, 0.0, 1.0)
+        root = _brentq_rows(lambda x, rows: x ** 3 - c[2] ** 3, [0.5], [1.5])
+        assert root[0] == expected[2]
+
+    def test_brentq_rows_rejects_bad_brackets(self):
+        with pytest.raises(ValueError):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(ValueError):
+            _brentq_rows(lambda x, rows: x - 5.0, [-1.0, 0.0], [1.0, 10.0])
+        with pytest.raises(ValueError):
+            _brentq_rows(lambda x, rows: np.full(x.shape, np.nan), [0.0], [1.0])
+
+    def test_brentq_rows_iteration_cap(self, monkeypatch):
+        # The port runs out of iterations exactly when brentq does.
+        outcomes = []
+        for maxiter in range(1, 12):
+            monkeypatch.setattr(billiards, "_MAXITER", maxiter)
+            try:
+                expected = brentq(lambda x: np.exp(x) - 2.0, 0.0, 3.0,
+                                  maxiter=maxiter, **self.TOL)
+            except RuntimeError:
+                with pytest.raises(RuntimeError):
+                    _brentq_rows(lambda x, rows: np.exp(x) - 2.0, [0.0], [3.0])
+                outcomes.append(False)
+                continue
+            root = _brentq_rows(lambda x, rows: np.exp(x) - 2.0, [0.0], [3.0])
+            assert root[0] == expected
+            outcomes.append(True)
+        assert not outcomes[0] and outcomes[-1]
+
+    def test_rows_equal_billiard_step(self):
+        rng = np.random.default_rng(5)
+        for dom in self.DOMAINS:
+            n = 60
+            s = rng.uniform(-dom.perimeter, 2.0 * dom.perimeter, n)
+            xi = rng.uniform(-0.99, 0.99, n)
+            xi[:5] = 1.0 - 10.0 ** rng.uniform(-11.5, -4, 5)
+            xi[5:8] = (-1.0, 1.0 - 0.5 * GLANCING_MARGIN, math.nan)
+            s1, xi1, chord = _billiard_steps(dom, s, xi)
+            for i in range(n):
+                if not abs(xi[i]) < 1.0 - GLANCING_MARGIN:
+                    assert math.isnan(s1[i]) and math.isnan(xi1[i]) and math.isnan(chord[i])
+                    continue
+                q1, c1 = billiard_step(dom, PhasePoint(float(s[i]), float(xi[i])))
+                assert (s1[i], xi1[i], chord[i]) == (q1.s, q1.xi, c1)
+
+    def test_all_rows_glancing(self):
+        s1, xi1, chord = _billiard_steps(ConvexDomain.disk(), [0.0, 1.0], [1.0, -1.0])
+        assert np.isnan(s1).all() and np.isnan(xi1).all() and np.isnan(chord).all()
 
 
 class TestGlancingExpansion:

@@ -9,10 +9,14 @@ Independent routes used here:
     at xi = 1 - 10^{-k}
   * the near-glancing band identity h^{2/3} Im z / ImPhi = B and the
     closed-form slopes in h
+  * the benchmark's recorded band endpoints (perfbench/references.json),
+    matched exactly
 """
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +151,18 @@ class TestSabineBounds:
         lim = -2.0 / math.sqrt(3.0)
         assert band.lower == pytest.approx(lim * 1.2, abs=1e-3)
         assert band.upper == pytest.approx(lim / 1.44, abs=1e-3)
+
+    def test_benchmark_endpoints_exact(self):
+        # The bands workload's endpoints sit at the glancing edge of the
+        # grid, where one ulp of an exit point moves them by ~1e-11; pin
+        # every bit here so a drift shows in the tests, not only in the
+        # benchmark's 1e-12 reference check.
+        refs = json.loads(
+            (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text()
+        )["bands"]
+        for name, domain in (("disk", DISK), ("ellipse", ConvexDomain.ellipse(1.5, 1.0))):
+            band = sabine_bounds(domain, TE_FAST)
+            assert (band.lower, band.upper) == (refs[name]["lower"], refs[name]["upper"])
 
     def test_determinism(self):
         a = sabine_bounds(DISK, TE_FAST, n_max=2, xi_points=17)
