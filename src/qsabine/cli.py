@@ -8,6 +8,12 @@ Five commands share one flag surface:
   plot        scan (or load a dumped table) and render an SVG figure
   verify      run the acceptance suite and report per-criterion results
 
+Each setting is declared once, as a ``RunConfig`` field, and is both a
+flag and a key of the flat KEY=VALUE file named by ``--config``.  A
+file key is the setting's field name or its flag name, with '-' read as
+'_' (``re_window`` or ``re``, ``im_floor`` or ``im-floor``); the file
+overrides the defaults and explicit flags override the file.
+
 Every run writes deterministic artifacts for a fixed configuration:
 CSV/JSON bytes depend only on the configuration, never on the worker
 count, and each file is accompanied by a manifest recording the package
@@ -33,7 +39,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__, svg
-from .billiards import ConvexDomain, PhasePoint
+from .billiards import ConvexDomain
 from .disk import (
     DampingDisk,
     DeltaDisk,
@@ -45,12 +51,9 @@ from .disk import (
     write_resonance_csv,
 )
 from .reflectivity import BoundaryDamping, DeltaPotential, TransparentObstacle
-from .sabine import band_report, glancing_bands, sabine_bounds, sabine_quotient, wave_speed
+from .sabine import _prefix_quotients, band_report, glancing_bands, sabine_bounds, wave_speed
 
-__all__ = ["ConfigError", "RunConfig", "FigureSpec", "emit_figure", "run", "main"]
-
-_COMMANDS = ("bounds", "resonances", "bands", "verify", "plot")
-_FIGURES = ("circle", "bands")
+__all__ = ["ConfigError", "RunConfig", "emit_figure", "run", "main"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,217 +79,79 @@ _PROBLEM_TABLE = {
         ("a",), DampingDisk,
         lambda p, window: BoundaryDamping(p["a"])),
 }
-_PROBLEMS = tuple(_PROBLEM_TABLE)
 
 
 class ConfigError(ValueError):
     """Configuration rejected before any computation started."""
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: command, problem parameters, windows, outputs.
-
-    Field defaults are the package defaults; a config file overrides
-    them and explicit flags override the file.  ``validate`` constructs
-    the target module's objects eagerly so that an invalid parameter is
-    rejected here, naming the violated invariant, rather than mid-scan.
-    """
-
-    command: str
-    problem: str = "transparent"
-    c: float = 2.0
-    alpha: float = 1.0
-    a: float = 2.0
-    v0: float = 1.0
-    v_exponent: float = 0.0
-    re_window: Tuple[float, float] = (200.0, 300.0)
-    im_floor: float = -3.0
-    n_range: Optional[Tuple[int, ...]] = None
-    grid: int = 33
-    nmax: int = 8
-    fig: str = "circle"
-    data: Optional[str] = None
-    out: Optional[str] = None
-    workers: int = 0
-
-    def validate(self) -> None:
-        if self.command not in _COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        if self.problem not in _PROBLEMS:
-            raise ConfigError(f"unknown problem {self.problem!r} (choose from {_PROBLEMS})")
-        if self.fig not in _FIGURES:
-            raise ConfigError(f"unknown figure layout {self.fig!r} (choose from {_FIGURES})")
-        lo, hi = self.re_window
-        if not (lo < hi):
-            raise ConfigError("re window must satisfy A < B")
-        if self.grid < 3:
-            raise ConfigError("grid must be at least 3 points")
-        if self.nmax < 1:
-            raise ConfigError("nmax must be a positive orbit length")
-        if self.workers < 0:
-            raise ConfigError("workers must be nonnegative")
-        if self.command == "plot" and self.fig == "bands" and self.problem != "delta":
-            raise ConfigError("figure layout 'bands' needs --problem delta")
-        if self.n_range is not None:
-            lo_n, hi_n = self.n_range[0], self.n_range[1]
-            step = self.n_range[2] if len(self.n_range) > 2 else 1
-            if lo_n < 0 or hi_n < lo_n or step < 1:
-                raise ConfigError("mode range must be 0 <= A <= B with positive step")
-        try:
-            self.disk_problem()
-            self.reflectivity_model()
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-
-    def disk_problem(self):
-        return _PROBLEM_TABLE[self.problem].disk(**self.params())
-
-    def reflectivity_model(self):
-        return _model_from_params(self.problem, self.params(), self.re_window)
-
-    def modes(self) -> range:
-        if self.n_range is not None:
-            step = self.n_range[2] if len(self.n_range) > 2 else 1
-            return range(self.n_range[0], self.n_range[1] + 1, step)
-        cap = min(20000, int(math.ceil(1.2 * self.re_window[1])))
-        return range(0, cap + 1)
-
-    def params(self) -> dict:
-        return {name: getattr(self, name) for name in _PROBLEM_TABLE[self.problem].fields}
-
-    def config_hash(self) -> str:
-        # Only computation-relevant fields: output path and worker count
-        # never change the produced bytes.
-        d = dataclasses.asdict(self)
-        d.pop("out")
-        d.pop("workers")
-        d["n_range"] = list(self.modes()) if self.n_range is not None else None
-        blob = json.dumps(d, sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+# ---------------------------------------------------------------------------
+# figure layouts
 
 
-@dataclasses.dataclass(frozen=True)
-class FigureSpec:
-    """One panel: axes, overlays, and the parameters behind the overlays.
-
-    ``x_axis`` is "re", "tangent", or "log_re"; ``y_axis`` is "im" or
-    "log_neg_im"; ``overlays`` draw analytic curves ("sabine_band",
-    "decay_curve", "glancing_bands") computed from ``params`` -- the
-    same resolved configuration that produced the scatter data, so a
-    figure can never mix parameter sets.
-    """
-
-    x_axis: str
-    y_axis: str
-    overlays: Tuple[str, ...]
-    problem: str
-    params: dict
-
-    _X = {"re": "Re lambda", "tangent": "n / Re lambda", "log_re": "Re lambda"}
-    _Y = {"im": "Im lambda", "log_neg_im": "-Im lambda"}
-
-    def __post_init__(self):
-        if self.x_axis not in self._X:
-            raise ValueError(f"unknown x axis {self.x_axis!r}")
-        if self.y_axis not in self._Y:
-            raise ValueError(f"unknown y axis {self.y_axis!r}")
-
-
-def figure_specs(config: RunConfig) -> Tuple[FigureSpec, ...]:
-    """Panel stack for the configured layout, one parameter set throughout."""
-    prob, params = config.problem, config.params()
-    if config.fig == "circle":
-        top = FigureSpec("tangent", "im", ("decay_curve",), prob, params)
-        bottom = FigureSpec("re", "im", ("sabine_band",), prob, params)
-        return (top, bottom)
-    return (FigureSpec("log_re", "log_neg_im", ("glancing_bands",), prob, params),)
-
-
-def _model_from_params(problem: str, params: dict, re_window=None):
-    return _PROBLEM_TABLE[problem].model(params, re_window)
-
-
-def _decay_curve(problem: str, params: dict, tf_max: float):
+def _decay_curve(model, tf_max: float):
     """(tangent frequency, quotient) samples of the one-bounce decay law."""
-    domain = ConvexDomain.disk()
-    model = _model_from_params(problem, params)
     speed = wave_speed(model)
-    hi = min(tf_max, 0.999 / speed)
-    tfs = np.linspace(0.0, hi, 160)
-    ys = []
-    for tf in tfs:
-        q = sabine_quotient(domain, model, PhasePoint(0.0, speed * tf), 1)
-        ys.append(q)
-    keep = [(t, y) for t, y in zip(tfs, ys) if math.isfinite(y)]
-    return [t for t, _ in keep], [y for _, y in keep]
+    tfs = np.linspace(0.0, min(tf_max, 0.999 / speed), 160)
+    quotients = _prefix_quotients(ConvexDomain.disk(), model, np.zeros_like(tfs),
+                                  speed * tfs, 1)[:, 0]
+    keep = np.isfinite(quotients)
+    return tfs[keep], quotients[keep]
 
 
-def emit_figure(table: Sequence, specs) -> str:
+def _circle_panels(rows, config) -> list:
+    """Im lambda against n / Re lambda with the one-bounce decay curve,
+    above Im lambda against Re lambda with the Sabine band edges."""
+    entry, params = _PROBLEM_TABLE[config.problem], config.params()
+    tangent = [r.n / r.lam.real for r in rows]
+    re_vals = [r.lam.real for r in rows]
+    im_vals = [r.lam.imag for r in rows]
+    top = svg.Panel("n / Re lambda", "Im lambda")
+    top.scatter(tangent, im_vals)
+    top.line(*_decay_curve(entry.model(params, None), max(tangent) * 1.02))
+    bottom = svg.Panel("Re lambda", "Im lambda")
+    bottom.scatter(re_vals, im_vals)
+    band = sabine_bounds(ConvexDomain.disk(),
+                         entry.model(params, (min(re_vals), max(re_vals))))
+    for edge in (band.lower, band.upper):
+        if math.isfinite(edge):
+            bottom.hline(edge)
+    return [top, bottom]
+
+
+def _bands_panels(rows, config) -> list:
+    """-Im lambda against Re lambda on log axes with the first three
+    glancing bands of the delta problem, predicted at h = 1 / Re lambda."""
+    re_vals = [r.lam.real for r in rows]
+    window = (min(re_vals), max(re_vals))
+    panel = svg.Panel("Re lambda", "-Im lambda", "log", "log")
+    panel.scatter(re_vals, [-r.lam.imag for r in rows])
+    model = _PROBLEM_TABLE[config.problem].model(config.params(), window)
+    gx = np.geomspace(window[0], window[1], 64)
+    for b in glancing_bands(model, m_bands=3):
+        panel.line(gx, [-b.predicted_im_lambda(1.0 / x) for x in gx], dash="5,4")
+    return [panel]
+
+
+_LAYOUTS = {"circle": _circle_panels, "bands": _bands_panels}
+
+
+def emit_figure(table: Sequence, config: RunConfig) -> str:
     """Render a resonance table to a stacked-panel SVG document.
 
     ``table`` rows need ``n`` and ``lam`` attributes (scan results or
-    rows loaded back from a dumped CSV).  ``specs`` is one FigureSpec or
-    a sequence of them, one panel each, top to bottom.
+    rows loaded back from a dumped CSV).  The panels are those of the
+    layout ``config.fig``; their overlays are computed from the same
+    resolved configuration, so a figure can never mix parameter sets.
     """
     rows = list(table)
     if not rows:
-        raise ValueError("empty resonance table: nothing to plot")
-    if isinstance(specs, FigureSpec):
-        specs = (specs,)
-    panels = []
-    for spec in specs:
-        re_vals = [r.lam.real for r in rows]
-        if spec.x_axis == "tangent":
-            xs = [r.n / r.lam.real for r in rows]
-        else:
-            xs = re_vals
-        if spec.y_axis == "im":
-            ys = [r.lam.imag for r in rows]
-        else:
-            ys = [-r.lam.imag for r in rows]
-        log_x = spec.x_axis == "log_re"
-        log_y = spec.y_axis == "log_neg_im"
-        panel = svg.Panel(spec._X[spec.x_axis], spec._Y[spec.y_axis],
-                          "log" if log_x else "linear",
-                          "log" if log_y else "linear")
-        panel.scatter(xs, ys)
-        window = (min(re_vals), max(re_vals))
-        for overlay in spec.overlays:
-            if overlay == "sabine_band":
-                band = sabine_bounds(ConvexDomain.disk(),
-                                     _model_from_params(spec.problem, spec.params, window))
-                for edge in (band.lower, band.upper):
-                    if not math.isfinite(edge):
-                        continue
-                    y = -edge if log_y else edge
-                    if log_y and y <= 0.0:
-                        continue
-                    panel.hline(y, color="#c53030")
-            elif overlay == "decay_curve":
-                cx, cy = _decay_curve(spec.problem, spec.params, max(xs) * 1.02)
-                if log_y:
-                    cx, cy = zip(*[(a, -b) for a, b in zip(cx, cy) if b < 0.0])
-                panel.line(cx, cy, color="#c53030")
-            elif overlay == "glancing_bands":
-                if spec.problem != "delta":
-                    raise ValueError("glancing band overlay needs the delta problem")
-                model = DeltaPotential(spec.params["v0"], -spec.params["v_exponent"])
-                gx = np.geomspace(window[0], window[1], 64)
-                for b in glancing_bands(model, m_bands=3):
-                    gy = np.array([-b.predicted_im_lambda(1.0 / x) for x in gx])
-                    if log_y:
-                        panel.line(gx, gy, color="#c53030", dash="5,4")
-                    else:
-                        panel.line(gx, -gy, color="#c53030", dash="5,4")
-            else:
-                raise ValueError(f"unknown overlay {overlay!r}")
-        panels.append(panel)
-    return svg.render(panels)
+        raise ConfigError("empty resonance table: nothing to plot")
+    return svg.render(_LAYOUTS[config.fig](rows, config))
 
 
 # ---------------------------------------------------------------------------
-# argument and config-file parsing
+# settings: one declaration feeds the flags, the config file and RunConfig
 
 
 def _parse_window(text: str) -> Tuple[float, float]:
@@ -309,27 +174,121 @@ def _parse_mode_range(text: str) -> Tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-_CONVERTERS = {
-    "problem": str,
-    "c": float,
-    "alpha": float,
-    "a": float,
-    "v0": float,
-    "v_exponent": float,
-    "re_window": _parse_window,
-    "im_floor": float,
-    "n_range": _parse_mode_range,
-    "grid": int,
-    "nmax": int,
-    "fig": str,
-    "data": str,
-    "out": str,
-    "workers": int,
-}
+def _setting(default, convert: Callable, help=None, flag=None, metavar=None, choices=None):
+    """A RunConfig field that is also a flag and a config-file key.
+
+    ``flag`` defaults to the field name with '_' written as '-'.
+    """
+    return dataclasses.field(default=default, metadata={
+        "convert": convert, "help": help, "flag": flag, "metavar": metavar,
+        "choices": choices})
+
+
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """One resolved invocation: command, problem parameters, windows, outputs.
+
+    Every field after ``command`` is a setting declared once, with its
+    default, converter, flag and help line.  Field defaults are the
+    package defaults; a config file overrides them and explicit flags
+    override the file.  ``validate`` constructs the target module's
+    objects eagerly so that an invalid parameter is rejected here,
+    naming the violated invariant, rather than mid-scan.
+    """
+
+    command: str
+    problem: str = _setting("transparent", str, choices=tuple(_PROBLEM_TABLE))
+    c: float = _setting(2.0, float, "interior wave speed")
+    alpha: float = _setting(1.0, float, "transmission coupling")
+    a: float = _setting(2.0, float, "damping strength")
+    v0: float = _setting(1.0, float, "delta amplitude")
+    v_exponent: float = _setting(0.0, float,
+                                 "delta strength grows like v0 (Re lambda)^exponent")
+    re_window: Tuple[float, float] = _setting((200.0, 300.0), _parse_window,
+                                              "Re lambda window", flag="re", metavar="A:B")
+    im_floor: float = _setting(-3.0, float)
+    n_range: Optional[Tuple[int, ...]] = _setting(None, _parse_mode_range,
+                                                  "mode range, inclusive", flag="n",
+                                                  metavar="A:B[:S]")
+    grid: int = _setting(33, int, "band extremizer xi points")
+    nmax: int = _setting(8, int, "band extremizer orbit length")
+    fig: str = _setting("circle", str, "figure layout", choices=tuple(_LAYOUTS))
+    data: Optional[str] = _setting(None, str, "render a previously dumped CSV")
+    out: Optional[str] = _setting(None, str, "output path (default stdout)")
+    workers: int = _setting(0, int)
+
+    def validate(self) -> None:
+        if self.command not in _COMMANDS:
+            raise ConfigError(f"unknown command {self.command!r}")
+        if self.problem not in _PROBLEM_TABLE:
+            raise ConfigError(f"unknown problem {self.problem!r} "
+                              f"(choose from {tuple(_PROBLEM_TABLE)})")
+        if self.fig not in _LAYOUTS:
+            raise ConfigError(f"unknown figure layout {self.fig!r} "
+                              f"(choose from {tuple(_LAYOUTS)})")
+        lo, hi = self.re_window
+        if not (lo < hi):
+            raise ConfigError("re window must satisfy A < B")
+        if self.grid < 3:
+            raise ConfigError("grid must be at least 3 points")
+        if self.nmax < 1:
+            raise ConfigError("nmax must be a positive orbit length")
+        if self.workers < 0:
+            raise ConfigError("workers must be nonnegative")
+        if self.problem != "delta":
+            if self.command == "bands":
+                raise ConfigError("glancing band prediction needs --problem delta")
+            if self.command == "plot" and self.fig == "bands":
+                raise ConfigError("figure layout 'bands' needs --problem delta")
+        if self.n_range is not None:
+            lo_n, hi_n = self.n_range[0], self.n_range[1]
+            step = self.n_range[2] if len(self.n_range) > 2 else 1
+            if lo_n < 0 or hi_n < lo_n or step < 1:
+                raise ConfigError("mode range must be 0 <= A <= B with positive step")
+        try:
+            self.disk_problem()
+            self.reflectivity_model()
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+
+    def disk_problem(self):
+        return _PROBLEM_TABLE[self.problem].disk(**self.params())
+
+    def reflectivity_model(self):
+        return _PROBLEM_TABLE[self.problem].model(self.params(), self.re_window)
+
+    def modes(self) -> range:
+        if self.n_range is not None:
+            step = self.n_range[2] if len(self.n_range) > 2 else 1
+            return range(self.n_range[0], self.n_range[1] + 1, step)
+        cap = min(20000, int(math.ceil(1.2 * self.re_window[1])))
+        return range(0, cap + 1)
+
+    def params(self) -> dict:
+        return {name: getattr(self, name) for name in _PROBLEM_TABLE[self.problem].fields}
+
+    def config_hash(self) -> str:
+        # Only computation-relevant fields: output path and worker count
+        # never change the produced bytes.
+        d = dataclasses.asdict(self)
+        d.pop("out")
+        d.pop("workers")
+        d["n_range"] = list(self.modes()) if self.n_range is not None else None
+        blob = json.dumps(d, sort_keys=True)
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _flag(setting: dataclasses.Field) -> str:
+    return setting.metadata["flag"] or setting.name.replace("_", "-")
+
+
+_SETTINGS = tuple(f for f in dataclasses.fields(RunConfig) if f.metadata)
+# a config-file key is a setting's field or flag name, '-' read as '_'
+_FILE_KEYS = {key: f for f in _SETTINGS for key in (f.name, _flag(f).replace("-", "_"))}
 
 
 def _load_config_file(path: str) -> dict:
-    """Flat KEY=VALUE lines; '#' starts a comment; keys match the flags."""
+    """Flat KEY=VALUE lines; '#' starts a comment; see _FILE_KEYS."""
     values = {}
     try:
         fh = open(path, encoding="utf-8")
@@ -344,14 +303,11 @@ def _load_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key == "re":
-                key = "re_window"
-            elif key == "n":
-                key = "n_range"
-            if key not in _CONVERTERS:
+            if key not in _FILE_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            setting = _FILE_KEYS[key]
             try:
-                values[key] = _CONVERTERS[key](value.strip())
+                values[setting.name] = setting.metadata["convert"](value.strip())
             except (argparse.ArgumentTypeError, ValueError) as err:
                 raise ConfigError(f"{path}:{lineno}: {err}") from None
     return values
@@ -359,38 +315,19 @@ def _load_config_file(path: str) -> dict:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--problem", choices=_PROBLEMS, default=None)
-    common.add_argument("--c", type=float, default=None, help="interior wave speed")
-    common.add_argument("--alpha", type=float, default=None, help="transmission coupling")
-    common.add_argument("--a", type=float, default=None, help="damping strength")
-    common.add_argument("--v0", type=float, default=None, help="delta amplitude")
-    common.add_argument("--v-exponent", dest="v_exponent", type=float, default=None,
-                        help="delta strength grows like v0 (Re lambda)^exponent")
-    common.add_argument("--re", dest="re_window", type=_parse_window, default=None,
-                        metavar="A:B", help="Re lambda window")
-    common.add_argument("--im-floor", dest="im_floor", type=float, default=None)
-    common.add_argument("--n", dest="n_range", type=_parse_mode_range, default=None,
-                        metavar="A:B[:S]", help="mode range, inclusive")
-    common.add_argument("--grid", type=int, default=None, help="band extremizer xi points")
-    common.add_argument("--nmax", type=int, default=None, help="band extremizer orbit length")
-    common.add_argument("--fig", choices=_FIGURES, default=None, help="figure layout")
-    common.add_argument("--data", default=None, help="render a previously dumped CSV")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--workers", type=int, default=None)
+    for setting in _SETTINGS:
+        meta = setting.metadata
+        common.add_argument("--" + _flag(setting), dest=setting.name, type=meta["convert"],
+                            default=None, choices=meta["choices"], metavar=meta["metavar"],
+                            help=meta["help"])
     common.add_argument("--config", default=None, help="flat KEY=VALUE file; flags win")
 
     parser = argparse.ArgumentParser(
         prog="qsabine",
         description="Sabine-law bands and exact disk scattering resonances.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("bounds", parents=[common],
-                   help="Sabine band of the configured model (JSON)")
-    sub.add_parser("bands", parents=[common],
-                   help="glancing band predictions, delta problem (JSON)")
-    sub.add_parser("resonances", parents=[common],
-                   help="scan the disk problem and dump resonances (CSV)")
-    sub.add_parser("plot", parents=[common], help="render an SVG figure")
-    sub.add_parser("verify", parents=[common], help="run the acceptance suite")
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
@@ -400,10 +337,10 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     values = {}
     if ns.config:
         values.update(_load_config_file(ns.config))
-    for key in _CONVERTERS:
-        flag_value = getattr(ns, key, None)
+    for setting in _SETTINGS:
+        flag_value = getattr(ns, setting.name)
         if flag_value is not None:
-            values[key] = flag_value
+            values[setting.name] = flag_value
     return RunConfig(command=ns.command, **values)
 
 
@@ -429,8 +366,11 @@ def _read_resonance_csv(path: str):
         if missing:
             raise ConfigError(f"{path}: missing columns {sorted(missing)}")
         for rec in reader:
-            rows.append(_Row(int(rec["n"]),
-                             complex(float(rec["re_lambda"]), float(rec["im_lambda"]))))
+            try:
+                rows.append(_Row(int(rec["n"]),
+                                 complex(float(rec["re_lambda"]), float(rec["im_lambda"]))))
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"{path}:{reader.line_num}: {err}") from None
     return rows
 
 
@@ -468,18 +408,9 @@ def _scan_with_completeness(config: RunConfig):
 
 
 def _cmd_bounds(config: RunConfig) -> int:
-    band = sabine_bounds(ConvexDomain.disk(), config.reflectivity_model(),
-                         n_max=config.nmax, xi_points=config.grid)
-    report = band_report(config.problem, config.params(), band)
-    _write_text(config.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return 0
-
-
-def _cmd_bands(config: RunConfig) -> int:
-    if config.problem != "delta":
-        raise ConfigError("glancing band prediction needs --problem delta")
+    """`bounds` and `bands`: the Sabine band, and for `bands` the glancing bands."""
     model = config.reflectivity_model()
-    glancing = glancing_bands(model, m_bands=3)
+    glancing = glancing_bands(model, m_bands=3) if config.command == "bands" else ()
     band = sabine_bounds(ConvexDomain.disk(), model,
                          n_max=config.nmax, xi_points=config.grid)
     report = band_report(config.problem, config.params(), band, glancing)
@@ -504,7 +435,7 @@ def _cmd_plot(config: RunConfig) -> int:
         rows, incomplete = _read_resonance_csv(config.data), []
     else:
         rows, incomplete = _scan_with_completeness(config)
-    text = emit_figure(rows, figure_specs(config))
+    text = emit_figure(rows, config)
     _write_text(config.out, text)
     for warning in incomplete:
         print(f"incomplete: {warning}", file=sys.stderr)
@@ -529,6 +460,15 @@ def _cmd_verify(config: RunConfig) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+_COMMANDS = {
+    "bounds": (_cmd_bounds, "Sabine band of the configured model (JSON)"),
+    "bands": (_cmd_bounds, "glancing band predictions, delta problem (JSON)"),
+    "resonances": (_cmd_resonances, "scan the disk problem and dump resonances (CSV)"),
+    "plot": (_cmd_plot, "render an SVG figure"),
+    "verify": (_cmd_verify, "run the acceptance suite"),
+}
+
+
 def run(config: RunConfig) -> int:
     """Execute one resolved configuration and return the exit status."""
     start = time.monotonic()
@@ -537,13 +477,7 @@ def run(config: RunConfig) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    body = {
-        "bounds": _cmd_bounds,
-        "bands": _cmd_bands,
-        "resonances": _cmd_resonances,
-        "plot": _cmd_plot,
-        "verify": _cmd_verify,
-    }[config.command]
+    body, _ = _COMMANDS[config.command]
     try:
         status = body(config)
     except ConfigError as err:

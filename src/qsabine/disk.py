@@ -45,7 +45,7 @@ from scipy.special import hankel1, jv
 
 # bessel_quad is not called here: perfbench/tracing.py wraps it on this
 # module by name.
-from .specfun import ScaledMagnitudeError, airy_zeros, bessel_pair, bessel_quad, phi_minus
+from .specfun import _CBRT2, ScaledMagnitudeError, airy_zeros, bessel_pair, bessel_quad, phi_minus
 
 __all__ = [
     "TransparentDisk",
@@ -67,8 +67,6 @@ __all__ = [
 ]
 
 _log = logging.getLogger(__name__)
-
-_CBRT2 = 2.0 ** (1.0 / 3.0)
 
 # Newton tolerances: a start point already this converged is a fixed
 # point; iteration stops at the looser value; kept roots must beat the

@@ -36,7 +36,7 @@ from .reflectivity import (
     brewster,
     log_reflectivity,
 )
-from .specfun import airy_zeros
+from .specfun import _CBRT2, airy_zeros
 
 __all__ = [
     "GlancingBand",
@@ -48,8 +48,6 @@ __all__ = [
     "sabine_quotient",
     "wave_speed",
 ]
-
-_CBRT2 = 2.0 ** (1.0 / 3.0)
 
 # Fixed band-extremizer settings: footpoints on the coarsest grid, the
 # endpoint movement that counts as converged, and the grid doublings
@@ -185,13 +183,6 @@ class SabineBand:
             raise ValueError("band endpoints out of order")
         if self.upper > 0.0:
             raise ValueError("the Sabine quotient is nonpositive")
-
-    @property
-    def xi_grid(self) -> str:
-        return (
-            f"{self.xi_points} points on [0, {1.0 - self.collar!r}], "
-            f"{self.s_points} footpoints, {self.refinements} refinements"
-        )
 
 
 def _reduce_columns(vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -42,7 +42,7 @@ from .reflectivity import (
     TransparentObstacle,
     brewster,
 )
-from .sabine import glancing_bands, sabine_bounds, sabine_quotient
+from .sabine import _prefix_quotients, glancing_bands, sabine_bounds, sabine_quotient
 
 __all__ = ["CriterionResult", "run_all", "TIME_LIMITS"]
 
@@ -52,8 +52,6 @@ TIME_LIMITS = {
     "seed-convergence-rate": 60.0,
     "transparent-band-membership": 600.0,
 }
-
-_CBRT2 = 2.0 ** (1.0 / 3.0)
 
 
 def _sdiff(a: float, b: float, period: float) -> float:
@@ -192,23 +190,27 @@ def _check_seed_convergence(workers: int) -> tuple:
     return ok, f"seed-to-root drift slopes {slopes[0]:+.3f}, {slopes[1]:+.3f} (<= -0.8)"
 
 
-def _check_transparent_band(workers: int) -> tuple:
-    problem = TransparentDisk(2.0, 1.0)
-    model = TransparentObstacle(2.0, 1.0)
-    disk = ConvexDomain.disk()
+def _band_membership(problem, model, workers: int) -> tuple:
+    """Scan Re 200..300, Im >= -3, n 0..360 and measure the fraction of
+    roots inside the disk's Sabine band widened by 0.05 on each side.
+    Returns (results, lo, hi, fraction)."""
     results = scan(problem, (200.0, 300.0), -3.0, range(0, 361), workers=workers)
-    band = sabine_bounds(disk, model)
+    band = sabine_bounds(ConvexDomain.disk(), model)
     lo, hi = band.lower - 0.05, band.upper + 0.05
     im = np.array([r.lam.imag for r in results])
-    inside = float(np.mean((im >= lo) & (im <= hi)))
+    return results, lo, hi, float(np.mean((im >= lo) & (im <= hi)))
+
+
+def _check_transparent_band(workers: int) -> tuple:
+    model = TransparentObstacle(2.0, 1.0)
+    results, _, _, inside = _band_membership(TransparentDisk(2.0, 1.0), model, workers)
     # One-bounce decay curve through the low-angle cloud.
-    worst_dev = 0.0
-    for r in results:
-        tf = r.n / r.lam.real
-        if tf > 0.4:
-            continue
-        pred = sabine_quotient(disk, model, PhasePoint(0.0, 2.0 * tf), 1)
-        worst_dev = max(worst_dev, abs(r.lam.imag - pred))
+    tf = np.array([r.n / r.lam.real for r in results])
+    cloud = tf <= 0.4
+    xi = 2.0 * tf[cloud]
+    pred = _prefix_quotients(ConvexDomain.disk(), model, np.zeros_like(xi), xi, 1)[:, 0]
+    im = np.array([r.lam.imag for r in results])
+    worst_dev = float(np.max(np.abs(im[cloud] - pred), initial=0.0))
     ok = inside >= 0.95 and worst_dev <= 0.1
     measured = (f"{100 * inside:.2f}% of {len(results)} resonances in band +-0.05 "
                 f"(>= 95%), low-angle cloud off curve by {worst_dev:.1e} (<= 0.1)")
@@ -249,7 +251,7 @@ def _check_delta_glancing(workers: int) -> tuple:
         res = scan(problem, (n + 0.5, hi), -4.0, [n], tangent_floor=0.94,
                    workers=workers)
         h = 1.0 / n
-        delta1.append(_CBRT2 * n ** (-1.0 / 6.0) / v0)
+        delta1.append(sf._CBRT2 * n ** (-1.0 / 6.0) / v0)
         bands = glancing_bands(DeltaPotential(v0, -5.0 / 6.0, h), m_bands)
         seeds = [seed_glancing(problem, n, b.j) for b in bands]
         roots = sorted((r for r in res if 0.95 <= r.n / r.lam.real <= 1.0),
@@ -279,12 +281,8 @@ def _check_delta_glancing(workers: int) -> tuple:
 
 
 def _check_damping_band(workers: int) -> tuple:
-    results = scan(DampingDisk(2.0), (200.0, 300.0), -3.0, range(0, 361),
-                   workers=workers)
-    band = sabine_bounds(ConvexDomain.disk(), BoundaryDamping(2.0))
-    lo, hi = band.lower - 0.05, band.upper + 0.05
-    im = np.array([r.lam.imag for r in results])
-    inside = float(np.mean((im >= lo) & (im <= hi)))
+    results, lo, hi, inside = _band_membership(DampingDisk(2.0), BoundaryDamping(2.0),
+                                                workers)
     ok = inside == 1.0
     measured = (f"{100 * inside:.2f}% of {len(results)} eigenvalues in "
                 f"[{lo:.4f}, {hi:.4f}] (need 100%)")

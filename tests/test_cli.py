@@ -6,6 +6,7 @@ the seconds range.  Determinism claims (byte-identical CSV/JSON for one
 configuration, SVG differing only in its timestamp comment) are checked
 literally on the produced files.
 """
+import argparse
 import io
 import json
 import re
@@ -15,13 +16,34 @@ import numpy as np
 import pytest
 
 from qsabine import cli, svg
-from qsabine.cli import ConfigError, FigureSpec, RunConfig, emit_figure, figure_specs, parse_config, run
+from qsabine.cli import ConfigError, RunConfig, emit_figure, parse_config, run
 from qsabine.disk import IncompleteScanWarning, Resonance, scan, write_resonance_csv
 from qsabine.sabine import sabine_bounds
 from qsabine.billiards import ConvexDomain
 from qsabine.reflectivity import TransparentObstacle
 
 TINY = ["--re", "200:215", "--n", "0:2"]
+
+COMMANDS = ("bounds", "bands", "resonances", "plot", "verify")
+
+# flag -> (field, flag argument, resolved value, every config-file key)
+SETTINGS = {
+    "--problem": ("problem", "damping", "damping", ("problem",)),
+    "--c": ("c", "0.5", 0.5, ("c",)),
+    "--alpha": ("alpha", "3", 3.0, ("alpha",)),
+    "--a": ("a", "0.7", 0.7, ("a",)),
+    "--v0": ("v0", "2", 2.0, ("v0",)),
+    "--v-exponent": ("v_exponent", "0.5", 0.5, ("v_exponent", "v-exponent")),
+    "--re": ("re_window", "10:20", (10.0, 20.0), ("re", "re_window", "re-window")),
+    "--im-floor": ("im_floor", "-1.5", -1.5, ("im_floor", "im-floor")),
+    "--n": ("n_range", "0:6:2", (0, 6, 2), ("n", "n_range", "n-range")),
+    "--grid": ("grid", "9", 9, ("grid",)),
+    "--nmax": ("nmax", "3", 3, ("nmax",)),
+    "--fig": ("fig", "bands", "bands", ("fig",)),
+    "--data": ("data", "d.csv", "d.csv", ("data",)),
+    "--out": ("out", "o.json", "o.json", ("out",)),
+    "--workers": ("workers", "2", 2, ("workers",)),
+}
 
 
 def run_argv(argv, capsys):
@@ -99,12 +121,49 @@ class TestConfigResolution:
         assert status == 2
         assert "delta" in err
 
+    def test_every_setting_from_flag_and_file(self, tmp_path):
+        default = parse_config(["bounds"])
+        for flag, (field, text, value, keys) in SETTINGS.items():
+            from_flag = parse_config(["bounds", flag, text])
+            assert getattr(from_flag, field) == value, flag
+            assert getattr(default, field) != value, flag
+            for key in keys:
+                path = tmp_path / "run.cfg"
+                path.write_text(f"{key} = {text}\n")
+                assert parse_config(["bounds", "--config", str(path)]) == from_flag, key
+
     def test_hash_ignores_output_and_workers(self):
         base = parse_config(["resonances"] + TINY)
         moved = parse_config(["resonances", "--out", "/tmp/x.csv", "--workers", "4"] + TINY)
         other = parse_config(["resonances", "--re", "200:216", "--n", "0:2"])
         assert base.config_hash() == moved.config_hash()
         assert base.config_hash() != other.config_hash()
+
+
+class TestCommandLineSurface:
+    def subparsers(self):
+        parser = cli._build_parser()
+        (action,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_commands(self):
+        assert tuple(self.subparsers()) == COMMANDS
+
+    def test_each_command_takes_exactly_the_setting_flags(self):
+        expected = set(SETTINGS) | {"--config", "-h", "--help"}
+        for name, sub in self.subparsers().items():
+            assert set(sub._option_string_actions) == expected, name
+
+    def test_main_exit_status(self, capsys):
+        with pytest.raises(SystemExit) as bad:
+            cli.main(["bounds", "--c", "-1"])
+        assert bad.value.code == 2
+        assert "config error" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as ok:
+            cli.main(["bounds", "--grid", "9", "--nmax", "2"])
+        assert ok.value.code == 0
+        json.loads(capsys.readouterr().out)
 
 
 class TestBoundsCommand:
@@ -254,6 +313,27 @@ class TestPlotCommand:
         assert status == 2
         assert "missing columns" in err
 
+    def test_header_only_data_exits_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        buf = io.StringIO()
+        write_resonance_csv([], buf)
+        empty.write_text(buf.getvalue())
+        status, _, err = run_argv(["plot", "--data", str(empty)] + TINY, capsys)
+        assert status == 2
+        assert "empty resonance table" in err
+
+    def test_unparsable_row_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        rows = [Resonance(205.0 - 1.0j, 1, 0.0, "normal", "transparent")] * 2
+        buf = io.StringIO()
+        write_resonance_csv(rows, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        lines[2] = lines[2].replace("205.0", "fast", 1)
+        bad.write_text("".join(lines))
+        status, _, err = run_argv(["plot", "--data", str(bad)] + TINY, capsys)
+        assert status == 2
+        assert f"{bad}:3:" in err
+
 
 class TestEmitFigure:
     def rows(self):
@@ -261,36 +341,31 @@ class TestEmitFigure:
                 for k in range(5)]
 
     def test_empty_table_rejected(self):
-        spec = FigureSpec("re", "im", (), "transparent", {"c": 2.0, "alpha": 1.0})
-        with pytest.raises(ValueError, match="empty"):
-            emit_figure([], spec)
-
-    def test_axis_names_validated(self):
-        with pytest.raises(ValueError, match="x axis"):
-            FigureSpec("q", "im", (), "transparent", {})
-        with pytest.raises(ValueError, match="y axis"):
-            FigureSpec("re", "modulus", (), "transparent", {})
-
-    def test_unknown_overlay_rejected(self):
-        spec = FigureSpec("re", "im", ("halo",), "transparent", {"c": 2.0, "alpha": 1.0})
-        with pytest.raises(ValueError, match="overlay"):
-            emit_figure(self.rows(), spec)
+        with pytest.raises(ConfigError, match="empty"):
+            emit_figure([], parse_config(["plot"]))
 
     def test_sabine_band_overlay_lines(self):
-        spec = FigureSpec("re", "im", ("sabine_band",), "transparent",
-                          {"c": 2.0, "alpha": 1.0})
-        text = emit_figure(self.rows(), spec)
+        text = emit_figure(self.rows(), parse_config(["plot", "--fig", "circle"]))
+        overlays = [el.tag.rsplit("}", 1)[-1] for el in ET.fromstring(text).iter()
+                    if el.get("stroke") == "#c53030"]
+        # the decay curve, then both band edges as horizontal rules
+        assert overlays == ["polyline", "line", "line"]
+        _, bottom = cli._LAYOUTS["circle"](self.rows(), parse_config(["plot"]))
         band = sabine_bounds(ConvexDomain.disk(), TransparentObstacle(2.0, 1.0))
-        # both band edges appear as horizontal rules spanning the frame
-        assert text.count('stroke="#c53030"') >= 2
-        assert band.lower <= band.upper
+        assert [s.ys for s in bottom.series[1:]] == [(band.lower,), (band.upper,)]
 
     def test_layouts(self):
-        circle = figure_specs(parse_config(["plot", "--fig", "circle"]))
-        assert [s.x_axis for s in circle] == ["tangent", "re"]
-        bands = figure_specs(parse_config(["plot", "--fig", "bands", "--problem", "delta"]))
-        assert [s.x_axis for s in bands] == ["log_re"]
-        assert bands[0].overlays == ("glancing_bands",)
+        circle = cli._LAYOUTS["circle"](self.rows(), parse_config(["plot", "--fig", "circle"]))
+        assert [(p.x_label, p.y_label) for p in circle] == [
+            ("n / Re lambda", "Im lambda"), ("Re lambda", "Im lambda")]
+        assert [[s.kind for s in p.series] for p in circle] == [
+            ["scatter", "line"], ["scatter", "hline", "hline"]]
+        delta = parse_config(["plot", "--fig", "bands", "--problem", "delta"])
+        (bands,) = cli._LAYOUTS["bands"](self.rows(), delta)
+        assert (bands.x_scale, bands.y_scale) == ("log", "log")
+        assert bands.y_label == "-Im lambda"
+        assert [s.kind for s in bands.series] == ["scatter", "line", "line", "line"]
+        assert all(s.dash == "5,4" for s in bands.series[1:])
 
 
 class TestVerifyCommand:
