@@ -22,7 +22,7 @@ problem = DeltaDisk(1.0, 5.0 / 6.0)
 
 print(f"glancing band predictions at h = 1/1000 (first {M_BANDS} Airy zeros):")
 for b in glancing_bands(DeltaPotential(1.0, -5.0 / 6.0, 1e-3), M_BANDS):
-    print(f"  j={b.j}: Im lambda in [{b.im_lambda_min:+.6f}, {b.im_lambda_max:+.6f}]")
+    print(f"  j={b.j}: Im lambda = {b.im_lambda:+.6f}")
 
 print("\nband quotients measured / predicted:")
 print("    n   delta1  j   Re lambda    Im lambda    val/B")
@@ -37,4 +37,4 @@ for n in (1000, 2500, 6300, 9800):
     for b, r in zip(bands, roots):
         val = h ** (2.0 / 3.0) * (r.lam * h).imag / b.im_phi_j
         print(f"  {n:5d}  {delta1:.3f}  {b.j}  {r.lam.real:10.2f}  {r.lam.imag:+.4f}"
-              f"  {val / b.b_min:.4f}")
+              f"  {val / b.scale:.4f}")

@@ -41,7 +41,7 @@ from typing import Iterable, Union
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import hankel1, jv
+from scipy.special import hankel1, jv, roots_legendre
 
 # bessel_quad is not called here: perfbench/tracing.py wraps it on this
 # module by name.
@@ -762,13 +762,7 @@ def _seed_points(problem, n, re_lo, re_hi):
 # argument-principle completeness
 
 
-_GL_CACHE: dict = {}
-
-
-def _gl(m: int):
-    if m not in _GL_CACHE:
-        _GL_CACHE[m] = np.polynomial.legendre.leggauss(m)
-    return _GL_CACHE[m]
+_gl = functools.cache(roots_legendre)  # m-point Gauss-Legendre (nodes, weights)
 
 
 def _winding_number(problem, n, box):

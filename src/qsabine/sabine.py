@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .billiards import (
     ConvexDomain,
@@ -118,10 +117,10 @@ def sabine_quotient(
     transmission.  Raises GlancingError if the orbit leaves the domain of
     the billiard map, and ValueError for a non-positive step count.
     """
-    n_steps = int(n_steps)
-    if n_steps < 1:
+    n = int(n_steps)
+    if n < 1 or n != n_steps:
         raise ValueError("n_steps must be a positive integer")
-    quotients = _prefix_quotients(domain, model, [start.s], [start.xi], n_steps)[0]
+    quotients = _prefix_quotients(domain, model, [start.s], [start.xi], n)[0]
     if np.isnan(quotients).any():
         raise GlancingError(f"orbit from {start!r} meets the glancing guard")
     return float(quotients[-1])
@@ -171,7 +170,6 @@ class SabineBand:
     lower: float
     upper: float
     n_max: int
-    wave_speed: float
     xi_points: int
     s_points: int
     collar: float
@@ -195,8 +193,8 @@ def _reduce_columns(vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         col = col[~np.isnan(col)]
         if col.size == 0:
             raise RuntimeError(
-                "every phase-space sample hit the glancing guard; "
-                "increase the collar"
+                "every phase-space sample hit the glancing guard within "
+                f"{n_max} bounces"
             )
         infs[k] = col.min()
         finite = col[np.isfinite(col)]
@@ -221,16 +219,16 @@ def sabine_bounds(
     (h^0.2 clamped to [1e-6, 0.5] for a delta potential), with any
     analytically known reflectivity zeros excised by a window of
     half-width 1e-3; 4 footpoints are uniform on the boundary.  Both
-    grids double until the band endpoints move by less than 1e-3, after
-    which an interior extremum (if any) is sharpened by bounded 1-d
-    minimization between its grid neighbors.  Raises RuntimeError if the
-    band fails to stabilize within 6 doublings.
+    grids double until the band endpoints move by less than 1e-3.  The
+    endpoints are the extreme sampled quotients.  Raises RuntimeError if
+    the band fails to stabilize within 6 doublings, and ValueError for a
+    count that is not a whole number.
     """
-    n_max = int(n_max)
-    if n_max < 1:
+    if int(n_max) < 1 or int(n_max) != n_max:
         raise ValueError("n_max must be a positive integer")
-    if xi_points < 3:
-        raise ValueError("grid needs at least 3 xi points")
+    if int(xi_points) < 3 or int(xi_points) != xi_points:
+        raise ValueError("grid needs a whole number of at least 3 xi points")
+    n_max, xi_points = int(n_max), int(xi_points)
     collar = _default_collar(model)
 
     zeros = _reflectivity_zeros(model)
@@ -267,15 +265,13 @@ def sabine_bounds(
         return full[keep], s_vals
 
     lower = upper = math.nan
-    infs = sups = None
-    vals = xi_vals = s_vals = None
+    xi_vals = s_vals = None
     level = 0
     converged = False
     for level in range(_MAX_REFINE + 1):
         prev_lower, prev_upper = lower, upper
         xi_vals, s_vals = masked_grid(level)
-        vals = evaluate(xi_vals, s_vals)
-        infs, sups = _reduce_columns(vals)
+        infs, sups = _reduce_columns(evaluate(xi_vals, s_vals))
         lower = TOTAL_TRANSMISSION if fiat_lower else float(np.max(infs))
         upper = float(np.min(sups))
         if level > 0:
@@ -292,15 +288,11 @@ def sabine_bounds(
             f"{_MAX_REFINE} grid doublings"
         )
 
-    lower, upper = _sharpen_extrema(
-        domain, model, vals, xi_vals, s_vals, infs, sups, lower, fiat_lower
-    )
     brewster_excluded = fiat_lower or math.isinf(lower)
     return SabineBand(
         lower=lower,
         upper=upper,
         n_max=n_max,
-        wave_speed=wave_speed(model),
         xi_points=len(xi_vals),
         s_points=len(s_vals),
         collar=collar,
@@ -315,71 +307,6 @@ def _endpoints_close(a: float, b: float, tol: float) -> bool:
     if math.isinf(a) or math.isinf(b):
         return False
     return abs(a - b) < tol
-
-
-def _sharpen_extrema(
-    domain: ConvexDomain,
-    model: ReflectivityModel,
-    vals: np.ndarray,
-    xi_vals: np.ndarray,
-    s_vals: np.ndarray,
-    infs: np.ndarray,
-    sups: np.ndarray,
-    lower: float,
-    fiat_lower: bool,
-) -> Tuple[float, float]:
-    """Bisection polish of interior grid extrema, one per band side.
-
-    Grid sampling overestimates the inf and underestimates the sup, so
-    polishing can only widen the band.  Extrema attained at the grid
-    ends, next to an excision window, or on a -inf column are left as
-    sampled.
-    """
-    n_max = vals.shape[1]
-    spacing = xi_vals[1] - xi_vals[0] if len(xi_vals) > 1 else 0.0
-
-    def polish(n_index: int, row_index: int, sign: float) -> Optional[float]:
-        s0 = float(s_vals[row_index // len(xi_vals)])
-        j = row_index % len(xi_vals)
-        if j == 0 or j == len(xi_vals) - 1:
-            return None
-        if xi_vals[j + 1] - xi_vals[j - 1] > 2.5 * spacing:
-            return None  # an excision window sits between the neighbors
-
-        def objective(xi: float) -> float:
-            # A glancing orbit's row is NaN, which scores as inf.
-            q = _prefix_quotients(domain, model, [s0], [float(xi)], n_index + 1)[0, n_index]
-            return sign * q if math.isfinite(q) else math.inf
-
-        res = minimize_scalar(
-            objective,
-            bounds=(float(xi_vals[j - 1]), float(xi_vals[j + 1])),
-            method="bounded",
-            options={"xatol": 1e-8},
-        )
-        return sign * float(res.fun) if math.isfinite(res.fun) else None
-
-    n_lower = int(np.argmax(infs))
-    n_upper = int(np.argmin(sups))
-
-    if not fiat_lower and math.isfinite(infs[n_lower]):
-        col = vals[:, n_lower]
-        row = int(np.nanargmin(col))
-        polished = polish(n_lower, row, +1.0)
-        if polished is not None and polished < infs[n_lower]:
-            infs = infs.copy()
-            infs[n_lower] = polished
-            lower = float(np.max(infs))
-
-    col = np.where(np.isfinite(vals[:, n_upper]), vals[:, n_upper], -np.inf)
-    row = int(np.argmax(col))
-    polished = polish(n_upper, row, -1.0)
-    if polished is not None and polished > sups[n_upper]:
-        sups = sups.copy()
-        sups[n_upper] = polished
-    upper = float(np.min(sups))
-    assert lower <= upper
-    return lower, upper
 
 
 def glancing_limit(
@@ -406,61 +333,45 @@ class GlancingBand:
     """One near-glancing resonance band of the delta-potential problem.
 
     Band j sits at Im lambda ~ (Q/|s_v|^2) (2 h Q)^{1/3} ImPhi_-(zeta_j)
-    where s_v = v0 h^{1 + alpha_exp} is the semiclassical coupling,
-    zeta_j the j-th Airy zero, and Q ranges over the glancing set.  ``b_min``/``b_max`` are the values of the scale
-    factor B = 2^{1/3} Q^{4/3} / (v0 h^{alpha_exp})^2 at the endpoints of
-    the Q range; ``gap_below`` reports whether band j separates from
-    band j+1 (B_min/B_max above the Airy ratio).
+    where s_v = v0 h^{1 + alpha_exp} is the semiclassical coupling and
+    zeta_j the j-th Airy zero.  On the unit disk the glancing factor Q is
+    identically 1, so the band is the single value ``im_lambda`` at the
+    model's h, and ``scale`` is the paper's B = 2^{1/3} / (v0 h^{alpha_exp})^2,
+    the h-independent form h^{2/3} Im(h lambda) / ImPhi_-(zeta_j).
     """
 
     j: int
-    zeta_j: float
     im_phi_j: float
-    b_min: float
-    b_max: float
-    im_lambda_min: float
-    im_lambda_max: float
-    gap_below: bool
+    scale: float
+    im_lambda: float
     v0: float
     alpha_exp: float
-    q_min: float
-    q_max: float
 
     def __post_init__(self) -> None:
-        if not self.im_lambda_min <= self.im_lambda_max < 0.0:
-            raise ValueError("glancing band must be a negative interval")
-        if not 0.0 < self.b_min <= self.b_max:
-            raise ValueError("band scale factors out of order")
+        if not self.im_lambda < 0.0:
+            raise ValueError("glancing band must lie in the lower half-plane")
+        if not self.scale > 0.0:
+            raise ValueError("band scale factor must be positive")
 
-    def predicted_im_lambda(self, h: float, q: Optional[float] = None) -> float:
-        """Band-center prediction at semiclassical parameter h.
-
-        ``q`` defaults to the midpoint of the Q range (its only value
-        when the range is degenerate, as on the disk).
-        """
-        if q is None:
-            q = 0.5 * (self.q_min + self.q_max)
-        return _band_value(self.v0, self.alpha_exp, float(h), float(q), self.im_phi_j)
+    def predicted_im_lambda(self, h: float) -> float:
+        """Band prediction at semiclassical parameter h."""
+        return _band_value(self.v0, self.alpha_exp, float(h), self.im_phi_j)
 
 
-def _band_value(v0: float, alpha_exp: float, h: float, q: float, im_phi: float) -> float:
+def _band_value(v0: float, alpha_exp: float, h: float, im_phi: float) -> float:
     sigma_hv = v0 * h ** (1.0 + alpha_exp)
-    return (q / sigma_hv**2) * ((2.0 * h * q) ** (1.0 / 3.0) * im_phi)
+    return (1.0 / sigma_hv**2) * ((2.0 * h) ** (1.0 / 3.0) * im_phi)
 
 
-def glancing_bands(
-    model: DeltaPotential,
-    m_bands: int = 3,
-    q_range: Tuple[float, float] = (1.0, 1.0),
-) -> Tuple[GlancingBand, ...]:
+def glancing_bands(model: DeltaPotential, m_bands: int = 3) -> Tuple[GlancingBand, ...]:
     """Predict the first ``m_bands`` near-glancing resonance bands.
 
-    Each band is the range of (Q/|s_v|^2) (2 h Q)^{1/3} ImPhi_-(zeta_j)
-    as Q sweeps ``q_range`` (constant 1 on the unit disk, where every
-    band is a point), at the model's semiclassical parameter h; the
-    subprincipal corrections of generalized models are not included.
-    Requires a constant-amplitude potential; bands of a vanishing
-    potential are undefined.
+    Each band is (1/|s_v|^2) (2 h)^{1/3} ImPhi_-(zeta_j), the unit-disk
+    value Q = 1 of the glancing factor, at the model's semiclassical
+    parameter h; the subprincipal corrections of generalized models are
+    not included.  Requires a constant-amplitude potential; bands of a
+    vanishing potential are undefined.  ``m_bands`` is a whole number in
+    1..100.
     """
     if not isinstance(model, DeltaPotential):
         raise TypeError("glancing bands are defined for delta potentials")
@@ -471,48 +382,25 @@ def glancing_bands(
         raise ValueError("glancing bands of a vanishing potential are undefined")
     h_val = model.h
     m = int(m_bands)
-    if not 1 <= m <= 99:
-        raise ValueError("m_bands must lie in 1..99")
-    q_lo, q_hi = (float(q_range[0]), float(q_range[1]))
-    if q_lo > q_hi:
-        q_lo, q_hi = q_hi, q_lo
-    if q_lo <= 0.0:
-        raise ValueError("Q must be positive on the glancing set")
+    if not 1 <= m <= 100 or m != m_bands:
+        raise ValueError("m_bands must be a whole number in 1..100")
 
-    table = airy_zeros(m + 1)
+    table = airy_zeros(m)
     sigma_v = v0 * h_val**model.alpha_exp
-    q_grid = np.linspace(q_lo, q_hi, 33)
     bands = []
     for j in range(1, m + 1):
         im_phi = table.im_phi_minus[j - 1]
-        vals = np.array(
-            [
-                _band_value(v0, model.alpha_exp, h_val, q, im_phi)
-                for q in q_grid
-            ]
-        )
         band = GlancingBand(
             j=j,
-            zeta_j=float(table.zeros[j - 1]),
             im_phi_j=float(im_phi),
-            b_min=_CBRT2 * q_lo ** (4.0 / 3.0) / sigma_v**2,
-            b_max=_CBRT2 * q_hi ** (4.0 / 3.0) / sigma_v**2,
-            im_lambda_min=float(vals.min()),
-            im_lambda_max=float(vals.max()),
-            gap_below=bool(
-                table.im_phi_minus[j - 1] / table.im_phi_minus[j]
-                < (q_lo / q_hi) ** (4.0 / 3.0)
-            ),
+            scale=_CBRT2 / sigma_v**2,
+            im_lambda=float(_band_value(v0, model.alpha_exp, h_val, im_phi)),
             v0=v0,
             alpha_exp=model.alpha_exp,
-            q_min=q_lo,
-            q_max=q_hi,
         )
         if bands:
-            # At fixed Q the Airy zeros push successive bands strictly down.
-            assert band.predicted_im_lambda(h_val, q_hi) < bands[-1].predicted_im_lambda(
-                h_val, q_hi
-            )
+            # The Airy zeros push successive bands strictly down.
+            assert band.im_lambda < bands[-1].im_lambda
         bands.append(band)
     return tuple(bands)
 
@@ -540,8 +428,8 @@ def band_report(
         "bands": [
             {
                 "j": g.j,
-                "im_lambda_min": g.im_lambda_min,
-                "im_lambda_max": g.im_lambda_max,
+                "im_lambda_min": g.im_lambda,
+                "im_lambda_max": g.im_lambda,
             }
             for g in glancing
         ],

@@ -17,11 +17,17 @@ __all__ = ["Panel", "render", "MAX_BYTES"]
 
 MAX_BYTES = 2_000_000
 
+_WIDTH = 720.0
+_PANEL_HEIGHT = 340.0
 _MARGIN_L = 74.0
 _MARGIN_R = 18.0
 _MARGIN_T = 20.0
 _MARGIN_B = 52.0
 _TICKS = 5
+_POINT_COLOR = "#2b6cb0"
+_POINT_RADIUS = 2.2
+_LINE_COLOR = "#c53030"
+_LINE_WIDTH = 1.4
 
 
 @dataclasses.dataclass
@@ -29,9 +35,7 @@ class _Series:
     kind: str
     xs: tuple
     ys: tuple
-    color: str
-    size: float
-    dash: Optional[str]
+    dash: Optional[str] = None
 
 
 class Panel:
@@ -65,21 +69,20 @@ class Panel:
                 raise ValueError(f"log {name} axis requires positive values")
         return xs, ys
 
-    def scatter(self, xs, ys, color: str = "#2b6cb0", radius: float = 2.2):
+    def scatter(self, xs, ys):
         xs, ys = self._check(xs, ys)
-        self.series.append(_Series("scatter", xs, ys, color, radius, None))
+        self.series.append(_Series("scatter", xs, ys))
 
-    def line(self, xs, ys, color: str = "#c53030", width: float = 1.4,
-             dash: Optional[str] = None):
+    def line(self, xs, ys, dash: Optional[str] = None):
+        """Polyline; ``dash`` is an SVG stroke-dasharray such as "5,4"."""
         xs, ys = self._check(xs, ys)
         if len(xs) < 2:
             raise ValueError("a polyline needs at least two points")
-        self.series.append(_Series("line", xs, ys, color, width, dash))
+        self.series.append(_Series("line", xs, ys, dash))
 
-    def hline(self, y: float, color: str = "#c53030", width: float = 1.4,
-              dash: Optional[str] = None):
+    def hline(self, y: float):
         _, ys = self._check((1.0,), (y,))
-        self.series.append(_Series("hline", (), ys, color, width, dash))
+        self.series.append(_Series("hline", (), ys))
 
     def _extent(self, axis: str):
         vals = []
@@ -112,26 +115,24 @@ def _fmt(v: float) -> str:
     return "0" if s == "-0" else s
 
 
-def render(panels: Sequence[Panel], width: float = 720.0,
-           panel_height: float = 340.0, timestamp: bool = True) -> str:
+def render(panels: Sequence[Panel]) -> str:
     """Lay the panels out in one column and return the SVG text."""
     panels = list(panels)
     if not panels:
         raise ValueError("nothing to draw: no panels")
-    height = panel_height * len(panels)
+    height = _PANEL_HEIGHT * len(panels)
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
-        f'height="{height:g}" viewBox="0 0 {width:g} {height:g}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:g}" '
+        f'height="{height:g}" viewBox="0 0 {_WIDTH:g} {height:g}">'
     ]
-    if timestamp:
-        stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        out.append(f"<!-- generated {stamp} -->")
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    out.append(f"<!-- generated {stamp} -->")
     out.append('<rect width="100%" height="100%" fill="white"/>')
 
     for idx, panel in enumerate(panels):
-        top = idx * panel_height
-        px0, px1 = _MARGIN_L, width - _MARGIN_R
-        py0, py1 = top + _MARGIN_T, top + panel_height - _MARGIN_B
+        top = idx * _PANEL_HEIGHT
+        px0, px1 = _MARGIN_L, _WIDTH - _MARGIN_R
+        py0, py1 = top + _MARGIN_T, top + _PANEL_HEIGHT - _MARGIN_B
         x_lo, x_hi = panel._extent("x")
         y_lo, y_hi = panel._extent("y")
 
@@ -174,18 +175,19 @@ def render(panels: Sequence[Panel], width: float = 720.0,
         for s in panel.series:
             if s.kind == "scatter":
                 for x, y in zip(s.xs, s.ys):
-                    out.append(f'<circle cx="{tx(x):.2f}" cy="{ty(y):.2f}" r="{s.size:g}" '
-                               f'fill="none" stroke="{s.color}" stroke-width="1"/>')
+                    out.append(f'<circle cx="{tx(x):.2f}" cy="{ty(y):.2f}" '
+                               f'r="{_POINT_RADIUS:g}" fill="none" stroke="{_POINT_COLOR}" '
+                               f'stroke-width="1"/>')
             elif s.kind == "line":
                 pts = " ".join(f"{tx(x):.2f},{ty(y):.2f}" for x, y in zip(s.xs, s.ys))
                 dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
-                out.append(f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
-                           f'stroke-width="{s.size:g}"{dash}/>')
+                out.append(f'<polyline points="{pts}" fill="none" stroke="{_LINE_COLOR}" '
+                           f'stroke-width="{_LINE_WIDTH:g}"{dash}/>')
             else:
                 y = ty(s.ys[0])
-                dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
                 out.append(f'<line x1="{px0:.2f}" y1="{y:.2f}" x2="{px1:.2f}" '
-                           f'y2="{y:.2f}" stroke="{s.color}" stroke-width="{s.size:g}"{dash}/>')
+                           f'y2="{y:.2f}" stroke="{_LINE_COLOR}" '
+                           f'stroke-width="{_LINE_WIDTH:g}"/>')
 
     out.append("</svg>")
     text = "\n".join(out) + "\n"

@@ -10,7 +10,8 @@ Independent routes used here:
   * the near-glancing band identity h^{2/3} Im z / ImPhi = B and the
     closed-form slopes in h
   * the benchmark's recorded band endpoints (perfbench/references.json),
-    matched exactly
+    matched exactly, and the endpoints of disk, ellipse and support-
+    function domains under four models, recorded once and matched exactly
 """
 
 import dataclasses
@@ -41,6 +42,7 @@ from qsabine.sabine import (
 from qsabine.specfun import airy_zeros
 
 from oracles import damping_quotient, transparent_quotient
+from test_billiards import wavy_domain
 
 DISK = ConvexDomain.disk()
 TE_FAST = TransparentObstacle(2.0, 1.0)
@@ -98,6 +100,8 @@ class TestSabineQuotient:
     def test_rejects_nonpositive_step_count(self):
         with pytest.raises(ValueError, match="positive"):
             sabine_quotient(DISK, TE_FAST, PhasePoint(0.0, 0.0), 0)
+        with pytest.raises(ValueError, match="integer"):
+            sabine_quotient(DISK, TE_FAST, PhasePoint(0.0, 0.0), 2.5)
 
 
 class TestSabineBounds:
@@ -164,6 +168,29 @@ class TestSabineBounds:
             band = sabine_bounds(domain, TE_FAST)
             assert (band.lower, band.upper) == (refs[name]["lower"], refs[name]["upper"])
 
+    # A band's endpoints are the extremes sampled on the grid that
+    # stabilized; every bit is pinned on three domains and four models,
+    # default settings.  On the slow obstacles the sup is the total-
+    # internal-reflection plateau 0.0, which no sample exceeds.
+    @pytest.mark.parametrize("domain, model, lower, upper", [
+        (DISK, TM_FAST, -math.inf, -2.1972245773362196),
+        (DISK, TransparentObstacle(0.5, 1.3), -0.3876493531027917, 0.0),
+        (DISK, TE_SLOW, -0.27465307216702745, 0.0),
+        (DISK, BoundaryDamping(2.0), -0.5493061443340549, -0.5000000833106609),
+        (DISK, BoundaryDamping(0.5), -math.inf, -0.5493061443340549),
+        (DISK, DeltaPotential(1.0, -5.0 / 6.0, 0.004), -0.908929032425253,
+         -0.8164247854237713),
+        (ConvexDomain.ellipse(1.5, 1.0), TE_SLOW, -0.27465307216702745, 0.0),
+        (ConvexDomain.ellipse(1.5, 1.0), BoundaryDamping(2.0), -0.7498868070908591,
+         -0.2222978119040773),
+        (wavy_domain(), TE_SLOW, -0.27465307216702745, 0.0),
+    ], ids=["disk-tm-fast", "disk-slow-1.3", "disk-slow-1.0", "disk-damping-2",
+            "disk-damping-0.5", "disk-delta", "ellipse-slow", "ellipse-damping",
+            "wavy-slow"])
+    def test_recorded_endpoints_exact(self, domain, model, lower, upper):
+        band = sabine_bounds(domain, model)
+        assert (band.lower, band.upper) == (lower, upper)
+
     def test_determinism(self):
         a = sabine_bounds(DISK, TE_FAST, n_max=2, xi_points=17)
         b = sabine_bounds(DISK, TE_FAST, n_max=2, xi_points=17)
@@ -178,12 +205,16 @@ class TestSabineBounds:
             sabine_bounds(DISK, TE_FAST, n_max=0)
         with pytest.raises(ValueError, match="grid"):
             sabine_bounds(DISK, TE_FAST, xi_points=2)
+        with pytest.raises(ValueError, match="positive"):
+            sabine_bounds(DISK, TE_FAST, n_max=2.5)
+        with pytest.raises(ValueError, match="grid"):
+            sabine_bounds(DISK, TE_FAST, xi_points=5.5)
 
     def test_band_invariants_enforced(self):
         with pytest.raises(ValueError, match="order"):
-            SabineBand(-0.1, -0.2, 1, 1.0, 3, 1, 1e-6, False, 0)
+            SabineBand(-0.1, -0.2, 1, 3, 1, 1e-6, False, 0)
         with pytest.raises(ValueError, match="nonpositive"):
-            SabineBand(-0.1, 0.2, 1, 1.0, 3, 1, 1e-6, False, 0)
+            SabineBand(-0.1, 0.2, 1, 3, 1, 1e-6, False, 0)
         band = sabine_bounds(DISK, TE_FAST, n_max=2, xi_points=17)
         with pytest.raises(dataclasses.FrozenInstanceError):
             band.lower = 0.0
@@ -232,10 +263,8 @@ class TestGlancingBands:
         # unit amplitude, so B = 2^{1/3} on the nose.
         bands = glancing_bands(DeltaPotential(1.0, 0.0, h=0.01), m_bands=3)
         for b in bands:
-            assert b.b_min == pytest.approx(CBRT2, abs=1e-12)
-            assert b.b_max == pytest.approx(CBRT2, abs=1e-12)
-            assert b.im_lambda_min == b.im_lambda_max
-            assert b.gap_below
+            assert b.scale == pytest.approx(CBRT2, abs=1e-12)
+            assert b.im_lambda == b.predicted_im_lambda(0.01)
 
     def test_band_identity(self):
         # h^{2/3} Im z / ImPhi_-(zeta_j) recovers B exactly, z = h lambda.
@@ -243,7 +272,7 @@ class TestGlancingBands:
         for b in glancing_bands(model, m_bands=3):
             im_z = 1e-3 * b.predicted_im_lambda(1e-3)
             assert (1e-3) ** (2.0 / 3.0) * im_z / b.im_phi_j == pytest.approx(
-                b.b_max, rel=1e-10
+                b.scale, rel=1e-10
             )
 
     def test_critical_exponent_freezes_band_height(self):
@@ -279,18 +308,7 @@ class TestGlancingBands:
     def test_bands_strictly_ordered(self):
         bands = glancing_bands(DeltaPotential(2.0, -0.5, h=1e-2), m_bands=5)
         for hi, lo in zip(bands, bands[1:]):
-            assert lo.im_lambda_max < hi.im_lambda_min
-
-    def test_pinching_criterion(self):
-        # Bands pinch when the B range is wider than the Airy-zero ratio:
-        # (q_min/q_max)^{4/3} against ImPhi_-(zeta_j)/ImPhi_-(zeta_{j+1}).
-        model = DeltaPotential(1.0, 0.0, h=0.01)
-        narrow = glancing_bands(model, m_bands=2, q_range=(1.0, 1.1))
-        wide = glancing_bands(model, m_bands=2, q_range=(1.0, 2.0))
-        assert narrow[0].gap_below
-        assert not wide[0].gap_below
-        # A wide Q range also widens each band into a genuine interval.
-        assert wide[0].im_lambda_min < wide[0].im_lambda_max < 0.0
+            assert lo.im_lambda < hi.im_lambda
 
     def test_validation(self):
         with pytest.raises(TypeError, match="delta"):
@@ -301,8 +319,12 @@ class TestGlancingBands:
             glancing_bands(DeltaPotential(0.0))
         with pytest.raises(ValueError, match="m_bands"):
             glancing_bands(DeltaPotential(1.0), m_bands=0)
-        with pytest.raises(ValueError, match="Q"):
-            glancing_bands(DeltaPotential(1.0), q_range=(0.0, 1.0))
+        with pytest.raises(ValueError, match="m_bands"):
+            glancing_bands(DeltaPotential(1.0), m_bands=2.7)
+        with pytest.raises(ValueError, match="lower half-plane"):
+            GlancingBand(1, -1.5, CBRT2, 0.5, 1.0, 0.0)
+        with pytest.raises(ValueError, match="scale"):
+            GlancingBand(1, -1.5, 0.0, -0.5, 1.0, 0.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             b = glancing_bands(DeltaPotential(1.0, 0.0, h=0.01), m_bands=1)[0]
             b.j = 2
