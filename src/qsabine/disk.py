@@ -23,7 +23,10 @@ asymptotic seed families (normal-incidence and transverse phase
 conditions, Airy corrections for nearly glancing modes) and the result
 of a windowed scan is certified complete per mode by argument-principle
 counts over the scan rectangle, with subdivision and reseeding where the
-count disagrees with the roots in hand.
+count disagrees with the roots in hand.  A count tracks arg f node to
+node around the rectangle and bisects each boundary segment until the
+phase is resolved on it (Delves & Lyness, Math. Comp. 21, 1967), so it
+is an integer by construction or no count at all.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import Iterable, Union
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import hankel1, jv, roots_legendre
+from scipy.special import hankel1, jv
 
 # bessel_quad is not called here: perfbench/tracing.py wraps it on this
 # module by name.
@@ -113,7 +116,10 @@ class NoConvergenceError(RuntimeError):
 
 
 class IncompleteScanWarning(UserWarning):
-    """Argument-principle count and located roots disagree in a cell."""
+    """Argument-principle count and located roots disagree in a cell.
+
+    expected is the count, or None when it could not be resolved.
+    """
 
     def __init__(self, n: int, box: tuple, expected, found: int):
         self.n = int(n)
@@ -121,9 +127,11 @@ class IncompleteScanWarning(UserWarning):
         self.expected = expected
         self.found = int(found)
         re_lo, re_hi, im_lo, im_hi = self.box
+        count = ("an unresolved winding count" if expected is None
+                 else f"winding count {expected}")
         super().__init__(
             f"mode n={n}: cell [{re_lo:.6f}, {re_hi:.6f}] x [{im_lo:.6f}, "
-            f"{im_hi:.6f}] has winding count {expected} but {found} roots"
+            f"{im_hi:.6f}] has {count} but {found} roots"
         )
 
 
@@ -762,34 +770,82 @@ def _seed_points(problem, n, re_lo, re_hi):
 # argument-principle completeness
 
 
-_gl = functools.cache(roots_legendre)  # m-point Gauss-Legendre (nodes, weights)
+# Phase-tracked count: starting node spacing along each edge, bisection
+# rounds, and the node budget of one count (about ten times the 389 nodes
+# the costliest count of a default transparent or damping scan uses).
+# A segment is resolved when arg f moves by less than _MAX_DARG across
+# it, the trapezoid value of Im of the integral of f'/f agrees with that
+# increment to _TRAPEZOID_TOL, and it is no longer than the Newton
+# distance |f/f'| at either end, so no zero near the edge hides inside.
+_COUNT_SPACING = 2.0
+_COUNT_ROUNDS = 30
+_COUNT_NODES = 3840
+_MAX_DARG = pi / 2.0
+_TRAPEZOID_TOL = pi / 4.0
 
 
 def _winding_number(problem, n, box):
-    """Zero count of f inside the box, or None if the contour integral
-    refuses to settle on an integer (e.g. a zero hugging the edge)."""
+    """Zero count of f inside the box by the argument principle, or None.
+
+    arg f is tracked node to node around the boundary: each edge starts
+    at spacing _COUNT_SPACING and every unresolved segment is bisected
+    (one batched evaluation of f, f'/f per round) until it is resolved.
+    The count is the sum of the principal increments of arg f over the
+    resolved segments divided by 2 pi, an integer by construction.  None
+    when f is not finite or vanishes at a node, a segment is still
+    unresolved after _COUNT_ROUNDS bisections or _COUNT_NODES nodes (e.g.
+    a zero on the edge), or the total is negative.
+    """
     re_lo, re_hi, im_lo, im_hi = box
     corners = [
         complex(re_lo, im_lo), complex(re_hi, im_lo),
         complex(re_hi, im_hi), complex(re_lo, im_hi),
     ]
-    for m in (64, 128, 256, 512):
-        nodes, weights = _gl(m)
-        zs, ws = [], []
-        for start, stop in zip(corners, corners[1:] + corners[:1]):
-            mid = 0.5 * (start + stop)
-            half = 0.5 * (stop - start)
-            zs.append(mid + half * nodes)
-            ws.append(half * weights)
-        z = np.concatenate(zs)
-        f, fp = _secular_array(problem, n, z)
-        if not (np.all(np.isfinite(f)) and np.all(f != 0.0)):
+    edges = []
+    for start, stop in zip(corners, corners[1:] + corners[:1]):
+        m = max(1, math.ceil(abs(stop - start) / _COUNT_SPACING))
+        edges.append(start + (stop - start) * (np.arange(m) / m))
+    za = np.concatenate(edges)
+    zb = np.roll(za, -1)
+    fa, ga = _log_derivative(problem, n, za)
+    if fa is None:
+        return None
+    fb, gb = np.roll(fa, -1), np.roll(ga, -1)
+    nodes = za.size
+    total = 0.0
+    for bisections in range(_COUNT_ROUNDS + 1):
+        dz = zb - za
+        darg = np.angle(fb / fa)
+        resolved = (
+            (np.abs(darg) < _MAX_DARG)
+            & (np.abs(0.5 * ((ga + gb) * dz).imag - darg) < _TRAPEZOID_TOL)
+            & (np.abs(dz) * np.maximum(np.abs(ga), np.abs(gb)) <= 1.0)
+        )
+        total += float(np.sum(darg[resolved]))
+        if resolved.all():
+            count = round(total / (2.0 * pi))
+            return count if count >= 0 else None
+        open_ = ~resolved
+        za, zb, fa, fb, ga, gb = (v[open_] for v in (za, zb, fa, fb, ga, gb))
+        nodes += za.size
+        if bisections == _COUNT_ROUNDS or nodes > _COUNT_NODES:
             return None
-        val = complex(np.sum(np.concatenate(ws) * fp / f)) / (2j * pi)
-        count = round(val.real)
-        if count >= 0 and abs(val - count) < 0.2:
-            return count
-    return None
+        zm = 0.5 * (za + zb)
+        fm, gm = _log_derivative(problem, n, zm)
+        if fm is None:
+            return None
+        za, zb = np.concatenate([za, zm]), np.concatenate([zm, zb])
+        fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
+        ga, gb = np.concatenate([ga, gm]), np.concatenate([gm, gb])
+
+
+def _log_derivative(problem, n, z):
+    """(f, f'/f) at the nodes z, or (None, None) unless f and f' are
+    finite and f is nonzero at every node."""
+    f, fp = _secular_array(problem, n, z)
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(fp)) and np.all(f != 0.0)):
+        return None, None
+    return f, fp / f
 
 
 def _count_zeros(problem, n, box):

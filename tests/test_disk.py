@@ -9,7 +9,9 @@ Independent routes used here:
     n = 0 root to the first zero of J_0)
   * one-bounce Sabine quotients for the transverse seed heights
   * argument-principle counts behind scan completeness (exercised
-    through the public warning machinery)
+    through the public warning machinery, and directly against counts
+    confirmed by scans and mpmath, and hypothesis properties: additive
+    under cell splits, unchanged under n -> -n)
   * mpmath at 30 digits for the delta glancing roots, and the Airy
     reduction of the delta secular condition near the turning point
     (Maclaurin-series Airy functions)
@@ -18,9 +20,12 @@ Independent routes used here:
 import cmath
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import hankel1, jv, jvp, h1vp
 
 import qsabine.disk
@@ -59,6 +64,25 @@ DELTA_LADDER_1000 = (
     complex(1030.7267, -1.2371),
     complex(1042.5207, -1.2674),
 )
+
+
+# Modes and cells for the count properties: inside the guarded
+# special-function box, Re lambda above every wave speed c used, tangent
+# frequency n / Re lambda below the scan cap, and deep enough to hold
+# the normal-incidence zeros (Im -0.55 to -1.1) of these problems.
+PROBLEMS = st.sampled_from(
+    [TE_FAST, TransparentDisk(0.5, 1.3), DeltaDisk(1.0, 5.0 / 6.0), DampingDisk(2.0)]
+)
+
+
+@st.composite
+def mode_cells(draw):
+    re_lo = draw(st.floats(20.0, 400.0))
+    n = int(draw(st.floats(0.0, 1.2)) * re_lo)
+    im_hi = -draw(st.floats(1e-6, 0.5))
+    cell = (re_lo, re_lo + draw(st.floats(1.0, 30.0)),
+            -draw(st.floats(1.2, 3.0)), im_hi)
+    return n, cell
 
 
 def residual(problem, n, lam):
@@ -499,6 +523,69 @@ class TestScan:
         w = rec[0].message
         assert w.n == 0 and w.expected == 1 and w.found == 0
         assert w.box[0] < 205.7768 < w.box[1]
+
+
+class TestWindingNumber:
+    """The phase-tracked argument-principle count behind scan completeness."""
+
+    FULL_BOX = (200.0, 300.0, -3.0, -1e-6)
+    SLOW_BOX = (200.0, 210.0, -3.0, -1e-6)
+
+    @pytest.mark.parametrize("n, zeros", [(119, 27), (122, 27), (147, 25), (208, 15)])
+    def test_full_window_damping_counts(self, n, zeros):
+        # A fixed Gauss-Legendre sum rounded within 0.2 of an integer
+        # gave 26, 26, 26 and 16 here; these counts agree with a
+        # 4096-node-per-edge sum and with the roots a scan returns.
+        assert qsabine.disk._winding_number(DampingDisk(2.0), n, self.FULL_BOX) == zeros
+
+    def test_close_pair_under_the_ceiling(self):
+        # Two zeros ~0.003 below the top edge share one starting
+        # segment; their 2 pi of phase aliases away unless segments are
+        # cut to the Newton distance |f/f'|.
+        slow = TransparentDisk(0.5, 1.3)
+        count = qsabine.disk._winding_number(slow, 217, self.SLOW_BOX)
+        roots = scan(slow, self.SLOW_BOX[:2], -3.0, [217])
+        assert count == len(roots) == 6
+        want = complex(207.8772368734961, -0.0031251338707)  # mpmath, 30 digits
+        assert min(abs(r.lam - want) for r in roots) < 1e-9
+
+    def test_near_axis_cells_complete(self):
+        # Zeros within 4e-7 of the ceiling (n = 221, 226), and zeros just
+        # above it (n = 222, 223, 227, 228, Im -7e-7 to -9.9e-7 by
+        # mpmath), leave no cell uncounted.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IncompleteScanWarning)
+            roots = scan(TransparentDisk(0.5, 1.3), self.SLOW_BOX[:2], -3.0,
+                         [221, 222, 223, 226, 227, 228])
+        for n, want in ((221, complex(201.037486224476, -1.3775507e-6)),
+                        (226, complex(205.875324314171, -1.362111e-6))):
+            near = [r.lam for r in roots if r.n == n and abs(r.lam - want) < 1e-9]
+            assert len(near) == 1
+            assert near[0].imag == pytest.approx(want.imag, rel=1e-6)
+
+    def test_unresolved_count_is_named_in_the_warning(self):
+        w = IncompleteScanWarning(222, (201.6, 201.7, -1e-3, -1e-6), None, 0)
+        assert w.expected is None
+        assert "has an unresolved winding count but 0 roots" in str(w)
+        w = IncompleteScanWarning(226, (205.8, 205.9, -1e-3, -1e-6), 2, 1)
+        assert "has winding count 2 but 1 roots" in str(w)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(problem=PROBLEMS, mode_cell=mode_cells(), depth=st.integers(0, 20))
+    def test_count_is_additive_under_split(self, problem, mode_cell, depth):
+        n, cell = mode_cell
+        whole = qsabine.disk._winding_number(problem, n, cell)
+        parts = [qsabine.disk._winding_number(problem, n, half)
+                 for half in qsabine.disk._split(cell, n, depth)]
+        if whole is not None and None not in parts:
+            assert whole == sum(parts)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(problem=PROBLEMS, mode_cell=mode_cells())
+    def test_count_is_symmetric_in_the_mode_sign(self, problem, mode_cell):
+        n, cell = mode_cell
+        assert (qsabine.disk._winding_number(problem, -n, cell)
+                == qsabine.disk._winding_number(problem, n, cell))
 
 
 class TestResonanceCsv:
