@@ -29,8 +29,7 @@ print("    n   delta1  j   Re lambda    Im lambda    val/B")
 for n in (1000, 2500, 6300, 9800):
     h = 1.0 / n
     delta1 = 2.0 ** (1.0 / 3.0) * n ** (-1.0 / 6.0)
-    res = scan(problem, (n + 0.5, n + 5.5 * n ** (1.0 / 3.0)), -4.0, [n],
-               tangent_floor=0.94)
+    res = scan(problem, (n + 0.5, n + 5.5 * n ** (1.0 / 3.0)), -4.0, [n])
     bands = glancing_bands(DeltaPotential(1.0, -5.0 / 6.0, h), M_BANDS)
     roots = sorted((r for r in res if 0.95 <= r.n / r.lam.real <= 1.0),
                    key=lambda r: r.lam.real)

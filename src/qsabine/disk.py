@@ -20,7 +20,10 @@ evaluation (argument-principle contours and the Newton guard).
 
 Zeros are located by a trust-region Newton iteration started from
 asymptotic seed families (normal-incidence and transverse phase
-conditions, Airy corrections for nearly glancing modes) and the result
+conditions, Airy corrections for nearly glancing modes).  The
+normal-incidence family sees the boundary only through
+r(0) = (1 - alpha c)/(1 + alpha c), so the damping problem's n = 0
+family is the transparent one at c = 1, alpha = a.  The result
 of a windowed scan is certified complete per mode by argument-principle
 counts over the scan rectangle, with subdivision and reseeding where the
 count disagrees with the roots in hand.  A count tracks arg f node to
@@ -48,6 +51,7 @@ from scipy.special import hankel1, jv
 
 # bessel_quad is not called here: perfbench/tracing.py wraps it on this
 # module by name.
+from .specfun import BESSEL_ARG_MAX, BESSEL_IM_MAX, BESSEL_ORDER_MAX
 from .specfun import _CBRT2, ScaledMagnitudeError, airy_zeros, bessel_pair, bessel_quad, phi_minus
 
 __all__ = [
@@ -346,14 +350,23 @@ def seed_normal(problem: TransparentDisk, n: int, k: int) -> complex:
     """
     if not isinstance(problem, TransparentDisk):
         raise TypeError("normal-incidence seeds exist for the transparent problem only")
-    ac = problem.alpha * problem.c
-    if abs(ac - 1.0) < 1e-14:
+    if abs(problem.alpha * problem.c - 1.0) < 1e-14:
         raise ValueError(
             "alpha c = 1 is degenerate: the normal reflection coefficient vanishes"
         )
-    sigma = 1.0 if ac < 1.0 else -1.0
-    re = problem.c * (2.0 - sigma + 2.0 * n + 4.0 * k) * pi / 4.0
-    im = 0.5 * problem.c * math.log(abs((1.0 - ac) / (1.0 + ac)))
+    return _normal_start(problem.c, problem.alpha, n, k)
+
+
+def _normal_sign(c: float, alpha: float) -> float:
+    """sgn(1 - alpha c): the sign of the normal reflection coefficient."""
+    return 1.0 if alpha * c < 1.0 else -1.0
+
+
+def _normal_start(c: float, alpha: float, n: int, k: int) -> complex:
+    """The start point of seed_normal, for any boundary with this r(0)."""
+    ac = alpha * c
+    re = c * (2.0 - _normal_sign(c, alpha) + 2.0 * n + 4.0 * k) * pi / 4.0
+    im = 0.5 * c * math.log(abs((1.0 - ac) / (1.0 + ac)))
     return complex(re, im)
 
 
@@ -375,12 +388,7 @@ def _branch_sign(c: float, alpha: float, r: float) -> float:
 
 
 def _transverse_value(problem: TransparentDisk, n: int, r: float) -> complex:
-    """Seed at radius ratio r = Re lambda / n on the transverse family."""
-    if r <= 1.0:
-        raise ValueError(
-            "totally reflecting chord (r <= 1): the resonance sits exponentially"
-            " close to the real axis and has no transverse-family start"
-        )
+    """Seed at radius ratio r = Re lambda / n > 1 on the transverse family."""
     nu = math.sqrt(r * r / (problem.c * problem.c) - 1.0)
     ww = problem.alpha * math.sqrt(r * r - 1.0)
     if nu == ww:
@@ -548,23 +556,24 @@ def newton_refine(
 # seed enumeration for scans
 
 
-def _normal_k_range(c, n, sigma, re_lo, re_hi):
-    """Integers k whose normal seed has Re lambda_0 in [re_lo, re_hi]."""
-    base = 2.0 - sigma + 2.0 * n
+def _normal_seeds(c, alpha, n, re_lo, re_hi):
+    """Normal-incidence starts of mode n with Re lambda_0 in [re_lo, re_hi].
+
+    The boundary enters only through r(0) = (1 - alpha c)/(1 + alpha c);
+    none exist at the matched impedance alpha c = 1.
+    """
+    if abs(alpha * c - 1.0) < 1e-14:
+        return []
+    base = 2.0 - _normal_sign(c, alpha) + 2.0 * n
     k_lo = math.ceil((4.0 * re_lo / (c * pi) - base) / 4.0)
     k_hi = math.floor((4.0 * re_hi / (c * pi) - base) / 4.0)
-    return range(k_lo, k_hi + 1)
+    starts = (_normal_start(c, alpha, n, k) for k in range(k_lo, k_hi + 1))
+    return [(lam0, "normal", _SEED_TRUST) for lam0 in starts if lam0.real > 0.0]
 
 
 def _transparent_seeds(problem, n, re_lo, re_hi):
     c, alpha = problem.c, problem.alpha
-    out = []
-    if abs(alpha * c - 1.0) > 1e-14:
-        sigma = 1.0 if alpha * c < 1.0 else -1.0
-        for k in _normal_k_range(c, n, sigma, re_lo, re_hi):
-            lam0 = seed_normal(problem, n, k)
-            if lam0.real > 0.0:
-                out.append((lam0, "normal", _SEED_TRUST))
+    out = _normal_seeds(c, alpha, n, re_lo, re_hi)
     if n >= 1:
         out.extend(_transverse_sweep(problem, n, re_lo, re_hi))
         if c > 1.0:
@@ -636,29 +645,16 @@ def _damping_seeds(problem, n, re_lo, re_hi):
     """Phase-condition starts for the damping problem.
 
     The boundary phase theta = n F1(r) - pi/4 satisfies e^{2 i theta} =
-    (t + a r)/(t - a r) with t = sqrt(r^2 - 1); for n = 0 this is the
-    exact normal-incidence family, for n >= 1 the same condition at
-    finite incidence.  Nearly glancing modes get Airy starts instead:
+    (t + a r)/(t - a r) with t = sqrt(r^2 - 1).  For n = 0 this is the
+    exact normal-incidence family, the transparent one at c = 1,
+    alpha = a; for n >= 1 it is the same condition at finite incidence.
+    Nearly glancing modes get Airy starts instead:
     lambda = n + |a_j| n^(1/3)/2^(1/3) - i/a.
     """
     a = problem.a
-    out = []
     if n == 0:
-        if abs(a - 1.0) < 1e-14:
-            return out
-        if a > 1.0:
-            im = 0.5 * math.log((a - 1.0) / (a + 1.0))
-            offset = 0.75
-        else:
-            im = 0.5 * math.log((1.0 - a) / (1.0 + a))
-            offset = 0.25
-        k_lo = math.ceil(re_lo / pi - offset)
-        k_hi = math.floor(re_hi / pi - offset)
-        for k in range(k_lo, k_hi + 1):
-            re = (k + offset) * pi
-            if re > 0.0:
-                out.append((complex(re, im), "normal", _SEED_TRUST))
-        return out
+        return _normal_seeds(1.0, a, 0, re_lo, re_hi)
+    out = []
     # bulk: solve Re theta = pi k (+ pi/2 on the overdamped branch)
     r_hi = re_hi / n
     if r_hi > 1.0 + 1e-9:
@@ -704,11 +700,9 @@ def _delta_seeds(problem, n, re_lo, re_hi):
                 out.append((lam0, "glancing", trust))
     # bulk: e^{2 i theta} = 2 i lambda t / (r V) - 1, theta = n F1 - pi/4
     if n == 0:
-        def theta_of(lam):
-            return lam - pi / 4.0
         def lam_of(theta):
             return theta + pi / 4.0
-        t_lo, t_hi = theta_of(re_lo), theta_of(re_hi)
+        t_lo, t_hi = re_lo - pi / 4.0, re_hi - pi / 4.0
     else:
         r_hi = re_hi / n
         if r_hi <= 1.0 + 1e-6:
@@ -721,8 +715,6 @@ def _delta_seeds(problem, n, re_lo, re_hi):
     for k in range(math.ceil(t_lo / pi - 1.0), math.floor(t_hi / pi) + 2):
         # fixed point of Re theta = pi k + arg(rhs)/2, two passes
         theta_re = pi * k + pi / 2.0
-        if not t_lo - pi <= theta_re <= t_hi + pi:
-            continue
         lam_re = None
         for _ in range(2):
             if not t_lo - pi <= theta_re <= t_hi + pi:
@@ -740,8 +732,6 @@ def _delta_seeds(problem, n, re_lo, re_hi):
             theta_re = pi * k + 0.5 * cmath.phase(rhs)
         if lam_re is None:
             continue
-        t = math.sqrt(max(lam_re * lam_re - n * n, 0.0)) or lam_re
-        rhs = 2j * t / problem.strength(lam_re) - 1.0
         im = -0.5 * math.log(abs(rhs)) / (t / lam_re)
         if im >= 0.0:
             continue
@@ -928,14 +918,12 @@ def _complete_cell(problem, n, box, roots, scan_box, incomplete, depth=0):
     incomplete.append((n, box, count, inside))
 
 
-def _scan_mode(problem, re_window, im_floor, tangent_floor, n):
+def _scan_mode(problem, re_window, im_floor, n):
     """All resonances of one angular mode in the window, plus any cells
     where completeness could not be certified."""
     re_lo, re_hi = re_window
     if n > 0:
         re_lo = max(re_lo, n / _TANGENT_CAP)
-        if tangent_floor > 0.0:
-            re_hi = min(re_hi, n / tangent_floor)
     if not re_lo < re_hi:
         return [], []
     box = (re_lo, re_hi, im_floor, _IM_CEILING)
@@ -960,14 +948,13 @@ def scan(
     im_floor: float,
     n_range,
     *,
-    tangent_floor: float = 0.0,
     workers: int = 0,
 ) -> list:
     """All resonances in a window, certified complete mode by mode.
 
-    Every mode n in n_range is swept over the rectangle
+    Every integer mode n in n_range is swept over the rectangle
     [re_window] x [im_floor, -1e-6], clipped per mode to tangent
-    frequencies n / Re lambda in [tangent_floor, 1.2].  Seeds of every
+    frequencies n / Re lambda <= 1.2.  Seeds of every
     applicable asymptotic family are refined by guarded Newton (transverse
     starts are tagged as such up to rotation denominator 12, and the
     delta problem gets the first four glancing starts per mode); an
@@ -983,7 +970,7 @@ def scan(
     re_lo, re_hi = float(re_window[0]), float(re_window[1])
     if not 1.0 < re_lo < re_hi:
         raise ValueError("need 1 < re_window[0] < re_window[1]")
-    if re_hi > 1.98e4:
+    if re_hi > BESSEL_ARG_MAX - 200.0:
         raise ValueError("window exceeds the guarded special-function box")
     if isinstance(problem, TransparentDisk) and re_lo < problem.c:
         raise ValueError(
@@ -992,20 +979,19 @@ def scan(
         )
     if not im_floor < _IM_CEILING:
         raise ValueError(f"need im_floor < {_IM_CEILING}")
-    if im_floor < -50.0:
+    if im_floor < -BESSEL_IM_MAX:
         raise ValueError("im_floor below the guarded special-function box")
-    if not 0.0 <= tangent_floor < _TANGENT_CAP:
-        raise ValueError(f"need 0 <= tangent_floor < {_TANGENT_CAP}")
-    modes = sorted({int(n) for n in n_range})
+    requested = list(n_range)
+    if any(n != int(n) for n in requested):
+        raise ValueError("modes must be integers")
+    modes = sorted({int(n) for n in requested})
     if not modes:
         return []
     if modes[0] < 0:
         raise ValueError("modes are indexed by n >= 0 (negative n is redundant)")
-    if modes[-1] > 20000:
+    if modes[-1] > BESSEL_ORDER_MAX:
         raise ValueError("mode index beyond the guarded special-function box")
-    job = functools.partial(
-        _scan_mode, problem, (re_lo, re_hi), float(im_floor), float(tangent_floor)
-    )
+    job = functools.partial(_scan_mode, problem, (re_lo, re_hi), float(im_floor))
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=int(workers)) as pool:
             outcomes = list(pool.map(job, modes))

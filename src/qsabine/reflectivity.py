@@ -74,10 +74,10 @@ class TransparentObstacle:
     alpha: float
 
     def __post_init__(self):
-        if not (self.c > 0.0 and self.c != 1.0):
-            raise ValueError("interior speed c must be positive and != 1")
-        if not self.alpha > 0.0:
-            raise ValueError("coupling alpha must be positive")
+        if not (math.isfinite(self.c) and self.c > 0.0 and self.c != 1.0):
+            raise ValueError("interior speed c must be finite, positive and != 1")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError("coupling alpha must be finite and positive")
 
     @property
     def is_te(self) -> bool:
@@ -130,15 +130,15 @@ class DeltaPotential:
 class BoundaryDamping:
     """Absorbing boundary with damping a(x') >= a_0 > 0.
 
-    a may be a positive scalar or a callable profile a(position) that
+    a may be a finite positive scalar or a callable profile a(position) that
     stays bounded away from zero.
     """
 
     a: Union[float, Callable]
 
     def __post_init__(self):
-        if not callable(self.a) and not self.a > 0.0:
-            raise ValueError("damping a must be positive")
+        if not callable(self.a) and not (math.isfinite(self.a) and self.a > 0.0):
+            raise ValueError("damping a must be finite and positive")
 
     def damping_at(self, position: float = 0.0) -> float:
         val = _scalar_or_call(self.a, position)

@@ -249,8 +249,7 @@ def _check_delta_glancing(workers: int) -> tuple:
     delta1 = []
     for n in (1000, 1600, 2500, 4000, 6300, 9800):
         hi = n + 5.5 * n ** (1.0 / 3.0)
-        res = scan(problem, (n + 0.5, hi), -4.0, [n], tangent_floor=0.94,
-                   workers=workers)
+        res = scan(problem, (n + 0.5, hi), -4.0, [n], workers=workers)
         h = 1.0 / n
         delta1.append(sf._CBRT2 * n ** (-1.0 / 6.0) / v0)
         bands = glancing_bands(DeltaPotential(v0, -5.0 / 6.0, h), m_bands)

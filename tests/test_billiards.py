@@ -8,7 +8,8 @@ Independent routes used here:
   * elementary chord geometry on the disk (closed forms)
   * the elliptic billiard first integral (oracles.foci_momentum_product)
   * finite differences for the generating-function partials and the
-    symplectic Jacobian
+    symplectic Jacobian, also as hypothesis properties (with
+    reversibility) on random ellipses and support-function domains
   * scipy.optimize.brentq for the row-wise Brent port, and the one-row
     billiard_step for the lockstep map, both bit for bit
 """
@@ -20,6 +21,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ellipe
 
@@ -264,6 +267,61 @@ class TestBilliardStep:
             billiard_step(dom, PhasePoint(0.0, -(1.0 - 5e-13)))
         # just inside the cutoff is allowed
         billiard_step(dom, PhasePoint(0.0, 1.0 - 1e-9))
+
+
+@st.composite
+def domains(draw):
+    """An ellipse with a in [1, 2], b = 1, or a support-function domain
+    h = 1 + eps cos(m phi + phase), whose radius of curvature
+    h + h'' = 1 - eps (m^2 - 1) cos(m phi + phase) stays >= 0.2."""
+    if draw(st.booleans()):
+        return ConvexDomain.ellipse(draw(st.floats(1.0, 2.0)), 1.0)
+    m = draw(st.integers(2, 5))
+    eps = draw(st.floats(0.0, 0.8 / (m * m - 1)))
+    phase = draw(st.floats(0.0, 2.0 * math.pi))
+    return ConvexDomain.from_support(
+        lambda p: 1.0 + eps * np.cos(m * p + phase),
+        lambda p: -m * eps * np.sin(m * p + phase),
+        lambda p: -m * m * eps * np.cos(m * p + phase),
+        name=f"support(m={m}, eps={eps!r}, phase={phase!r})",
+    )
+
+
+PHASE_POINTS = {
+    "u": st.floats(0.0, 1.0, exclude_max=True),
+    "xi": st.floats(-0.9, 0.9),
+}
+
+
+class TestMapProperties:
+    """Reversibility and area preservation at random (s, xi), |xi| <= 0.9."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(dom=domains(), **PHASE_POINTS)
+    def test_reversibility(self, dom, u, xi):
+        q = PhasePoint(u * dom.perimeter, xi)
+        q1, c1 = billiard_step(dom, q)
+        q2, c2 = billiard_step(dom, PhasePoint(q1.s, -q1.xi))
+        assert abs(sdiff(q2.s, q.s, dom.perimeter)) < 1e-8
+        assert abs(-q2.xi - q.xi) < 1e-8
+        assert abs(c2 - c1) < 1e-8
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(dom=domains(), **PHASE_POINTS)
+    def test_jacobian_determinant(self, dom, u, xi):
+        # Central differences with step 1e-6: the truncation error grows
+        # like h^2 and reaches 5e-5 at h = 1e-5 L on the a = 2 ellipse's
+        # hyperbolic diameter (u = xi = 0), while roundoff stays ~1e-8.
+        L = dom.perimeter
+        s = u * L
+        hs = hx = 1e-6
+        qsp, _ = billiard_step(dom, PhasePoint(s + hs, xi))
+        qsm, _ = billiard_step(dom, PhasePoint(s - hs, xi))
+        qxp, _ = billiard_step(dom, PhasePoint(s, xi + hx))
+        qxm, _ = billiard_step(dom, PhasePoint(s, xi - hx))
+        det = (sdiff(qsp.s, qsm.s, L) / (2 * hs) * (qxp.xi - qxm.xi) / (2 * hx)
+               - (qsp.xi - qsm.xi) / (2 * hs) * sdiff(qxp.s, qxm.s, L) / (2 * hx))
+        assert abs(det - 1.0) < 1e-6
 
 
 class TestOrbit:

@@ -18,6 +18,7 @@ Independent routes used here:
 """
 
 import cmath
+import hashlib
 import io
 import math
 import warnings
@@ -307,6 +308,25 @@ class TestSeedGlancing:
             seed_glancing(DampingDisk(2.0), 100, 1)
 
 
+class TestSeedPoints:
+    def test_seed_lists_are_pinned(self):
+        # Every start point, tag and trust radius of the scan seed
+        # families over a 200..300 window, bit for bit: one sha256 over
+        # repr(_seed_points(p, n, 200, 300)) for n = 0..360.
+        problems = [
+            TE_FAST, TransparentDisk(2.0, 0.4), TransparentDisk(0.5, 1.3),
+            DampingDisk(2.0), DampingDisk(0.5),
+            DeltaDisk(1.0, 5.0 / 6.0), DeltaDisk(5.0, 5.0 / 6.0),
+        ]
+        digest = hashlib.sha256()
+        for p in problems:
+            for n in range(361):
+                digest.update(repr(qsabine.disk._seed_points(p, n, 200.0, 300.0)).encode())
+        assert digest.hexdigest() == (
+            "c85b6d96f2bb76d6c6c2dd266c56015ba9345c81a717a676e3c72b31138ad35e"
+        )
+
+
 class TestNewtonRefine:
     def test_transparent_normal_root(self):
         s = seed_normal(TE_FAST, 0, 32)
@@ -417,8 +437,7 @@ class TestScan:
             assert -0.5494 < r.lam.imag < -0.5
 
     def test_delta_glancing_ladder(self):
-        res = scan(DeltaDisk(1.0, 5.0 / 6.0), (1001.0, 1047.0), -4.0, [1000],
-                   tangent_floor=0.95)
+        res = scan(DeltaDisk(1.0, 5.0 / 6.0), (1001.0, 1047.0), -4.0, [1000])
         assert len(res) == 3
         for r, w in zip(res, DELTA_LADDER_1000):
             assert abs(r.lam - w) < 1e-3
@@ -428,8 +447,7 @@ class TestScan:
         # step from each scanned root must be negligible.
         mpmath = pytest.importorskip("mpmath")
         n = 1000
-        res = scan(DeltaDisk(1.0, 5.0 / 6.0), (1001.0, 1047.0), -4.0, [n],
-                   tangent_floor=0.95)
+        res = scan(DeltaDisk(1.0, 5.0 / 6.0), (1001.0, 1047.0), -4.0, [n])
         assert len(res) == 3
         with mpmath.workdps(30):
             for r, w in zip(res, DELTA_LADDER_1000):
@@ -506,6 +524,12 @@ class TestScan:
     def test_unknown_problem_rejected(self):
         with pytest.raises(TypeError, match="not a disk problem"):
             scan(object(), (200.0, 300.0), -3.0, [0])
+
+    def test_non_integer_mode_rejected(self):
+        # int() would truncate 0.5 to mode 0 and scan that instead.
+        with pytest.raises(ValueError, match="integers"):
+            scan(TE_FAST, (200.0, 215.0), -3.0, [0.5])
+        assert len(scan(TE_FAST, (200.0, 215.0), -3.0, [0.0])) == 2
 
     def test_duplicate_modes_collapse(self):
         once = scan(TE_FAST, (200.0, 215.0), -3.0, [0])

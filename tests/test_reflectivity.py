@@ -81,6 +81,16 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             BoundaryDamping(lambda s: -1.0).damping_at(0.3)
 
+    def test_non_finite_parameters_rejected(self):
+        inf = float("inf")
+        for c, alpha in ((inf, 1.0), (2.0, inf)):
+            with pytest.raises(ValueError, match="finite"):
+                TransparentObstacle(c, alpha)
+        with pytest.raises(ValueError, match="finite"):
+            BoundaryDamping(inf)
+        # a callable profile is checked where it is evaluated
+        assert BoundaryDamping(lambda s: 2.0).damping_at(0.3) == 2.0
+
     def test_te_tm_classification(self):
         assert TransparentObstacle(2.0, 1.0).is_te
         assert TransparentObstacle(0.5, 1.0).is_te
