@@ -16,7 +16,9 @@ its zeros in the open lower half plane.  Three variants are supported:
 Each secular function is written once, together with its derivative
 and the two terms whose moduli normalize the residual; the same formula
 serves point evaluation (Newton, with guarded Bessel factors) and array
-evaluation (argument-principle contours and the Newton guard).
+evaluation (argument-principle contours and the Newton guard).  The
+guard only tags roots, the counts certify them, so it runs when
+Resonance.guarded is first read rather than during a scan.
 
 Zeros are located by a trust-region Newton iteration started from
 asymptotic seed families (normal-incidence and transverse phase
@@ -41,7 +43,7 @@ import logging
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import pi
 from typing import Iterable, Union
 
@@ -122,17 +124,24 @@ class NoConvergenceError(RuntimeError):
 class IncompleteScanWarning(UserWarning):
     """Argument-principle count and located roots disagree in a cell.
 
-    expected is the count, or None when it could not be resolved.
+    expected is the count, or None when it could not be resolved.  cause
+    says why a cell was given up without subdivision: the secular
+    function is not representable in double precision on its contour.
     """
 
-    def __init__(self, n: int, box: tuple, expected, found: int):
+    def __init__(self, n: int, box: tuple, expected, found: int, cause=None):
         self.n = int(n)
         self.box = tuple(float(b) for b in box)
         self.expected = expected
         self.found = int(found)
+        self.cause = cause
         re_lo, re_hi, im_lo, im_hi = self.box
-        count = ("an unresolved winding count" if expected is None
-                 else f"winding count {expected}")
+        if cause is not None:
+            count = f"no winding count ({cause})"
+        elif expected is None:
+            count = "an unresolved winding count"
+        else:
+            count = f"winding count {expected}"
         super().__init__(
             f"mode n={n}: cell [{re_lo:.6f}, {re_hi:.6f}] x [{im_lo:.6f}, "
             f"{im_hi:.6f}] has {count} but {found} roots"
@@ -217,8 +226,12 @@ class Resonance:
     mode converge to the same zero (within 1e-6), a scan keeps the one
     with the lowest residual, seed tag and guard flag included, so the
     tag need not be the first or the only family that reaches the zero.
+
     guarded is the trust-region certificate of the refinement
-    (uniqueness of the zero in the start disk).
+    (uniqueness of the zero in the start disk).  certificate holds it
+    deferred: a bool when settled at refinement, else the arguments of
+    the disk-uniqueness guard, which runs on the first read of guarded
+    and is cached.  certificate takes no part in == or repr.
     """
 
     lam: complex
@@ -226,7 +239,7 @@ class Resonance:
     residual: float
     seed: str
     problem: str
-    guarded: bool = True
+    certificate: Union[bool, tuple] = field(default=True, compare=False, repr=False)
 
     def __post_init__(self):
         if not (self.lam.imag < 0.0 and self.lam.real > 0.0):
@@ -247,6 +260,13 @@ class Resonance:
     def tangent_freq(self) -> float:
         """Mode index over real part, n / Re lambda."""
         return self.n / self.lam.real
+
+    @functools.cached_property
+    def guarded(self) -> bool:
+        """The trust-region certificate, evaluated on first read."""
+        if isinstance(self.certificate, tuple):
+            return _newton_guard(*self.certificate)
+        return self.certificate
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +518,10 @@ def newton_refine(
     is already below 1e-12 is returned unchanged.  The result is marked
     guarded when the zero lies inside the trust disk and the
     disk-uniqueness guard, built from |f|, |f'| and the scale at the
-    start, passes; the guard is evaluated only for such a zero, so
-    refinements that fail or leave the disk never pay for it.
+    start, passes.  The guard is not evaluated here: a zero inside the
+    disk carries the guard's arguments as its certificate, and the guard
+    runs when Resonance.guarded is first read, so refinements whose flag
+    nobody reads never pay for it.
 
     Raises NoConvergenceError (with the visited points attached) on a
     vanishing derivative, three consecutive steps longer than epsilon,
@@ -513,12 +535,9 @@ def newton_refine(
     if not cmath.isfinite(f):
         raise NoConvergenceError("secular function not finite at the start point", (lam,))
     if abs(f) / scale < _RESIDUAL_FIXED:
-        return Resonance(
-            lam=lam, n=n, residual=abs(f) / scale, seed=tag,
-            problem=problem.tag, guarded=True,
-        )
+        return Resonance(lam=lam, n=n, residual=abs(f) / scale, seed=tag, problem=problem.tag)
     lam0 = lam
-    start = (abs(f) / scale, abs(fp) / scale, scale)
+    guard_args = (problem, n, lam0, epsilon, abs(f) / scale, abs(fp) / scale, scale)
     trace = [lam]
     oversize = 0
     for _ in range(50):
@@ -546,8 +565,7 @@ def newton_refine(
                 )
             return Resonance(
                 lam=lam, n=n, residual=abs(f) / scale, seed=tag, problem=problem.tag,
-                guarded=(abs(lam - lam0) <= epsilon
-                         and _newton_guard(problem, n, lam0, epsilon, *start)),
+                certificate=guard_args if abs(lam - lam0) <= epsilon else False,
             )
     raise NoConvergenceError("no convergence within 50 iterations", trace)
 
@@ -774,6 +792,14 @@ _MAX_DARG = pi / 2.0
 _TRAPEZOID_TOL = pi / 4.0
 
 
+class _Unrepresentable(ArithmeticError):
+    """f or f' is not finite, or f is exactly 0, at a contour node.
+
+    Far outside the turning region the unscaled array Bessel factors
+    underflow or overflow, so no subdivision of the cell can help.
+    """
+
+
 def _winding_number(problem, n, box):
     """Zero count of f inside the box by the argument principle, or None.
 
@@ -782,9 +808,10 @@ def _winding_number(problem, n, box):
     (one batched evaluation of f, f'/f per round) until it is resolved.
     The count is the sum of the principal increments of arg f over the
     resolved segments divided by 2 pi, an integer by construction.  None
-    when f is not finite or vanishes at a node, a segment is still
-    unresolved after _COUNT_ROUNDS bisections or _COUNT_NODES nodes (e.g.
-    a zero on the edge), or the total is negative.
+    when a segment is still unresolved after _COUNT_ROUNDS bisections or
+    _COUNT_NODES nodes (e.g. a zero on the edge), or the total is
+    negative.  Raises _Unrepresentable when f is not finite or vanishes
+    at a node.
     """
     re_lo, re_hi, im_lo, im_hi = box
     corners = [
@@ -798,8 +825,6 @@ def _winding_number(problem, n, box):
     za = np.concatenate(edges)
     zb = np.roll(za, -1)
     fa, ga = _log_derivative(problem, n, za)
-    if fa is None:
-        return None
     fb, gb = np.roll(fa, -1), np.roll(ga, -1)
     nodes = za.size
     total = 0.0
@@ -822,31 +847,45 @@ def _winding_number(problem, n, box):
             return None
         zm = 0.5 * (za + zb)
         fm, gm = _log_derivative(problem, n, zm)
-        if fm is None:
-            return None
         za, zb = np.concatenate([za, zm]), np.concatenate([zm, zb])
         fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
         ga, gb = np.concatenate([ga, gm]), np.concatenate([gm, gb])
 
 
 def _log_derivative(problem, n, z):
-    """(f, f'/f) at the nodes z, or (None, None) unless f and f' are
+    """(f, f'/f) at the nodes z; _Unrepresentable unless f and f' are
     finite and f is nonzero at every node."""
     f, fp = _secular_array(problem, n, z)
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(fp)) and np.all(f != 0.0)):
-        return None, None
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(fp))):
+        raise _Unrepresentable(f"f or f' of mode {n} is not finite at a contour node")
+    if not np.all(f != 0.0):
+        raise _Unrepresentable(f"f of mode {n} underflows to 0 at a contour node")
     return f, fp / f
 
 
 def _count_zeros(problem, n, box):
-    count = _winding_number(problem, n, box)
+    """The box's count, retried once on a contour a hair larger.
+
+    None when unresolved; raises _Unrepresentable when both contours
+    meet a node where f cannot be represented.
+    """
+    unrepresentable = False
+    try:
+        count = _winding_number(problem, n, box)
+    except _Unrepresentable:
+        count, unrepresentable = None, True
     if count is None:
         # a hair of slack moves the contour off any offending zero; the
         # in-box test stays on the original edges either way
         re_lo, re_hi, im_lo, im_hi = box
         dr = 1e-9 * (re_hi - re_lo)
         di = 1e-9 * (im_hi - im_lo)
-        count = _winding_number(problem, n, (re_lo - dr, re_hi + dr, im_lo - di, im_hi + di))
+        try:
+            count = _winding_number(
+                problem, n, (re_lo - dr, re_hi + dr, im_lo - di, im_hi + di))
+        except _Unrepresentable:
+            if unrepresentable:
+                raise
     return count
 
 
@@ -901,8 +940,13 @@ def _hunt(problem, n, box, roots, scan_box):
 
 
 def _complete_cell(problem, n, box, roots, scan_box, incomplete, depth=0):
-    count = _count_zeros(problem, n, box)
     inside = sum(1 for r in roots if _in_box(r.lam, box))
+    try:
+        count = _count_zeros(problem, n, box)
+    except _Unrepresentable as err:
+        # splitting cannot cure it: report the cell at once
+        incomplete.append((n, box, None, inside, str(err)))
+        return
     if count is not None:
         if count == inside:
             return
@@ -915,7 +959,7 @@ def _complete_cell(problem, n, box, roots, scan_box, incomplete, depth=0):
         for child in _split(box, n, depth):
             _complete_cell(problem, n, child, roots, scan_box, incomplete, depth + 1)
         return
-    incomplete.append((n, box, count, inside))
+    incomplete.append((n, box, count, inside, None))
 
 
 def _scan_mode(problem, re_window, im_floor, n):
@@ -961,7 +1005,9 @@ def scan(
     argument-principle count over the rectangle then certifies the root
     list, with binary subdivision and fresh Newton casts wherever the
     count disagrees.  Cells whose count never reconciles are reported
-    through IncompleteScanWarning.
+    through IncompleteScanWarning, and so, at once and without
+    subdivision, are cells on whose contour the secular function is not
+    representable in double precision.
 
     workers > 1 distributes modes over processes; results are merged in
     a stable (Re lambda, n) order either way, so the output is
@@ -1000,8 +1046,8 @@ def scan(
     found: list = []
     for (mode_roots, incomplete) in outcomes:
         found.extend(mode_roots)
-        for (n, box, count, inside) in incomplete:
-            warnings.warn(IncompleteScanWarning(n, box, count, inside))
+        for cell in incomplete:
+            warnings.warn(IncompleteScanWarning(*cell))
     found.sort(key=lambda r: (r.lam.real, r.n))
     return found
 

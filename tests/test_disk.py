@@ -18,9 +18,11 @@ Independent routes used here:
 """
 
 import cmath
+import dataclasses
 import hashlib
 import io
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -370,8 +372,9 @@ class TestNewtonRefine:
         assert all(isinstance(z, complex) for z in err.value.trace)
 
     def test_failed_refinement_skips_the_guard(self, monkeypatch):
-        # The uniqueness guard is only evaluated for a zero inside the
-        # trust disk, so a diverging refinement never reaches it.
+        # The uniqueness guard runs only when Resonance.guarded is read,
+        # so a diverging refinement, which returns no Resonance, never
+        # reaches it.
         def guard(*args, **kwargs):
             raise AssertionError("guard evaluated for a failing refinement")
 
@@ -400,6 +403,49 @@ class TestNewtonRefine:
         assert r.lam.real == pytest.approx(1016.3424, abs=1e-3)
         assert r.lam.imag == pytest.approx(-1.1193, abs=1e-3)
         assert not r.guarded
+
+
+def _refuse_guard(*args, **kwargs):
+    raise AssertionError("Newton guard evaluated")
+
+
+class TestDeferredGuard:
+    """Resonance.guarded runs the Newton uniqueness guard on first read."""
+
+    # sha256 of bytes(r.guarded for r in the roots) of TE_FAST over
+    # Re 200..300, Im >= -3, modes 0..60, recorded while newton_refine
+    # still evaluated the guard itself: 929 roots, 199 unguarded.
+    FLAGS_SHA256 = "01d2420218371cb12c077f70ff20b328c2a6a22d5963615309536037881b1753"
+
+    def test_scan_does_not_evaluate_the_guard(self, monkeypatch):
+        monkeypatch.setattr(qsabine.disk, "_newton_guard", _refuse_guard)
+        roots = scan(TE_FAST, (200.0, 230.0), -3.0, range(0, 20))
+        deferred = [r for r in roots if isinstance(r.certificate, tuple)]
+        assert deferred
+        with pytest.raises(AssertionError, match="guard evaluated"):
+            deferred[0].guarded
+
+    def test_flags_match_the_eager_guard(self):
+        flags = [r.guarded for r in scan(TE_FAST, (200.0, 300.0), -3.0, range(61))]
+        assert (len(flags), flags.count(False)) == (929, 199)
+        assert hashlib.sha256(bytes(flags)).hexdigest() == self.FLAGS_SHA256
+
+    def test_pool_gives_the_serial_flags(self):
+        modes = range(0, 61, 4)
+        serial = [r.guarded for r in scan(TE_FAST, (200.0, 260.0), -3.0, modes)]
+        pooled = [r.guarded for r in scan(TE_FAST, (200.0, 260.0), -3.0, modes, workers=2)]
+        assert pooled == serial
+        assert True in serial and False in serial
+
+    def test_certificate_is_cached_pickled_and_not_compared(self, monkeypatch):
+        r = newton_refine(TE_FAST, 0, seed_normal(TE_FAST, 0, 32), 0.2, tag="normal")
+        assert isinstance(r.certificate, tuple)
+        assert "certificate" not in repr(r)
+        assert r == dataclasses.replace(r, certificate=False)
+        copy = pickle.loads(pickle.dumps(r))
+        assert copy.guarded and r.guarded
+        monkeypatch.setattr(qsabine.disk, "_newton_guard", _refuse_guard)
+        assert r.guarded and pickle.loads(pickle.dumps(r)).guarded
 
 
 class TestScan:
@@ -548,6 +594,31 @@ class TestScan:
         assert w.n == 0 and w.expected == 1 and w.found == 0
         assert w.box[0] < 205.7768 < w.box[1]
 
+    @pytest.mark.parametrize("problem, window, n", [
+        (TE_FAST, (3200.0, 3220.0), 3000),
+        (DampingDisk(2.0), (15000.0, 15010.0), 17900),
+    ])
+    def test_unrepresentable_cell_fails_fast(self, monkeypatch, problem, window, n):
+        # The unscaled array secular function underflows to 0 at every
+        # contour node here, so no subdivision can resolve the count:
+        # the cell is reported at once instead of split towards 1e-3.
+        calls = []
+        winding_number = qsabine.disk._winding_number
+
+        def counted(*args):
+            calls.append(args)
+            if len(calls) > 50:
+                raise AssertionError("more than 50 winding counts")
+            return winding_number(*args)
+
+        monkeypatch.setattr(qsabine.disk, "_winding_number", counted)
+        with pytest.warns(IncompleteScanWarning) as rec:
+            scan(problem, window, -3.0, [n])
+        w = rec[0].message
+        assert w.n == n and w.expected is None
+        assert w.box == (window[0], window[1], -3.0, qsabine.disk._IM_CEILING)
+        assert "underflows to 0" in w.cause and w.cause in str(w)
+
 
 class TestWindingNumber:
     """The phase-tracked argument-principle count behind scan completeness."""
@@ -593,6 +664,9 @@ class TestWindingNumber:
         assert "has an unresolved winding count but 0 roots" in str(w)
         w = IncompleteScanWarning(226, (205.8, 205.9, -1e-3, -1e-6), 2, 1)
         assert "has winding count 2 but 1 roots" in str(w)
+        w = IncompleteScanWarning(3000, (3200.0, 3220.0, -3.0, -1e-6), None, 0, "f underflows")
+        assert w.cause == "f underflows"
+        assert "has no winding count (f underflows) but 0 roots" in str(w)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(problem=PROBLEMS, mode_cell=mode_cells(), depth=st.integers(0, 20))

@@ -1,4 +1,4 @@
-"""Tests for the Airy/Bessel core: series oracles, identities, asymptotics."""
+"""Tests for the Airy/Bessel core: series and mpmath oracles, identities, asymptotics."""
 from __future__ import annotations
 
 import cmath
@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import hankel1, jv
 
 from qsabine import specfun as sf
 
@@ -236,6 +237,53 @@ class TestBesselQuad:
             sf.bessel_quad(3, 100.0 - 60.0j)
         with pytest.raises(ValueError):
             sf.bessel_quad(2.5, 10.0)
+
+
+class TestBesselPairOracle:
+    """bessel_pair, point and array, against mpmath at 30 digits.
+
+    The points cover both signs of Im z = 50 at low and moderate order,
+    the turning region n ~ |z| at n = 500 and 1000, an order-dominated
+    point where J_1000 is ~1e-43, and the corners of the admitted box
+    (|z| = 1 and |z| ~ 2e4).  mpmath forms H^(1) = J + i Y, which
+    cancels by e^(-2 Im z) in the upper half plane, so H gets that many
+    extra digits.  Orders stay at n <= 1000: mpmath needs seconds per
+    Hankel value at higher order.  The largest defect measured is 6e-13.
+    """
+
+    POINTS = (
+        (0, 5.0 + 0j), (1, 30.0 - 50j), (3, 1.0 + 0j), (7, 200.0 + 50j),
+        (40, 19990.0 - 50j), (100, 3000.0 - 50j), (300, 350.0 + 50j),
+        (400, 600.0 - 50j), (500, 500.0 - 1j), (1000, 1000.0 + 0j),
+        (1000, 1003.0 - 3j), (1000, 990.0 - 0.5j), (1000, 800.0 - 5j),
+    )
+
+    @staticmethod
+    def _mpmath_pair(kind, n, z):
+        mpmath = pytest.importorskip("mpmath")
+        extra = 5 + int(2.0 * max(z.imag, 0.0) / math.log(10.0)) if kind == "h" else 0
+        with mpmath.workdps(30 + extra):
+            w = mpmath.mpc(z.real, z.imag)
+            jp = mpmath.besselj(n, w, 1)
+            if kind == "j":
+                return complex(mpmath.besselj(n, w)), complex(jp)
+            return complex(mpmath.hankel1(n, w)), complex(jp + 1j * mpmath.bessely(n, w, 1))
+
+    @pytest.mark.parametrize("kind, fn", [("j", jv), ("h", hankel1)])
+    def test_against_mpmath(self, kind, fn):
+        for n, z in self.POINTS:
+            c, cp = sf.bessel_pair(fn, n, z)
+            want, want_p = self._mpmath_pair(kind, n, z)
+            assert abs(c - want) <= 1e-10 * abs(want), (n, z)
+            assert abs(cp - want_p) <= 1e-10 * abs(want_p), (n, z)
+
+    @pytest.mark.parametrize("fn", [jv, hankel1])
+    def test_array_path_matches_point_path_bitwise(self, fn):
+        for n in sorted({n for n, _ in self.POINTS}):
+            zs = np.array([z for m, z in self.POINTS if m == n])
+            c, cp = sf.bessel_pair(fn, n, zs)
+            for k, z in enumerate(zs):
+                assert (complex(c[k]), complex(cp[k])) == sf.bessel_pair(fn, n, complex(z))
 
 
 class TestUniformZeta:
