@@ -12,11 +12,10 @@ import numpy as np
 
 from qsabine import (
     ConvexDomain,
-    PhasePoint,
     TransparentDisk,
     TransparentObstacle,
+    one_bounce_quotients,
     sabine_bounds,
-    sabine_quotient,
     scan,
     write_resonance_csv,
 )
@@ -35,9 +34,8 @@ inside = np.mean((im >= band.lower - 0.05) & (im <= band.upper + 0.05))
 print(f"within band +-0.05: {100 * inside:.1f}%")
 
 print("\n  n   Re lambda     Im lambda     one-bounce prediction")
-for r in res[:10]:
-    xi = 2.0 * r.n / r.lam.real
-    pred = sabine_quotient(disk, model, PhasePoint(0.0, xi), 1)
+preds = one_bounce_quotients(model, [r.n / r.lam.real for r in res[:10]])
+for r, pred in zip(res[:10], preds):
     print(f"  {r.n:3d}  {r.lam.real:10.4f}  {r.lam.imag:+.8f}   {pred:+.8f}")
 
 write_resonance_csv(res, sys.stdout if "--dump" in sys.argv else open("/dev/null", "w"))

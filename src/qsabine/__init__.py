@@ -37,6 +37,7 @@ from .sabine import (
     SabineBand,
     band_report,
     glancing_bands,
+    one_bounce_quotients,
     sabine_bounds,
     sabine_quotient,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "SabineBand",
     "band_report",
     "glancing_bands",
+    "one_bounce_quotients",
     "sabine_bounds",
     "sabine_quotient",
     "DampingDisk",

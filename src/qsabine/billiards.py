@@ -479,22 +479,36 @@ def _brentq_rows(f, a, b):
     raise RuntimeError(f"Brent's method did not converge after {_MAXITER} iterations")
 
 
-def orbit(domain: ConvexDomain, q: PhasePoint, n_steps: int) -> OrbitSegment:
-    """Iterate the billiard map n_steps times from q.
+def _orbits(domain: ConvexDomain, s, xi, n_steps: int):
+    """Orbits of the starts (s[i], xi[i]), all rows stepped in lockstep.
 
-    Deterministic: repeated calls with the same arguments produce
-    identical segments.
+    Returns (s, xi, chords), each (rows, n_steps): column k holds beta^(k+1)
+    and the chord reaching it, NaN once a row meets the glancing guard.
+    Every computed point is validated as a PhasePoint.
     """
     n = int(n_steps)
     if n < 1 or n != n_steps:
         raise ValueError("n_steps must be a positive integer")
-    points = [q]
-    chords = []
+    steps = []
     for _ in range(n):
-        q, chord = billiard_step(domain, q)
-        points.append(q)
-        chords.append(chord)
-    return OrbitSegment(tuple(points), tuple(chords))
+        s, xi, chord = _billiard_steps(domain, s, xi)
+        for i in np.flatnonzero(~np.isnan(chord)).tolist():
+            PhasePoint(float(s[i]), float(xi[i]))
+        steps.append((s, xi, chord))
+    return tuple(np.stack(column, axis=1) for column in zip(*steps))
+
+
+def orbit(domain: ConvexDomain, q: PhasePoint, n_steps: int) -> OrbitSegment:
+    """Iterate the billiard map n_steps times from q.
+
+    The one-row case of ``_orbits``; raises GlancingError if the orbit
+    meets the glancing guard.
+    """
+    s, xi, chords = (a[0] for a in _orbits(domain, [q.s], [q.xi], n_steps))
+    if np.isnan(chords).any():
+        raise GlancingError(f"orbit from {q!r} meets the glancing guard")
+    points = [q] + list(map(PhasePoint, s.tolist(), xi.tolist()))
+    return OrbitSegment(points, chords)
 
 
 def mean_chord(segment: OrbitSegment) -> float:
@@ -542,19 +556,14 @@ def glancing_expansion_check(domain: ConvexDomain,
     qs = list(q_sequence)
     if not qs:
         raise ValueError("need at least one phase point")
-    eps, ndef, cdef = [], [], []
-    for q in qs:
-        q1, chord = billiard_step(domain, q)
-        e = 1.0 - q.xi * q.xi
-        nu0 = math.sqrt(e)
-        nu1 = math.sqrt(1.0 - q1.xi * q1.xi)
-        kap = float(domain.curvature(q.s % domain.perimeter))
-        eps.append(e)
-        ndef.append(abs(nu1 - nu0))
-        cdef.append(abs(chord - 2.0 * nu0 / kap))
-    eps = np.asarray(eps)
-    ndef = np.asarray(ndef)
-    cdef = np.asarray(cdef)
+    s, xi = np.array([q.s for q in qs]), np.array([q.xi for q in qs])
+    _, xi1, chord = (a[:, 0] for a in _orbits(domain, s, xi, 1))
+    if np.isnan(chord).any():
+        raise GlancingError("a phase point of the sequence meets the glancing guard")
+    eps = 1.0 - xi * xi
+    nu0 = np.sqrt(eps)
+    ndef = np.abs(np.sqrt(1.0 - xi1 * xi1) - nu0)
+    cdef = np.abs(chord - 2.0 * nu0 / domain.curvature(np.mod(s, domain.perimeter)))
 
     def slope(defect):
         mask = defect > 1e-13

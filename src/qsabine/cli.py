@@ -46,12 +46,16 @@ from .disk import (
     IncompleteScanWarning,
     NoConvergenceError,
     RESONANCE_CSV_HEADER,
+    TANGENT_CAP,
     TransparentDisk,
+    check_scan_box,
     scan,
     write_resonance_csv,
 )
 from .reflectivity import BoundaryDamping, DeltaPotential, TransparentObstacle
-from .sabine import _prefix_quotients, band_report, glancing_bands, sabine_bounds, wave_speed
+from .sabine import (band_report, glancing_bands, one_bounce_quotients, sabine_bounds,
+                     wave_speed)
+from .specfun import BESSEL_ORDER_MAX
 
 __all__ = ["ConfigError", "RunConfig", "emit_figure", "run", "main"]
 
@@ -91,10 +95,8 @@ class ConfigError(ValueError):
 
 def _decay_curve(model, tf_max: float):
     """(tangent frequency, quotient) samples of the one-bounce decay law."""
-    speed = wave_speed(model)
-    tfs = np.linspace(0.0, min(tf_max, 0.999 / speed), 160)
-    quotients = _prefix_quotients(ConvexDomain.disk(), model, np.zeros_like(tfs),
-                                  speed * tfs, 1)[:, 0]
+    tfs = np.linspace(0.0, min(tf_max, 0.999 / wave_speed(model)), 160)
+    quotients = one_bounce_quotients(model, tfs)
     keep = np.isfinite(quotients)
     return tfs[keep], quotients[keep]
 
@@ -246,8 +248,10 @@ class RunConfig:
             if lo_n < 0 or hi_n < lo_n or step < 1:
                 raise ConfigError("mode range must be 0 <= A <= B with positive step")
         try:
-            self.disk_problem()
+            problem = self.disk_problem()
             self.reflectivity_model()
+            if self.command == "resonances" or (self.command == "plot" and self.data is None):
+                check_scan_box(problem, self.re_window, self.im_floor, self.modes())
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
@@ -261,7 +265,7 @@ class RunConfig:
         if self.n_range is not None:
             step = self.n_range[2] if len(self.n_range) > 2 else 1
             return range(self.n_range[0], self.n_range[1] + 1, step)
-        cap = min(20000, int(math.ceil(1.2 * self.re_window[1])))
+        cap = min(BESSEL_ORDER_MAX, int(math.ceil(TANGENT_CAP * self.re_window[1])))
         return range(0, cap + 1)
 
     def params(self) -> dict:

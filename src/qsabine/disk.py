@@ -69,6 +69,8 @@ __all__ = [
     "seed_transverse",
     "seed_glancing",
     "newton_refine",
+    "TANGENT_CAP",
+    "check_scan_box",
     "scan",
     "mode_symmetry_defect",
     "RESONANCE_CSV_HEADER",
@@ -108,7 +110,7 @@ _SEED_TAGS = ("normal", "transverse", "glancing", "continuation")
 # Resonance invariant); the largest reduced rotation denominator whose
 # starts are tagged transverse; and the glancing starts per delta mode.
 _IM_CEILING = -1e-6
-_TANGENT_CAP = 1.2
+TANGENT_CAP = 1.2
 _Q_MAX = 12
 _GLANCING_DEPTH = 4
 
@@ -250,9 +252,9 @@ class Resonance:
             raise ValueError("mode index must be >= 0")
         if self.seed not in _SEED_TAGS:
             raise ValueError(f"unknown seed tag {self.seed!r}")
-        if self.tangent_freq > _TANGENT_CAP:
+        if self.tangent_freq > TANGENT_CAP:
             raise ValueError(
-                f"tangent frequency {self.tangent_freq!r} exceeds {_TANGENT_CAP}:"
+                f"tangent frequency {self.tangent_freq!r} exceeds {TANGENT_CAP}:"
                 " not a disk resonance"
             )
 
@@ -967,7 +969,7 @@ def _scan_mode(problem, re_window, im_floor, n):
     where completeness could not be certified."""
     re_lo, re_hi = re_window
     if n > 0:
-        re_lo = max(re_lo, n / _TANGENT_CAP)
+        re_lo = max(re_lo, n / TANGENT_CAP)
     if not re_lo < re_hi:
         return [], []
     box = (re_lo, re_hi, im_floor, _IM_CEILING)
@@ -984,6 +986,37 @@ def _scan_mode(problem, re_window, im_floor, n):
     _complete_cell(problem, n, box, roots, box, incomplete)
     roots.sort(key=lambda r: r.lam.real)
     return roots, incomplete
+
+
+def check_scan_box(problem: DiskProblem, re_window, im_floor: float, n_range):
+    """Check a scan's window, floor and modes against the guarded box.
+
+    Returns the window ends as floats and the sorted distinct modes.
+    Raises ValueError naming the bound a setting violates.
+    """
+    re_lo, re_hi = float(re_window[0]), float(re_window[1])
+    if not 1.0 < re_lo < re_hi:
+        raise ValueError("need 1 < re_window[0] < re_window[1]")
+    if re_hi > BESSEL_ARG_MAX - 200.0:
+        raise ValueError("window exceeds the guarded special-function box")
+    if isinstance(problem, TransparentDisk) and re_lo < problem.c:
+        raise ValueError(
+            "window must start at or above c: the interior argument "
+            "lambda / c would leave the guarded special-function box"
+        )
+    if not im_floor < _IM_CEILING:
+        raise ValueError(f"need im_floor < {_IM_CEILING}")
+    if im_floor < -BESSEL_IM_MAX:
+        raise ValueError("im_floor below the guarded special-function box")
+    requested = list(n_range)
+    if any(n != int(n) for n in requested):
+        raise ValueError("modes must be integers")
+    modes = sorted({int(n) for n in requested})
+    if modes and modes[0] < 0:
+        raise ValueError("modes are indexed by n >= 0 (negative n is redundant)")
+    if modes and modes[-1] > BESSEL_ORDER_MAX:
+        raise ValueError("mode index beyond the guarded special-function box")
+    return re_lo, re_hi, modes
 
 
 def scan(
@@ -1013,30 +1046,9 @@ def scan(
     a stable (Re lambda, n) order either way, so the output is
     deterministic for a fixed configuration.
     """
-    re_lo, re_hi = float(re_window[0]), float(re_window[1])
-    if not 1.0 < re_lo < re_hi:
-        raise ValueError("need 1 < re_window[0] < re_window[1]")
-    if re_hi > BESSEL_ARG_MAX - 200.0:
-        raise ValueError("window exceeds the guarded special-function box")
-    if isinstance(problem, TransparentDisk) and re_lo < problem.c:
-        raise ValueError(
-            "window must start at or above c: the interior argument "
-            "lambda / c would leave the guarded special-function box"
-        )
-    if not im_floor < _IM_CEILING:
-        raise ValueError(f"need im_floor < {_IM_CEILING}")
-    if im_floor < -BESSEL_IM_MAX:
-        raise ValueError("im_floor below the guarded special-function box")
-    requested = list(n_range)
-    if any(n != int(n) for n in requested):
-        raise ValueError("modes must be integers")
-    modes = sorted({int(n) for n in requested})
+    re_lo, re_hi, modes = check_scan_box(problem, re_window, im_floor, n_range)
     if not modes:
         return []
-    if modes[0] < 0:
-        raise ValueError("modes are indexed by n >= 0 (negative n is redundant)")
-    if modes[-1] > BESSEL_ORDER_MAX:
-        raise ValueError("mode index beyond the guarded special-function box")
     job = functools.partial(_scan_mode, problem, (re_lo, re_hi), float(im_floor))
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=int(workers)) as pool:

@@ -35,6 +35,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
+from .billiards import GLANCING_MARGIN
+
 __all__ = [
     "GLANCING_CUTOFF",
     "TOTAL_TRANSMISSION",
@@ -51,8 +53,8 @@ __all__ = [
 ]
 
 # Reflection coefficients degenerate at |xi| = 1 together with the
-# billiard map; reject anything beyond this.
-GLANCING_CUTOFF = 1.0 - 1e-12
+# billiard map; reject anything beyond the map's glancing guard.
+GLANCING_CUTOFF = 1.0 - GLANCING_MARGIN
 
 # Signal value of log_reflectivity at a zero of r.
 TOTAL_TRANSMISSION = float("-inf")

@@ -22,7 +22,7 @@ from .billiards import (
     ConvexDomain,
     GlancingError,
     PhasePoint,
-    _billiard_steps,
+    _orbits,
     orbit,  # unused here; perfbench/tracing.py wraps sabine.orbit by name
 )
 from .reflectivity import (
@@ -43,6 +43,7 @@ __all__ = [
     "band_report",
     "glancing_bands",
     "glancing_limit",
+    "one_bounce_quotients",
     "sabine_bounds",
     "sabine_quotient",
     "wave_speed",
@@ -81,16 +82,7 @@ def _prefix_quotients(
     onward -inf; -inf plus a finite float stays -inf under cumulative
     summation, so no special casing is needed.
     """
-    s = np.asarray(s, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    pts_s = np.empty((s.size, n_max))
-    pts_xi = np.empty((s.size, n_max))
-    chords = np.empty((s.size, n_max))
-    for k in range(n_max):
-        s, xi, chords[:, k] = _billiard_steps(domain, s, xi)
-        for i in np.flatnonzero(~np.isnan(chords[:, k])).tolist():
-            PhasePoint(float(s[i]), float(xi[i]))
-        pts_s[:, k], pts_xi[:, k] = s, xi
+    pts_s, pts_xi, chords = _orbits(domain, s, xi, n_max)
     out = np.full(chords.shape, np.nan)
     speed = wave_speed(model)
     for i in np.flatnonzero(~np.isnan(chords).any(axis=1)):
@@ -117,13 +109,20 @@ def sabine_quotient(
     transmission.  Raises GlancingError if the orbit leaves the domain of
     the billiard map, and ValueError for a non-positive step count.
     """
-    n = int(n_steps)
-    if n < 1 or n != n_steps:
-        raise ValueError("n_steps must be a positive integer")
-    quotients = _prefix_quotients(domain, model, [start.s], [start.xi], n)[0]
+    quotients = _prefix_quotients(domain, model, [start.s], [start.xi], n_steps)[0]
     if np.isnan(quotients).any():
         raise GlancingError(f"orbit from {start!r} meets the glancing guard")
     return float(quotients[-1])
+
+
+def one_bounce_quotients(model: ReflectivityModel, tangent_freq) -> np.ndarray:
+    """The unit disk's one-bounce decay law q(xi) at xi = c * tangent_freq.
+
+    A resonance of mode n sits near q(c n / Re lambda), c the wave speed
+    of ``model``.  Takes a 1-d array; NaN where xi meets the glancing guard.
+    """
+    xi = wave_speed(model) * np.asarray(tangent_freq, dtype=float)
+    return _prefix_quotients(ConvexDomain.disk(), model, np.zeros_like(xi), xi, 1)[:, 0]
 
 
 def _reflectivity_zeros(model: ReflectivityModel) -> Tuple[float, ...]:

@@ -22,12 +22,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import specfun as sf
-from .billiards import (
-    ConvexDomain,
-    PhasePoint,
-    billiard_step,
-    glancing_expansion_check,
-)
+from .billiards import ConvexDomain, PhasePoint, _billiard_steps, glancing_expansion_check
 from .disk import (
     DampingDisk,
     DeltaDisk,
@@ -43,7 +38,7 @@ from .reflectivity import (
     TransparentObstacle,
     brewster,
 )
-from .sabine import _prefix_quotients, glancing_bands, sabine_bounds, sabine_quotient
+from .sabine import glancing_bands, one_bounce_quotients, sabine_bounds
 
 __all__ = ["CriterionResult", "run_all", "TIME_LIMITS"]
 
@@ -55,10 +50,10 @@ TIME_LIMITS = {
 }
 
 
-def _sdiff(a: float, b: float, period: float) -> float:
-    """Signed difference a - b on a circle of the given period."""
-    d = (a - b) % period
-    return d - period if d > period / 2.0 else d
+def _sdiff(a, b, period: float):
+    """Signed difference a - b on a circle of the given period, elementwise."""
+    d = np.mod(a - b, period)
+    return np.where(d > period / 2.0, d - period, d)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,25 +129,23 @@ def _check_band_heights(workers: int) -> tuple:
 def _check_billiard_map(workers: int) -> tuple:
     disk = ConvexDomain.disk()
     rng = np.random.default_rng(7)
-    worst_chord = worst_xi = 0.0
-    for _ in range(50):
-        s, xi = rng.uniform(0.0, disk.perimeter), rng.uniform(-0.95, 0.95)
-        q1, chord = billiard_step(disk, PhasePoint(s, xi))
-        worst_chord = max(worst_chord, abs(chord - 2.0 * math.sqrt(1.0 - xi * xi)))
-        worst_xi = max(worst_xi, abs(q1.xi - xi))
+    s, xi = np.array([(rng.uniform(0.0, disk.perimeter), rng.uniform(-0.95, 0.95))
+                      for _ in range(50)]).T
+    _, xi1, chord = _billiard_steps(disk, s, xi)
+    worst_chord = float(np.max(np.abs(chord - 2.0 * np.sqrt(1.0 - xi * xi))))
+    worst_xi = float(np.max(np.abs(xi1 - xi)))
     worst_det = 0.0
     for dom in (disk, ConvexDomain.ellipse(1.5, 1.0)):
         L = dom.perimeter
         hs, hx = 1e-5 * L, 1e-5
-        for _ in range(50):
-            s, xi = rng.uniform(0.0, L), rng.uniform(-0.8, 0.8)
-            qsp, _ = billiard_step(dom, PhasePoint(s + hs, xi))
-            qsm, _ = billiard_step(dom, PhasePoint(s - hs, xi))
-            qxp, _ = billiard_step(dom, PhasePoint(s, xi + hx))
-            qxm, _ = billiard_step(dom, PhasePoint(s, xi - hx))
-            det = (_sdiff(qsp.s, qsm.s, L) / (2 * hs) * (qxp.xi - qxm.xi) / (2 * hx)
-                   - (qsp.xi - qsm.xi) / (2 * hs) * _sdiff(qxp.s, qxm.s, L) / (2 * hx))
-            worst_det = max(worst_det, abs(det - 1.0))
+        s, xi = np.array([(rng.uniform(0.0, L), rng.uniform(-0.8, 0.8))
+                          for _ in range(50)]).T
+        s1, xi1, _ = _billiard_steps(dom, np.concatenate([s + hs, s - hs, s, s]),
+                                     np.concatenate([xi, xi, xi + hx, xi - hx]))
+        (ssp, ssm, sxp, sxm), (xsp, xsm, xxp, xxm) = s1.reshape(4, 50), xi1.reshape(4, 50)
+        det = (_sdiff(ssp, ssm, L) / (2 * hs) * (xxp - xxm) / (2 * hx)
+               - (xsp - xsm) / (2 * hs) * _sdiff(sxp, sxm, L) / (2 * hx))
+        worst_det = max(worst_det, float(np.max(np.abs(det - 1.0))))
     ell = ConvexDomain.ellipse(1.2, 1.0)
     qs = [PhasePoint(0.37 * ell.perimeter, 1.0 - e) for e in np.logspace(-1, -4, 10)]
     rep = glancing_expansion_check(ell, qs)
@@ -165,11 +158,9 @@ def _check_billiard_map(workers: int) -> tuple:
 
 
 def _check_seed_quotient(workers: int) -> tuple:
-    disk = ConvexDomain.disk()
     worst = 0.0
     for c, alpha in ((2.0, 1.0), (2.0, 0.4), (0.5, 1.0), (0.5, 4.0)):
-        model = TransparentObstacle(c, alpha)
-        q = sabine_quotient(disk, model, PhasePoint(0.0, 0.0), 1)
+        q = one_bounce_quotients(TransparentObstacle(c, alpha), [0.0])[0]
         s = seed_normal(TransparentDisk(c, alpha), 3, 7)
         worst = max(worst, abs(s.imag - q))
     ok = worst < 1e-9
@@ -208,8 +199,7 @@ def _check_transparent_band(workers: int) -> tuple:
     # One-bounce decay curve through the low-angle cloud.
     tf = np.array([r.n / r.lam.real for r in results])
     cloud = tf <= 0.4
-    xi = 2.0 * tf[cloud]
-    pred = _prefix_quotients(ConvexDomain.disk(), model, np.zeros_like(xi), xi, 1)[:, 0]
+    pred = one_bounce_quotients(model, tf[cloud])
     im = np.array([r.lam.imag for r in results])
     worst_dev = float(np.max(np.abs(im[cloud] - pred), initial=0.0))
     ok = inside >= 0.95 and worst_dev <= 0.1

@@ -11,7 +11,8 @@ Independent routes used here:
     symplectic Jacobian, also as hypothesis properties (with
     reversibility) on random ellipses and support-function domains
   * scipy.optimize.brentq for the row-wise Brent port, and the one-row
-    billiard_step for the lockstep map, both bit for bit
+    billiard_step for the lockstep map, for orbit and for the batched
+    glancing check, all bit for bit
 """
 
 import csv
@@ -39,7 +40,7 @@ from qsabine.billiards import (
     orbit,
     write_orbit_csv,
 )
-from qsabine.billiards import _GL_WEIGHTS, _billiard_steps, _brentq_rows
+from qsabine.billiards import _GL_WEIGHTS, _billiard_steps, _brentq_rows, _orbits
 
 from oracles import ellipse_ray_exit, foci_momentum_product
 
@@ -489,6 +490,38 @@ class TestLockstepMap:
         s1, xi1, chord = _billiard_steps(ConvexDomain.disk(), [0.0, 1.0], [1.0, -1.0])
         assert np.isnan(s1).all() and np.isnan(xi1).all() and np.isnan(chord).all()
 
+    def test_orbit_is_its_row_of_a_batch(self):
+        # orbit is the one-row case of _orbits: from each start it gives
+        # that start's row of one lockstep batch, and the points and
+        # chords of a billiard_step loop, bit for bit.
+        rng = np.random.default_rng(17)
+        rows, n = 8, 7
+        for dom in self.DOMAINS:
+            s = rng.uniform(-dom.perimeter, 2.0 * dom.perimeter, rows)
+            xi = rng.uniform(-0.97, 0.97, rows)
+            batch_s, batch_xi, batch_chords = _orbits(dom, s, xi, n)
+            for i in range(rows):
+                q = PhasePoint(float(s[i]), float(xi[i]))
+                seg = orbit(dom, q, n)
+                points, chords = [q], []
+                for _ in range(n):
+                    q, chord = billiard_step(dom, q)
+                    points.append(q)
+                    chords.append(chord)
+                assert seg.points == tuple(points) and seg.chords == tuple(chords)
+                assert [(p.s, p.xi) for p in seg.points[1:]] == list(
+                    zip(batch_s[i].tolist(), batch_xi[i].tolist()))
+                assert list(seg.chords) == batch_chords[i].tolist()
+
+    def test_orbit_rows_at_the_glancing_guard(self):
+        dom = ConvexDomain.disk()
+        xi = [0.3, 1.0 - 0.5 * GLANCING_MARGIN, -0.6]
+        s, xi1, chords = _orbits(dom, [0.0, 1.0, 2.0], xi, 3)
+        assert np.isnan(s[1]).all() and np.isnan(xi1[1]).all() and np.isnan(chords[1]).all()
+        assert np.isfinite(chords[[0, 2]]).all()
+        with pytest.raises(GlancingError):
+            orbit(dom, PhasePoint(1.0, xi[1]), 3)
+
 
 class TestGlancingExpansion:
     def test_disk_exact(self):
@@ -510,6 +543,31 @@ class TestGlancingExpansion:
         assert rep.normal_ratio.max() < 10.0
         assert rep.chord_ratio.max() < 10.0
 
+    def test_arrays_match_stepping_each_point(self):
+        # The check steps its points as one batch; recomputing each
+        # defect from billiard_step gives the same arrays bit for bit.
+        for dom in (ConvexDomain.ellipse(1.2, 1.0), wavy_domain()):
+            qs = [PhasePoint(0.37 * dom.perimeter + 0.9 * k, (-1) ** k * (1.0 - e))
+                  for k, e in enumerate(np.logspace(-1, -6, 12))]
+            rep = glancing_expansion_check(dom, qs)
+            eps, ndef, cdef = [], [], []
+            for q in qs:
+                q1, chord = billiard_step(dom, q)
+                e = 1.0 - q.xi * q.xi
+                nu0 = math.sqrt(e)
+                kap = float(dom.curvature(q.s % dom.perimeter))
+                eps.append(e)
+                ndef.append(abs(math.sqrt(1.0 - q1.xi * q1.xi) - nu0))
+                cdef.append(abs(chord - 2.0 * nu0 / kap))
+            assert rep.eps.tolist() == eps
+            assert rep.normal_defect.tolist() == ndef
+            assert rep.chord_defect.tolist() == cdef
+
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             glancing_expansion_check(ConvexDomain.disk(), [])
+
+    def test_glancing_point_rejected(self):
+        qs = [PhasePoint(0.0, 0.5), PhasePoint(0.0, 1.0 - 0.5 * GLANCING_MARGIN)]
+        with pytest.raises(GlancingError):
+            glancing_expansion_check(ConvexDomain.disk(), qs)

@@ -254,6 +254,37 @@ class TestResonancesCommand:
         assert "i/o error" in err
 
 
+# Settings that pass every flag check but leave the scan's guarded box.
+OUT_OF_BOX = (
+    ["resonances", "--im-floor", "0", "--n", "0:1"],
+    ["resonances", "--im-floor", "-60", "--n", "0:1"],
+    ["resonances", "--re", "0.5:10", "--n", "0:1"],
+    ["resonances", "--re", "200:30000", "--n", "0:1"],
+    ["resonances", "--c", "500", "--n", "0:1"],
+    ["resonances", "--n", "0:30000", "--re", "200:201"],
+    ["plot", "--im-floor", "0", "--n", "0:1"],
+)
+
+
+class TestScanBox:
+    @pytest.mark.parametrize("argv", OUT_OF_BOX, ids=" ".join)
+    def test_out_of_box_exits_2(self, argv, capsys):
+        status, out, err = run_argv(argv, capsys)
+        assert status == 2
+        assert err.startswith("config error: ") and out == ""
+
+    def test_plot_from_data_ignores_scan_box(self, tmp_path, capsys):
+        data, fig = tmp_path / "res.csv", tmp_path / "fig.svg"
+        run_argv(["resonances", "--out", str(data)] + TINY, capsys)
+        status, _, _ = run_argv(["plot", "--data", str(data), "--im-floor", "0",
+                                 "--out", str(fig)] + TINY, capsys)
+        assert status == 0 and fig.exists()
+
+    def test_default_modes_end_at_the_tangent_cap(self):
+        assert cli.RunConfig("resonances").modes() == range(0, 361)
+        assert cli.RunConfig("resonances", re_window=(200.0, 19000.0)).modes() == range(0, 20001)
+
+
 class TestPlotCommand:
     def make_csv(self, tmp_path, capsys):
         path = tmp_path / "res.csv"

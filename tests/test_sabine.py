@@ -5,6 +5,8 @@ Independent routes used here:
     (oracles.transparent_quotient, oracles.damping_quotient) on dense
     grids against the orbit-based band extremizer
   * normal-incidence anchors (c/2) log|(1 - alpha c)/(1 + alpha c)|
+  * sabine_quotient of one disk orbit per tangent frequency against the
+    batched one-bounce decay law, bit for bit
   * the glancing limit against Richardson extrapolation of the quotient
     at xi = 1 - 10^{-k}
   * the near-glancing band identity h^{2/3} Im z / ImPhi = B and the
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsabine.billiards import ConvexDomain, PhasePoint
+from qsabine.billiards import GLANCING_MARGIN, ConvexDomain, PhasePoint
 from qsabine.reflectivity import (
     BoundaryDamping,
     DeltaPotential,
@@ -35,6 +37,7 @@ from qsabine.sabine import (
     band_report,
     glancing_bands,
     glancing_limit,
+    one_bounce_quotients,
     sabine_bounds,
     sabine_quotient,
     wave_speed,
@@ -102,6 +105,27 @@ class TestSabineQuotient:
             sabine_quotient(DISK, TE_FAST, PhasePoint(0.0, 0.0), 0)
         with pytest.raises(ValueError, match="integer"):
             sabine_quotient(DISK, TE_FAST, PhasePoint(0.0, 0.0), 2.5)
+
+
+class TestOneBounceQuotients:
+    @pytest.mark.parametrize("model", [TE_FAST, TM_FAST, TransparentObstacle(0.5, 1.3),
+                                       BoundaryDamping(2.0)], ids=repr)
+    def test_matches_sabine_quotient(self, model):
+        # The decay law at tangent frequency tf is the one-bounce quotient
+        # of the disk orbit from xi = c tf, bit for bit, and NaN where xi
+        # reaches the glancing guard.
+        c = wave_speed(model)
+        tf = np.linspace(0.0, 1.0 / c, 200)
+        tf[-3:-1] = (1.0 - 2.0 * GLANCING_MARGIN) / c, (1.0 - 0.5 * GLANCING_MARGIN) / c
+        got = one_bounce_quotients(model, tf)
+        assert got.shape == tf.shape
+        for t, q in zip(tf.tolist(), got.tolist()):
+            xi = c * t
+            if abs(xi) < 1.0 - GLANCING_MARGIN:
+                assert q == sabine_quotient(DISK, model, PhasePoint(0.0, xi), 1)
+            else:
+                assert math.isnan(q)
+        assert np.isnan(got[-2:]).all() and not np.isnan(got[:-2]).any()
 
 
 class TestSabineBounds:
