@@ -14,11 +14,15 @@ file key is the setting's field name or its flag name, with '-' read as
 '_' (``re_window`` or ``re``, ``im_floor`` or ``im-floor``); the file
 overrides the defaults and explicit flags override the file.
 
+Scans run on every CPU the process may use unless ``--workers`` says
+otherwise; ``--workers 0`` (or 1) scans serially.
+
 Every run writes deterministic artifacts for a fixed configuration:
 CSV/JSON bytes depend only on the configuration, never on the worker
 count, and each file is accompanied by a manifest recording the package
-version, a hash of the resolved configuration, and the wall time.  SVG
-output differs between runs only in its timestamp comment.
+version, a hash of the resolved configuration, and the wall time, plus
+for a scan the pool size it used (0 when serial).  SVG output differs
+between runs only in its timestamp comment.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid configuration,
 3 numerical trouble (no convergence or an incomplete scan cell),
@@ -31,6 +35,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -49,6 +54,7 @@ from .disk import (
     TANGENT_CAP,
     TransparentDisk,
     check_scan_box,
+    pool_size,
     scan,
     write_resonance_csv,
 )
@@ -87,6 +93,14 @@ _PROBLEM_TABLE = {
 
 class ConfigError(ValueError):
     """Configuration rejected before any computation started."""
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +231,9 @@ class RunConfig:
     fig: str = _setting("circle", str, "figure layout", choices=tuple(_LAYOUTS))
     data: Optional[str] = _setting(None, str, "render a previously dumped CSV")
     out: Optional[str] = _setting(None, str, "output path (default stdout)")
-    workers: int = _setting(0, int)
+    workers: int = _setting(_usable_cpus(), int,
+                            "scan processes, at most one per mode; 0 or 1 scans "
+                            "serially (default: the usable CPUs)")
 
     def validate(self) -> None:
         if self.command not in _COMMANDS:
@@ -250,7 +266,7 @@ class RunConfig:
         try:
             problem = self.disk_problem()
             self.reflectivity_model()
-            if self.command == "resonances" or (self.command == "plot" and self.data is None):
+            if self.scans():
                 check_scan_box(problem, self.re_window, self.im_floor, self.modes())
         except ValueError as err:
             raise ConfigError(str(err)) from err
@@ -260,6 +276,10 @@ class RunConfig:
 
     def reflectivity_model(self):
         return _PROBLEM_TABLE[self.problem].model(self.params(), self.re_window)
+
+    def scans(self) -> bool:
+        """Whether the command runs a resonance scan."""
+        return self.command == "resonances" or (self.command == "plot" and self.data is None)
 
     def modes(self) -> range:
         if self.n_range is not None:
@@ -392,6 +412,8 @@ def _write_manifest(config: RunConfig, elapsed: float) -> None:
         "config_hash": config.config_hash(),
         "wall_time_s": round(elapsed, 3),
     }
+    if config.scans():
+        manifest["workers"] = pool_size(config.workers, len(config.modes()))
     line = json.dumps(manifest, sort_keys=True)
     if config.out is None:
         print(line, file=sys.stderr)

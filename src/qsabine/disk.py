@@ -71,6 +71,7 @@ __all__ = [
     "newton_refine",
     "TANGENT_CAP",
     "check_scan_box",
+    "pool_size",
     "scan",
     "mode_symmetry_defect",
     "RESONANCE_CSV_HEADER",
@@ -999,11 +1000,18 @@ def check_scan_box(problem: DiskProblem, re_window, im_floor: float, n_range):
         raise ValueError("need 1 < re_window[0] < re_window[1]")
     if re_hi > BESSEL_ARG_MAX - 200.0:
         raise ValueError("window exceeds the guarded special-function box")
-    if isinstance(problem, TransparentDisk) and re_lo < problem.c:
-        raise ValueError(
-            "window must start at or above c: the interior argument "
-            "lambda / c would leave the guarded special-function box"
-        )
+    if isinstance(problem, TransparentDisk):
+        if re_lo < problem.c:
+            raise ValueError(
+                "window must start at or above c: the interior argument "
+                "lambda / c would leave the guarded special-function box"
+            )
+        if re_hi / problem.c > BESSEL_ARG_MAX - 200.0:
+            raise ValueError(
+                f"window exceeds the guarded special-function box: the interior "
+                f"argument re_window[1] / c = {re_hi / problem.c:.6g} is above "
+                f"{BESSEL_ARG_MAX - 200.0:.6g}"
+            )
     if not im_floor < _IM_CEILING:
         raise ValueError(f"need im_floor < {_IM_CEILING}")
     if im_floor < -BESSEL_IM_MAX:
@@ -1017,6 +1025,15 @@ def check_scan_box(problem: DiskProblem, re_window, im_floor: float, n_range):
     if modes and modes[-1] > BESSEL_ORDER_MAX:
         raise ValueError("mode index beyond the guarded special-function box")
     return re_lo, re_hi, modes
+
+
+def pool_size(workers: int, n_modes: int) -> int:
+    """Processes a scan of n_modes distinct modes starts for ``workers``.
+
+    At most one per mode; 0 means the scan runs serially, without a pool.
+    """
+    size = min(int(workers), int(n_modes))
+    return size if size > 1 else 0
 
 
 def scan(
@@ -1042,16 +1059,21 @@ def scan(
     subdivision, are cells on whose contour the secular function is not
     representable in double precision.
 
-    workers > 1 distributes modes over processes; results are merged in
-    a stable (Re lambda, n) order either way, so the output is
-    deterministic for a fixed configuration.
+    workers > 1 distributes modes over a process pool of
+    pool_size(workers, modes) processes: never more than one per distinct
+    mode, and none at all (a serial scan) when that leaves at most one.
+    Modes are handed out one per task in ascending order, so the costly
+    low modes start first.  Results are merged in a stable (Re lambda, n)
+    order either way, so the output is deterministic for a fixed
+    configuration.
     """
     re_lo, re_hi, modes = check_scan_box(problem, re_window, im_floor, n_range)
     if not modes:
         return []
     job = functools.partial(_scan_mode, problem, (re_lo, re_hi), float(im_floor))
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
+    size = pool_size(workers, len(modes))
+    if size:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             outcomes = list(pool.map(job, modes))
     else:
         outcomes = [job(n) for n in modes]

@@ -9,6 +9,7 @@ literally on the produced files.
 import argparse
 import io
 import json
+import os
 import re
 import xml.etree.ElementTree as ET
 
@@ -42,7 +43,7 @@ SETTINGS = {
     "--fig": ("fig", "bands", "bands", ("fig",)),
     "--data": ("data", "d.csv", "d.csv", ("data",)),
     "--out": ("out", "o.json", "o.json", ("out",)),
-    "--workers": ("workers", "2", 2, ("workers",)),
+    "--workers": ("workers", "0", 0, ("workers",)),
 }
 
 
@@ -60,7 +61,10 @@ class TestConfigResolution:
         assert cfg.c == 2.0 and cfg.alpha == 1.0
         assert cfg.re_window == (200.0, 300.0)
         assert cfg.im_floor == -3.0
-        assert cfg.workers == 0
+        # scans use every CPU the process may run on unless told otherwise
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count())
+        assert cfg.workers == usable >= 1
 
     def test_flags_parse(self):
         cfg = parse_config(["resonances", "--problem", "damping", "--a", "3.5",
@@ -225,10 +229,25 @@ class TestResonancesCommand:
         assert out.read_text() == buf.getvalue()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, capsys):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_argv(["resonances", "--out", str(a), "--workers", "0"] + TINY, capsys)
-        run_argv(["resonances", "--out", str(b), "--workers", "2"] + TINY, capsys)
-        assert a.read_bytes() == b.read_bytes()
+        # serial, an explicit pool, and the default (every usable CPU)
+        paths = [tmp_path / f"{k}.csv" for k in range(3)]
+        for path, flags in zip(paths, (["--workers", "0"], ["--workers", "2"], [])):
+            assert run_argv(["resonances", "--out", str(path)] + flags + TINY, capsys)[0] == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+    @pytest.mark.parametrize("flags, pool", [
+        ([], min(parse_config(["resonances"]).workers, 3)),
+        (["--workers", "0"], 0),
+        (["--workers", "8"], 3),
+    ])
+    def test_manifest_records_pool_size(self, tmp_path, capsys, flags, pool):
+        # TINY scans 3 modes; a pool of at most one process is no pool (0)
+        out = tmp_path / "res.csv"
+        status, _, _ = run_argv(["resonances", "--out", str(out)] + flags + TINY, capsys)
+        assert status == 0
+        manifest = json.loads((tmp_path / "res.csv.manifest.json").read_text())
+        assert manifest["workers"] == (pool if pool > 1 else 0)
+        assert manifest["config_hash"] == parse_config(["resonances"] + TINY).config_hash()
 
     def test_incomplete_cell_exits_3(self, tmp_path, capsys, monkeypatch):
         def stub_scan(problem, re_window, im_floor, modes, **kw):
@@ -262,6 +281,7 @@ OUT_OF_BOX = (
     ["resonances", "--re", "200:30000", "--n", "0:1"],
     ["resonances", "--c", "500", "--n", "0:1"],
     ["resonances", "--n", "0:30000", "--re", "200:201"],
+    ["resonances", "--c", "0.5", "--alpha", "1.3", "--re", "15000:15010", "--n", "0:2"],
     ["plot", "--im-floor", "0", "--n", "0:1"],
 )
 
@@ -272,6 +292,9 @@ class TestScanBox:
         status, out, err = run_argv(argv, capsys)
         assert status == 2
         assert err.startswith("config error: ") and out == ""
+
+    def test_slow_obstacle_window_admitted(self):
+        parse_config(["resonances", "--c", "0.5", "--alpha", "1.3", "--re", "200:210"]).validate()
 
     def test_plot_from_data_ignores_scan_box(self, tmp_path, capsys):
         data, fig = tmp_path / "res.csv", tmp_path / "fig.svg"

@@ -41,8 +41,10 @@ from qsabine.disk import (
     RESONANCE_CSV_HEADER,
     Resonance,
     TransparentDisk,
+    check_scan_box,
     mode_symmetry_defect,
     newton_refine,
+    pool_size,
     scan,
     secular,
     seed_glancing,
@@ -553,6 +555,37 @@ class TestScan:
         for a, b in zip(serial, parallel):
             assert a.lam == b.lam and a.n == b.n and a.seed == b.seed
 
+    @pytest.mark.parametrize("workers, modes, expected", [
+        (2, [5], []),
+        (8, [5], []),
+        (8, [0, 5, 10], [3]),
+        (8, [0, 5, 5, 10], [3]),
+        (2, [0, 5, 10], [2]),
+        (1, [0, 5, 10], []),
+    ])
+    def test_pool_never_outnumbers_modes(self, monkeypatch, workers, modes, expected):
+        built = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(qsabine.disk, "ProcessPoolExecutor", InlinePool)
+        pooled = scan(TE_FAST, (200.0, 215.0), -3.0, modes, workers=workers)
+        assert built == expected
+        assert pool_size(workers, len(set(modes))) == (expected[0] if expected else 0)
+        serial = scan(TE_FAST, (200.0, 215.0), -3.0, modes)
+        assert [(r.lam, r.n) for r in pooled] == [(r.lam, r.n) for r in serial]
+
     def test_window_validation(self):
         with pytest.raises(ValueError):
             scan(TE_FAST, (0.5, 300.0), -3.0, [0])
@@ -566,6 +599,17 @@ class TestScan:
             scan(TE_FAST, (200.0, 300.0), -60.0, [0])
         with pytest.raises(ValueError):
             scan(TE_FAST, (200.0, 300.0), -3.0, [-1])
+
+    def test_interior_argument_bounded(self):
+        # For c < 1 the interior argument lambda / c outruns lambda: at
+        # Re 15010 it is about 30020, past the special-function box.
+        slow = TransparentDisk(0.5, 1.3)
+        with pytest.raises(ValueError, match=r"re_window\[1\] / c = 30020 is above 19800"):
+            scan(slow, (15000.0, 15010.0), -3.0, [0, 1, 2])
+        with pytest.raises(ValueError, match="interior"):
+            check_scan_box(slow, (9800.0, 9900.5), -3.0, [0])
+        assert check_scan_box(slow, (9800.0, 9900.0), -3.0, [0])[1] == 9900.0
+        assert check_scan_box(slow, (200.0, 210.0), -3.0, range(253))[1] == 210.0
 
     def test_unknown_problem_rejected(self):
         with pytest.raises(TypeError, match="not a disk problem"):
