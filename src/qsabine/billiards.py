@@ -21,7 +21,8 @@ takes the interpolation, extrapolation and bisection steps the scalar
 solver would take, and converged rows drop out, so a row of a batch is
 bit-identical to stepping that point alone.  This matters because band
 endpoints computed near the glancing edge move at the 1e-11 level when
-the last bit of an exit point moves.
+the last bit of an exit point moves.  The disk scans invert their chord
+phase conditions with the same solver.
 
 Domains are built from a smooth underlying parametrization.  Arclength
 is accumulated with composite Gauss-Legendre quadrature and inverted by

@@ -25,7 +25,12 @@ asymptotic seed families (normal-incidence and transverse phase
 conditions, Airy corrections for nearly glancing modes).  The
 normal-incidence family sees the boundary only through
 r(0) = (1 - alpha c)/(1 + alpha c), so the damping problem's n = 0
-family is the transparent one at c = 1, alpha = a.  The result
+family is the transparent one at c = 1, alpha = a.  A scan builds the
+seeds of all its modes first, as one table: the chord phase conditions
+F(r) = target of every mode are inverted together by the row-wise Brent
+solver of the billiard map (Brent 1973), each row bit-identical to a
+scalar brentq, and each pool task then carries its mode's seeds.  The
+one-mode seed list and seed_transverse are one-row tables.  The result
 of a windowed scan is certified complete per mode by argument-principle
 counts over the scan rectangle, with subdivision and reseeding where the
 count disagrees with the roots in hand.  A count tracks arg f node to
@@ -48,9 +53,9 @@ from math import pi
 from typing import Iterable, Union
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import hankel1, jv
 
+from .billiards import _brentq_rows
 # bessel_quad is not called here: perfbench/tracing.py wraps it on this
 # module by name.
 from .specfun import BESSEL_ARG_MAX, BESSEL_IM_MAX, BESSEL_ORDER_MAX
@@ -109,11 +114,13 @@ _SEED_TAGS = ("normal", "transverse", "glancing", "continuation")
 # Fixed scan settings: the rectangle's ceiling just below the real axis;
 # the largest tangent frequency n / Re lambda a scan admits (also a
 # Resonance invariant); the largest reduced rotation denominator whose
-# starts are tagged transverse; and the glancing starts per delta mode.
+# starts are tagged transverse; the glancing starts per delta mode; and
+# the Airy-cluster starts per transparent or damping mode.
 _IM_CEILING = -1e-6
 TANGENT_CAP = 1.2
 _Q_MAX = 12
 _GLANCING_DEPTH = 4
+_AIRY_STARTS = 6
 
 
 class NoConvergenceError(RuntimeError):
@@ -398,11 +405,39 @@ def _phase_integral(c: float, r: float) -> float:
     return math.sqrt(r * r / (c * c) - 1.0) - math.acos(c / r)
 
 
-def _invert_phase(c: float, target: float) -> float:
-    """The unique r > c with F(r) = target > 0."""
+def _phase_integrals(c: float, r: np.ndarray) -> np.ndarray:
+    """_phase_integral of every entry of r > c, bit for bit.
+
+    Products, quotients, differences and square roots are single IEEE
+    operations either way, but numpy's arccos is not math.acos to the
+    last bit, so the arc secant is taken entry by entry.
+    """
+    arcsec = np.fromiter(map(math.acos, (c / r).tolist()), float, r.size)
+    return np.sqrt(r * r / (c * c) - 1.0) - arcsec
+
+
+def _invert_phases(c: float, targets) -> np.ndarray:
+    """The r > c with F(r) = target for every target, in one Brent solve.
+
+    Entry i is bit-identical to scipy's scalar brentq on F - targets[i]
+    over [c (1 + 1e-13), c (targets[i] + pi/2 + 1)] with xtol 1e-13, and
+    NaN where that call would raise: F - targets[i] keeps one sign over
+    the bracket (a target <= 0), or the bracket ends at or below c, where
+    it does so or F is undefined.
+    """
+    target = np.asarray(targets, dtype=float)
     lo = c * (1.0 + 1e-13)
     hi = c * (target + pi / 2.0 + 1.0)
-    return brentq(lambda r: _phase_integral(c, r) - target, lo, hi, xtol=1e-13)
+    ok = hi > c
+    f_lo = _phase_integral(c, lo) - target[ok]
+    f_hi = _phase_integrals(c, hi[ok]) - target[ok]
+    ok[ok] = (f_lo == 0.0) | (f_hi == 0.0) | (np.signbit(f_lo) != np.signbit(f_hi))
+    radii = np.full(target.shape, np.nan)
+    if ok.any():
+        live = target[ok]
+        radii[ok] = _brentq_rows(lambda r, rows: _phase_integrals(c, r) - live[rows],
+                                 np.full(live.shape, lo), hi[ok])
+    return radii
 
 
 def _branch_sign(c: float, alpha: float, r: float) -> float:
@@ -429,7 +464,8 @@ def seed_transverse(problem: TransparentDisk, p: int, q: int, m: int) -> complex
     phase condition sqrt(r^2/c^2 - 1) - arcsec(r/c) =
     -(4 p m - sgn) pi / (4 q m) on the branch whose reflection sign sgn
     is self-consistent at the root, and lambda_0 = (qm) r + i times the
-    transverse reflection decay.
+    transverse reflection decay.  Each phase condition is a one-row
+    _invert_phases solve.
     """
     if not isinstance(problem, TransparentDisk):
         raise TypeError("transverse seeds exist for the transparent problem only")
@@ -441,8 +477,8 @@ def seed_transverse(problem: TransparentDisk, p: int, q: int, m: int) -> complex
         target = -(4.0 * k - sigma) * pi / (4.0 * n)
         if target <= 0.0:
             continue
-        r = _invert_phase(problem.c, target)
-        if r <= 1.0:
+        r = float(_invert_phases(problem.c, [target])[0])
+        if not r > 1.0:
             raise ValueError(
                 "totally reflecting rotation number: the chord parameter "
                 f"r = {r:.6g} <= 1 leaves no transmission loss to seed from"
@@ -467,7 +503,11 @@ def seed_glancing(problem: DeltaDisk, n: int, j: int) -> complex:
         raise TypeError("glancing seeds exist for the delta problem only")
     if n < 1 or j < 1:
         raise ValueError("need mode n >= 1 and band index j >= 1")
-    zeta = float(airy_zeros(j).zeros[j - 1])
+    return _glancing_start(problem, n, float(airy_zeros(j).zeros[j - 1]))
+
+
+def _glancing_start(problem: DeltaDisk, n: int, zeta: float) -> complex:
+    """seed_glancing at the Airy zero zeta."""
     v = problem.v0 * float(n) ** problem.v_exponent
     n23 = float(n) ** (2.0 / 3.0)
     delta1 = _CBRT2 * n23 / v
@@ -592,77 +632,88 @@ def _normal_seeds(c, alpha, n, re_lo, re_hi):
     return [(lam0, "normal", _SEED_TRUST) for lam0 in starts if lam0.real > 0.0]
 
 
-def _transparent_seeds(problem, n, re_lo, re_hi):
+def _transparent_table(problem, windows):
     c, alpha = problem.c, problem.alpha
-    out = _normal_seeds(c, alpha, n, re_lo, re_hi)
-    if n >= 1:
-        out.extend(_transverse_sweep(problem, n, re_lo, re_hi))
-        if c > 1.0:
-            # the interior ray grazes the circle; the exterior Hankel
-            # factor's Debye phase sets the leak (only meaningful for c > 1)
-            leak = c / (alpha * math.sqrt(c * c - 1.0))
-            out.extend(_airy_cluster(n, c, -leak, re_lo, re_hi))
+    sweeps = _transverse_sweeps(problem, windows)
+    zetas = _airy_magnitudes()
+    out = []
+    for (n, re_lo, re_hi), sweep in zip(windows, sweeps):
+        seeds = _normal_seeds(c, alpha, n, re_lo, re_hi)
+        if n >= 1:
+            seeds.extend(sweep)
+            if c > 1.0:
+                # the interior ray grazes the circle; the exterior Hankel
+                # factor's Debye phase sets the leak (only meaningful for c > 1)
+                leak = c / (alpha * math.sqrt(c * c - 1.0))
+                seeds.extend(_airy_cluster(n, c, -leak, re_lo, re_hi, zetas))
+        out.append(seeds)
     return out
 
 
-def _transverse_sweep(problem, n, re_lo, re_hi):
-    """Transverse starts for mode n with Re lambda_0 in window.
+def _transverse_sweeps(problem, windows):
+    """Transverse starts of every (n, re_lo, re_hi) row with Re lambda_0 in it.
 
     Phase targets with reduced rotation denominator q <= _Q_MAX are the
     transverse family proper; the rest of the integer sweep reuses the
     same phase condition as plain continuation starts.
     """
     c, alpha = problem.c, problem.alpha
-    r_hi = re_hi / n
-    if r_hi <= c * (1.0 + 1e-9):
-        return []
-    out = []
-    t_hi = _phase_integral(c, r_hi)
-    for sigma in (1.0, -1.0):
-        # F(r) = -(4k - sigma) pi / (4n) in (0, t_hi]
-        k_lo = math.ceil(sigma / 4.0 - n * t_hi / pi)
-        for k in range(k_lo, 0):
-            target = -(4.0 * k - sigma) * pi / (4.0 * n)
-            if not 0.0 < target <= t_hi:
-                continue
-            r = _invert_phase(c, target)
-            if r <= 1.0 + 1e-12:
-                # Totally reflecting chord: the root hugs the real axis,
-                # above any admissible scan ceiling.
-                continue
-            if _branch_sign(c, alpha, r) != sigma:
-                continue
-            try:
-                lam0 = _transverse_value(problem, n, r)
-            except ValueError:
-                continue
-            if lam0.real < re_lo:
-                continue
-            q = n // math.gcd(n, -k)
-            out.append((lam0, "transverse" if q <= _Q_MAX else "continuation",
-                        _SEED_TRUST))
+    rows = []
+    for i, (n, re_lo, re_hi) in enumerate(windows):
+        if n < 1 or re_hi / n <= c * (1.0 + 1e-9):
+            continue
+        t_hi = _phase_integral(c, re_hi / n)
+        for sigma in (1.0, -1.0):
+            # F(r) = -(4k - sigma) pi / (4n) in (0, t_hi]
+            k_lo = math.ceil(sigma / 4.0 - n * t_hi / pi)
+            for k in range(k_lo, 0):
+                target = -(4.0 * k - sigma) * pi / (4.0 * n)
+                if 0.0 < target <= t_hi:
+                    rows.append((i, n, k, sigma, target))
+    radii = _invert_phases(c, [row[-1] for row in rows]).tolist()
+    out = [[] for _ in windows]
+    for (i, n, k, sigma, _), r in zip(rows, radii):
+        if not r > 1.0 + 1e-12:
+            # Totally reflecting chord: the root hugs the real axis,
+            # above any admissible scan ceiling.
+            continue
+        if _branch_sign(c, alpha, r) != sigma:
+            continue
+        try:
+            lam0 = _transverse_value(problem, n, r)
+        except ValueError:
+            continue
+        if lam0.real < windows[i][1]:
+            continue
+        q = n // math.gcd(n, -k)
+        out[i].append((lam0, "transverse" if q <= _Q_MAX else "continuation", _SEED_TRUST))
     return out
 
 
-def _airy_cluster(n, c, im, re_lo, re_hi):
+def _airy_magnitudes():
+    """|a_j| of the first _AIRY_STARTS zeros of Ai, the Airy-cluster table."""
+    return [abs(float(zeta)) for zeta in airy_zeros(_AIRY_STARTS).zeros]
+
+
+def _airy_cluster(n, c, im, re_lo, re_hi, zetas):
     """Airy-corrected starts where rays in a medium of speed c graze the circle.
 
     Near lambda = c n the order-n factor of argument lambda / c
     degenerates to an Airy function; its first zeros sit at lambda / c =
-    n + |a_j| n^(1/3) / 2^(1/3).  im is the start height, set by the leak
-    through the boundary.
+    n + |a_j| n^(1/3) / 2^(1/3), for the magnitudes |a_j| in zetas.  im
+    is the start height, set by the leak through the boundary.
     """
     if n < 4 or c * (n + 6.0 * n ** (1.0 / 3.0)) < re_lo or c * n > re_hi:
         return []
     out = []
-    for zeta in airy_zeros(6).zeros:
-        lam0 = complex(c * (n + abs(float(zeta)) * n ** (1.0 / 3.0) / _CBRT2), im)
+    for zeta in zetas:
+        lam0 = complex(c * (n + zeta * n ** (1.0 / 3.0) / _CBRT2), im)
         if re_lo <= lam0.real <= re_hi:
             out.append((lam0, "glancing", _GLANCING_TRUST))
     return out
 
 
-def _damping_seeds(problem, n, re_lo, re_hi):
+def _damping_table(problem, windows):
     """Phase-condition starts for the damping problem.
 
     The boundary phase theta = n F1(r) - pi/4 satisfies e^{2 i theta} =
@@ -673,108 +724,138 @@ def _damping_seeds(problem, n, re_lo, re_hi):
     lambda = n + |a_j| n^(1/3)/2^(1/3) - i/a.
     """
     a = problem.a
-    if n == 0:
-        return _normal_seeds(1.0, a, 0, re_lo, re_hi)
-    out = []
     # bulk: solve Re theta = pi k (+ pi/2 on the overdamped branch)
-    r_hi = re_hi / n
-    if r_hi > 1.0 + 1e-9:
-        t_hi = _phase_integral(1.0, r_hi)
+    rows = []
+    for i, (n, re_lo, re_hi) in enumerate(windows):
+        if n == 0 or re_hi / n <= 1.0 + 1e-9:
+            continue
+        t_hi = _phase_integral(1.0, re_hi / n)
         k_hi = math.floor((t_hi * n - pi / 4.0) / pi) + 1
         for k in range(0, k_hi + 1):
             for extra in (0.0, 0.5):
                 target = (pi * (k + extra) + pi / 4.0) / n
-                if not 0.0 < target <= t_hi:
-                    continue
-                r = _invert_phase(1.0, target)
-                t = math.sqrt(r * r - 1.0)
-                if abs(t - a * r) < 1e-12 * a * r:
-                    continue
-                ratio = (t + a * r) / (t - a * r)
-                # branch bookkeeping: ratio > 0 pairs with the plain
-                # phase, ratio < 0 with the half-integer shift
-                if (ratio > 0.0) != (extra == 0.0):
-                    continue
-                if ratio == 0.0 or not math.isfinite(ratio):
-                    continue
-                im = -r / (2.0 * t) * math.log(abs(ratio))
-                if im >= 0.0:
-                    continue
-                lam0 = complex(n * r, im)
-                if re_lo <= lam0.real <= re_hi:
-                    out.append((lam0, "normal", _SEED_TRUST))
-    out.extend(_airy_cluster(n, 1.0, -1.0 / a, re_lo, re_hi))
+                if 0.0 < target <= t_hi:
+                    rows.append((i, n, extra, target))
+    radii = _invert_phases(1.0, [row[-1] for row in rows]).tolist()
+    out = [[] for _ in windows]
+    for (i, n, extra, _), r in zip(rows, radii):
+        t = math.sqrt(r * r - 1.0)
+        if abs(t - a * r) < 1e-12 * a * r:
+            continue
+        ratio = (t + a * r) / (t - a * r)
+        # branch bookkeeping: ratio > 0 pairs with the plain
+        # phase, ratio < 0 with the half-integer shift
+        if (ratio > 0.0) != (extra == 0.0):
+            continue
+        if ratio == 0.0 or not math.isfinite(ratio):
+            continue
+        im = -r / (2.0 * t) * math.log(abs(ratio))
+        if im >= 0.0:
+            continue
+        lam0 = complex(n * r, im)
+        if windows[i][1] <= lam0.real <= windows[i][2]:
+            out[i].append((lam0, "normal", _SEED_TRUST))
+    zetas = _airy_magnitudes()
+    for (n, re_lo, re_hi), seeds in zip(windows, out):
+        if n == 0:
+            seeds.extend(_normal_seeds(1.0, a, 0, re_lo, re_hi))
+        else:
+            seeds.extend(_airy_cluster(n, 1.0, -1.0 / a, re_lo, re_hi, zetas))
     return out
 
 
-def _delta_seeds(problem, n, re_lo, re_hi):
-    """Glancing Airy starts plus bulk phase-condition starts."""
-    out = []
-    if n >= 1:
-        for j in range(1, _GLANCING_DEPTH + 1):
-            try:
-                lam0 = seed_glancing(problem, n, j)
-            except ValueError:
-                break
-            if re_lo <= lam0.real <= re_hi:
-                trust = max(0.5, 0.12 * float(n) ** (1.0 / 3.0))
-                out.append((lam0, "glancing", trust))
-    # bulk: e^{2 i theta} = 2 i lambda t / (r V) - 1, theta = n F1 - pi/4
-    if n == 0:
-        def lam_of(theta):
-            return theta + pi / 4.0
-        t_lo, t_hi = re_lo - pi / 4.0, re_hi - pi / 4.0
-    else:
-        r_hi = re_hi / n
-        if r_hi <= 1.0 + 1e-6:
-            return out
-        r_lo = max(re_lo / n, 1.0 + 1e-6)
-        t_lo = n * _phase_integral(1.0, r_lo) - pi / 4.0
-        t_hi = n * _phase_integral(1.0, r_hi) - pi / 4.0
-        def lam_of(theta):
-            return n * _invert_phase(1.0, (theta + pi / 4.0) / n)
-    for k in range(math.ceil(t_lo / pi - 1.0), math.floor(t_hi / pi) + 2):
-        # fixed point of Re theta = pi k + arg(rhs)/2, two passes
-        theta_re = pi * k + pi / 2.0
-        lam_re = None
-        for _ in range(2):
-            if not t_lo - pi <= theta_re <= t_hi + pi:
-                break
-            try:
-                lam_re = lam_of(theta_re)
-            except ValueError:
-                lam_re = None
-                break
+def _delta_table(problem, windows):
+    """Glancing Airy starts plus bulk phase-condition starts.
+
+    The bulk solves e^{2 i theta} = 2 i lambda t / (r V) - 1 with theta =
+    n F1 - pi/4 by two fixed-point passes Re theta = pi k + arg(rhs)/2,
+    every row of the table in lockstep.
+    """
+    zetas = [float(zeta) for zeta in airy_zeros(_GLANCING_DEPTH).zeros]
+    out = [[] for _ in windows]
+    rows = []
+    for i, (n, re_lo, re_hi) in enumerate(windows):
+        if n >= 1:
+            trust = max(0.5, 0.12 * float(n) ** (1.0 / 3.0))
+            for zeta in zetas:
+                try:
+                    lam0 = _glancing_start(problem, n, zeta)
+                except ValueError:
+                    break
+                if re_lo <= lam0.real <= re_hi:
+                    out[i].append((lam0, "glancing", trust))
+        if n == 0:
+            t_lo, t_hi = re_lo - pi / 4.0, re_hi - pi / 4.0
+        else:
+            r_hi = re_hi / n
+            if r_hi <= 1.0 + 1e-6:
+                continue
+            r_lo = max(re_lo / n, 1.0 + 1e-6)
+            t_lo = n * _phase_integral(1.0, r_lo) - pi / 4.0
+            t_hi = n * _phase_integral(1.0, r_hi) - pi / 4.0
+        for k in range(math.ceil(t_lo / pi - 1.0), math.floor(t_hi / pi) + 2):
+            rows.append((i, n, k, t_lo, t_hi))
+    theta = [pi * k + pi / 2.0 for _, _, k, _, _ in rows]
+    fixed = [None] * len(rows)  # (Re lambda, t, rhs) of the last pass
+    live = range(len(rows))
+    for _ in range(2):
+        live = [j for j in live if rows[j][3] - pi <= theta[j] <= rows[j][4] + pi]
+        inverted = [j for j in live if rows[j][1] > 0]
+        radii = _invert_phases(1.0, [(theta[j] + pi / 4.0) / rows[j][1] for j in inverted])
+        radius = dict(zip(inverted, radii.tolist()))
+        kept = []
+        for j in live:
+            n, k = rows[j][1], rows[j][2]
+            lam_re = n * radius[j] if n else theta[j] + pi / 4.0
+            fixed[j] = None
+            if math.isnan(lam_re):
+                continue
             t = math.sqrt(max(lam_re * lam_re - n * n, 0.0)) or lam_re
             rhs = 2j * t / problem.strength(lam_re) - 1.0
             if rhs == 0.0:
-                lam_re = None
-                break
-            theta_re = pi * k + 0.5 * cmath.phase(rhs)
-        if lam_re is None:
+                continue
+            fixed[j] = (lam_re, t, rhs)
+            theta[j] = pi * k + 0.5 * cmath.phase(rhs)
+            kept.append(j)
+        live = kept
+    for (i, *_), point in zip(rows, fixed):
+        if point is None:
             continue
+        lam_re, t, rhs = point
         im = -0.5 * math.log(abs(rhs)) / (t / lam_re)
         if im >= 0.0:
             continue
         lam0 = complex(lam_re, im)
-        if re_lo <= lam0.real <= re_hi:
-            out.append((lam0, "continuation", _SEED_TRUST))
+        if windows[i][1] <= lam0.real <= windows[i][2]:
+            out[i].append((lam0, "continuation", _SEED_TRUST))
     return out
 
 
-_SEED_FAMILIES = {
-    TransparentDisk: _transparent_seeds,
-    DampingDisk: _damping_seeds,
-    DeltaDisk: _delta_seeds,
+_SEED_TABLES = {
+    TransparentDisk: _transparent_table,
+    DampingDisk: _damping_table,
+    DeltaDisk: _delta_table,
 }
 
 
-def _seed_points(problem, n, re_lo, re_hi):
-    seeds = _SEED_FAMILIES.get(type(problem))
-    if seeds is None:
+def _seed_table(problem, windows):
+    """Seed lists of many modes, one (lambda_0, tag, trust) list per row.
+
+    windows holds (n, re_lo, re_hi) rows; each window is widened by 3 on
+    both sides.  The phase conditions of all rows are inverted together
+    by one batched Brent solve (two for the delta problem's fixed-point
+    passes), and the Airy zeros are computed once per table.
+    """
+    table = _SEED_TABLES.get(type(problem))
+    if table is None:
         raise TypeError(f"not a disk problem: {problem!r}")
     pad = 3.0
-    return seeds(problem, n, re_lo - pad, re_hi + pad)
+    return table(problem, [(n, re_lo - pad, re_hi + pad) for n, re_lo, re_hi in windows])
+
+
+def _seed_points(problem, n, re_lo, re_hi):
+    """The seed list of one mode: the one-row seed table."""
+    return _seed_table(problem, [(n, re_lo, re_hi)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -965,17 +1046,25 @@ def _complete_cell(problem, n, box, roots, scan_box, incomplete, depth=0):
     incomplete.append((n, box, count, inside, None))
 
 
-def _scan_mode(problem, re_window, im_floor, n):
-    """All resonances of one angular mode in the window, plus any cells
-    where completeness could not be certified."""
-    re_lo, re_hi = re_window
+def _mode_window(n, re_lo, re_hi):
+    """Mode n's part of the scan window, at tangent frequencies
+    n / Re lambda <= TANGENT_CAP; None when that is empty."""
     if n > 0:
         re_lo = max(re_lo, n / TANGENT_CAP)
-    if not re_lo < re_hi:
+    return (re_lo, re_hi) if re_lo < re_hi else None
+
+
+def _scan_mode(problem, re_window, im_floor, task):
+    """All resonances of one angular mode in the window, plus any cells
+    where completeness could not be certified.  task is the mode n and
+    its seed list."""
+    n, seeds = task
+    window = _mode_window(n, *re_window)
+    if window is None:
         return [], []
-    box = (re_lo, re_hi, im_floor, _IM_CEILING)
+    box = (*window, im_floor, _IM_CEILING)
     roots: list = []
-    for lam0, tag, trust in _seed_points(problem, n, re_lo, re_hi):
+    for lam0, tag, trust in seeds:
         if lam0.imag < im_floor - 1.0:
             continue
         try:
@@ -1054,7 +1143,9 @@ def scan(
     delta problem gets the first four glancing starts per mode); an
     argument-principle count over the rectangle then certifies the root
     list, with binary subdivision and fresh Newton casts wherever the
-    count disagrees.  Cells whose count never reconciles are reported
+    count disagrees.  The seeds of all modes are built first, as one
+    table, so that every phase condition of the scan is inverted in one
+    batched Brent solve.  Cells whose count never reconciles are reported
     through IncompleteScanWarning, and so, at once and without
     subdivision, are cells on whose contour the secular function is not
     representable in double precision.
@@ -1062,21 +1153,24 @@ def scan(
     workers > 1 distributes modes over a process pool of
     pool_size(workers, modes) processes: never more than one per distinct
     mode, and none at all (a serial scan) when that leaves at most one.
-    Modes are handed out one per task in ascending order, so the costly
-    low modes start first.  Results are merged in a stable (Re lambda, n)
-    order either way, so the output is deterministic for a fixed
-    configuration.
+    Modes are handed out one per task, with their seeds, in ascending
+    order, so the costly low modes start first.  Results are merged in a
+    stable (Re lambda, n) order either way, so the output is
+    deterministic for a fixed configuration.
     """
     re_lo, re_hi, modes = check_scan_box(problem, re_window, im_floor, n_range)
     if not modes:
         return []
+    swept = [(n, *w) for n in modes if (w := _mode_window(n, re_lo, re_hi))]
+    seeds = {row[0]: row_seeds for row, row_seeds in zip(swept, _seed_table(problem, swept))}
+    tasks = [(n, seeds.get(n, [])) for n in modes]
     job = functools.partial(_scan_mode, problem, (re_lo, re_hi), float(im_floor))
     size = pool_size(workers, len(modes))
     if size:
         with ProcessPoolExecutor(max_workers=size) as pool:
-            outcomes = list(pool.map(job, modes))
+            outcomes = list(pool.map(job, tasks))
     else:
-        outcomes = [job(n) for n in modes]
+        outcomes = [job(task) for task in tasks]
     found: list = []
     for (mode_roots, incomplete) in outcomes:
         found.extend(mode_roots)

@@ -11,6 +11,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -168,6 +170,18 @@ class TestCommandLineSurface:
             cli.main(["bounds", "--grid", "9", "--nmax", "2"])
         assert ok.value.code == 0
         json.loads(capsys.readouterr().out)
+
+    def test_import_leaves_scipy_optimize_out(self):
+        # Every run pays for what the package imports; scipy.optimize
+        # alone added ~0.2 s and ~20 MB.  A fresh interpreter is needed,
+        # since the test suite itself imports it.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = ("import sys, qsabine, qsabine.cli; "
+                 "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestBoundsCommand:

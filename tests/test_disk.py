@@ -313,22 +313,78 @@ class TestSeedGlancing:
 
 
 class TestSeedPoints:
-    def test_seed_lists_are_pinned(self):
-        # Every start point, tag and trust radius of the scan seed
-        # families over a 200..300 window, bit for bit: one sha256 over
-        # repr(_seed_points(p, n, 200, 300)) for n = 0..360.
-        problems = [
-            TE_FAST, TransparentDisk(2.0, 0.4), TransparentDisk(0.5, 1.3),
-            DampingDisk(2.0), DampingDisk(0.5),
-            DeltaDisk(1.0, 5.0 / 6.0), DeltaDisk(5.0, 5.0 / 6.0),
-        ]
+    PROBLEMS = [
+        TE_FAST, TransparentDisk(2.0, 0.4), TransparentDisk(0.5, 1.3),
+        DampingDisk(2.0), DampingDisk(0.5),
+        DeltaDisk(1.0, 5.0 / 6.0), DeltaDisk(5.0, 5.0 / 6.0),
+    ]
+
+    # Every start point, tag and trust radius of the scan seed families
+    # over a 200..300 window, bit for bit: one sha256 over
+    # repr(_seed_points(p, n, 200, 300)) for n = 0..360.
+    PINNED = "c85b6d96f2bb76d6c6c2dd266c56015ba9345c81a717a676e3c72b31138ad35e"
+
+    @staticmethod
+    def digest(lists):
         digest = hashlib.sha256()
-        for p in problems:
-            for n in range(361):
-                digest.update(repr(qsabine.disk._seed_points(p, n, 200.0, 300.0)).encode())
-        assert digest.hexdigest() == (
-            "c85b6d96f2bb76d6c6c2dd266c56015ba9345c81a717a676e3c72b31138ad35e"
-        )
+        for seeds in lists:
+            digest.update(repr(seeds).encode())
+        return digest.hexdigest()
+
+    def test_seed_lists_are_pinned(self):
+        assert self.digest(
+            qsabine.disk._seed_points(p, n, 200.0, 300.0)
+            for p in self.PROBLEMS for n in range(361)
+        ) == self.PINNED
+
+    def test_batched_phase_inversion_matches_scalar_brent(self, monkeypatch):
+        # Every phase target the seed tables of the pinned problems
+        # invert, plus targets at and below 0, against scipy's scalar
+        # brentq on the same bracket: the same radius to the last bit,
+        # and NaN exactly where brentq raises.
+        from scipy.optimize import brentq
+
+        calls = [(1.0, [1e-3, 0.0, -1e-3, -1.0, -math.pi / 2.0 - 1.0, -3.0, -10.0])]
+        invert = qsabine.disk._invert_phases
+
+        def recorded(c, targets):
+            calls.append((c, list(targets)))
+            return invert(c, targets)
+
+        monkeypatch.setattr(qsabine.disk, "_invert_phases", recorded)
+        for p in self.PROBLEMS:
+            qsabine.disk._seed_table(p, [(n, 200.0, 300.0) for n in range(361)])
+        assert sum(len(targets) for _, targets in calls) > 150_000
+
+        def scalar(c, target):
+            lo, hi = c * (1.0 + 1e-13), c * (target + math.pi / 2.0 + 1.0)
+            try:
+                return brentq(lambda r: qsabine.disk._phase_integral(c, r) - target,
+                              lo, hi, xtol=1e-13)
+            except ValueError:
+                return math.nan
+
+        unsolvable = 0
+        for c, targets in calls:
+            got = invert(c, targets).tolist()
+            assert repr(got) == repr([scalar(c, t) for t in targets])
+            unsolvable += sum(map(math.isnan, got))
+        assert unsolvable > 200  # the delta bulk's fixed point leaves F's range
+
+    def test_table_rows_match_single_modes(self):
+        # A seed table's rows do not depend on the other rows: the whole
+        # 0..360 table has the one-mode lists' pinned digest, and a
+        # shuffled subset with per-row windows as a scan clips them
+        # equals its one-mode lists.
+        full = [(n, 200.0, 300.0) for n in range(361)]
+        assert self.digest(
+            seeds for p in self.PROBLEMS for seeds in qsabine.disk._seed_table(p, full)
+        ) == self.PINNED
+        subset = np.random.default_rng(0).permutation(361)[:60].tolist()
+        clipped = [(n, max(200.0, n / 1.2), 300.0) for n in subset]
+        for p in self.PROBLEMS:
+            table = qsabine.disk._seed_table(p, clipped)
+            assert repr(table) == repr([qsabine.disk._seed_points(p, *w) for w in clipped])
 
 
 class TestNewtonRefine:
@@ -555,15 +611,9 @@ class TestScan:
         for a, b in zip(serial, parallel):
             assert a.lam == b.lam and a.n == b.n and a.seed == b.seed
 
-    @pytest.mark.parametrize("workers, modes, expected", [
-        (2, [5], []),
-        (8, [5], []),
-        (8, [0, 5, 10], [3]),
-        (8, [0, 5, 5, 10], [3]),
-        (2, [0, 5, 10], [2]),
-        (1, [0, 5, 10], []),
-    ])
-    def test_pool_never_outnumbers_modes(self, monkeypatch, workers, modes, expected):
+    @pytest.fixture
+    def inline_pool(self, monkeypatch):
+        """Run pool tasks in process; the list records each pool's size."""
         built = []
 
         class InlinePool:
@@ -580,11 +630,34 @@ class TestScan:
                 return list(map(fn, items))
 
         monkeypatch.setattr(qsabine.disk, "ProcessPoolExecutor", InlinePool)
+        return built
+
+    @pytest.mark.parametrize("workers, modes, expected", [
+        (2, [5], []),
+        (8, [5], []),
+        (8, [0, 5, 10], [3]),
+        (8, [0, 5, 5, 10], [3]),
+        (2, [0, 5, 10], [2]),
+        (1, [0, 5, 10], []),
+    ])
+    def test_pool_never_outnumbers_modes(self, inline_pool, workers, modes, expected):
         pooled = scan(TE_FAST, (200.0, 215.0), -3.0, modes, workers=workers)
-        assert built == expected
+        assert inline_pool == expected
         assert pool_size(workers, len(set(modes))) == (expected[0] if expected else 0)
         serial = scan(TE_FAST, (200.0, 215.0), -3.0, modes)
         assert [(r.lam, r.n) for r in pooled] == [(r.lam, r.n) for r in serial]
+
+    @pytest.mark.parametrize("problem", [DampingDisk(2.0), DeltaDisk(1.0, 5.0 / 6.0)])
+    def test_pooled_scan_matches_serial(self, inline_pool, problem):
+        # Each pool task carries its mode's rows of the scan's seed
+        # table, glancing starts (modes 190..210) included.
+        modes = [0, 7, 60, 150, 190, 200, 210]
+        pooled = scan(problem, (200.0, 215.0), -3.0, modes, workers=2)
+        assert inline_pool == [2]
+        serial = scan(problem, (200.0, 215.0), -3.0, modes)
+        key = [(r.lam, r.n, r.residual, r.seed) for r in serial]
+        assert len(key) > 15 and {190, 200} <= {r.n for r in serial}
+        assert [(r.lam, r.n, r.residual, r.seed) for r in pooled] == key
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -629,7 +702,8 @@ class TestScan:
     def test_incomplete_cell_warns(self, monkeypatch):
         # With seeding and hunting disabled the box count cannot be
         # matched, and the unresolved cell is reported around the root.
-        monkeypatch.setattr(qsabine.disk, "_seed_points", lambda *a, **k: [])
+        monkeypatch.setattr(qsabine.disk, "_seed_table",
+                            lambda problem, windows: [[] for _ in windows])
         monkeypatch.setattr(qsabine.disk, "_hunt", lambda *a, **k: [])
         with pytest.warns(IncompleteScanWarning) as rec:
             res = scan(TE_FAST, (205.0, 207.0), -1.5, [0])
