@@ -701,9 +701,11 @@ def _airy_cluster(n, c, im, re_lo, re_hi, zetas):
     Near lambda = c n the order-n factor of argument lambda / c
     degenerates to an Airy function; its first zeros sit at lambda / c =
     n + |a_j| n^(1/3) / 2^(1/3), for the magnitudes |a_j| in zetas.  im
-    is the start height, set by the leak through the boundary.
+    is the start height, set by the leak through the boundary.  Each start
+    is tested against the window on its own: the sixth sits at
+    7.16 n^(1/3), beyond any fixed cut-off below it.
     """
-    if n < 4 or c * (n + 6.0 * n ** (1.0 / 3.0)) < re_lo or c * n > re_hi:
+    if n < 4:
         return []
     out = []
     for zeta in zetas:

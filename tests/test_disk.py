@@ -322,7 +322,7 @@ class TestSeedPoints:
     # Every start point, tag and trust radius of the scan seed families
     # over a 200..300 window, bit for bit: one sha256 over
     # repr(_seed_points(p, n, 200, 300)) for n = 0..360.
-    PINNED = "c85b6d96f2bb76d6c6c2dd266c56015ba9345c81a717a676e3c72b31138ad35e"
+    PINNED = "943154ff2ef8e772cbbd9fb9d0f10fd9010639076a9eb74b049f042f1f452caf"
 
     @staticmethod
     def digest(lists):
@@ -336,6 +336,14 @@ class TestSeedPoints:
             qsabine.disk._seed_points(p, n, 200.0, 300.0)
             for p in self.PROBLEMS for n in range(361)
         ) == self.PINNED
+
+    def test_airy_cluster_keeps_its_far_starts(self):
+        # The fifth and sixth Airy starts sit 6.305 and 7.161 n^(1/3)
+        # above c n.  A cut-off at c (n + 6 n^(1/3)) = 194.7 < 200 used
+        # to drop mode 162's sixth start at 201.04 from the window.
+        starts = qsabine.disk._airy_cluster(162, 1.0, -0.5, 200.0, 300.0,
+                                            qsabine.disk._airy_magnitudes())
+        assert [round(s.real, 3) for s, _, _ in starts] == [201.039]
 
     def test_batched_phase_inversion_matches_scalar_brent(self, monkeypatch):
         # Every phase target the seed tables of the pinned problems
