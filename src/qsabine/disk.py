@@ -633,6 +633,7 @@ def _normal_seeds(c, alpha, n, re_lo, re_hi):
 
 
 def _transparent_table(problem, windows):
+    """Normal, transverse and, for c > 1, Airy-cluster starts."""
     c, alpha = problem.c, problem.alpha
     sweeps = _transverse_sweeps(problem, windows)
     zetas = _airy_magnitudes()
@@ -801,6 +802,7 @@ def _delta_table(problem, windows):
     fixed = [None] * len(rows)  # (Re lambda, t, rhs) of the last pass
     live = range(len(rows))
     for _ in range(2):
+        # a row whose theta leaves its range keeps its last pass
         live = [j for j in live if rows[j][3] - pi <= theta[j] <= rows[j][4] + pi]
         inverted = [j for j in live if rows[j][1] > 0]
         radii = _invert_phases(1.0, [(theta[j] + pi / 4.0) / rows[j][1] for j in inverted])
@@ -1048,23 +1050,12 @@ def _complete_cell(problem, n, box, roots, scan_box, incomplete, depth=0):
     incomplete.append((n, box, count, inside, None))
 
 
-def _mode_window(n, re_lo, re_hi):
-    """Mode n's part of the scan window, at tangent frequencies
-    n / Re lambda <= TANGENT_CAP; None when that is empty."""
-    if n > 0:
-        re_lo = max(re_lo, n / TANGENT_CAP)
-    return (re_lo, re_hi) if re_lo < re_hi else None
-
-
-def _scan_mode(problem, re_window, im_floor, task):
-    """All resonances of one angular mode in the window, plus any cells
-    where completeness could not be certified.  task is the mode n and
-    its seed list."""
-    n, seeds = task
-    window = _mode_window(n, *re_window)
-    if window is None:
-        return [], []
-    box = (*window, im_floor, _IM_CEILING)
+def _scan_mode(problem, im_floor, task):
+    """All resonances of one angular mode in its window, plus any cells
+    where completeness could not be certified.  task is the mode's
+    (n, re_lo, re_hi) window and its seed list."""
+    (n, re_lo, re_hi), seeds = task
+    box = (re_lo, re_hi, im_floor, _IM_CEILING)
     roots: list = []
     for lam0, tag, trust in seeds:
         if lam0.imag < im_floor - 1.0:
@@ -1163,10 +1154,9 @@ def scan(
     re_lo, re_hi, modes = check_scan_box(problem, re_window, im_floor, n_range)
     if not modes:
         return []
-    swept = [(n, *w) for n in modes if (w := _mode_window(n, re_lo, re_hi))]
-    seeds = {row[0]: row_seeds for row, row_seeds in zip(swept, _seed_table(problem, swept))}
-    tasks = [(n, seeds.get(n, [])) for n in modes]
-    job = functools.partial(_scan_mode, problem, (re_lo, re_hi), float(im_floor))
+    windows = [(n, max(re_lo, n / TANGENT_CAP), re_hi) for n in modes if n / TANGENT_CAP < re_hi]
+    tasks = list(zip(windows, _seed_table(problem, windows)))
+    job = functools.partial(_scan_mode, problem, float(im_floor))
     size = pool_size(workers, len(modes))
     if size:
         with ProcessPoolExecutor(max_workers=size) as pool:
