@@ -65,7 +65,7 @@ GLANCING_MARGIN = 1e-12
 # footpoint from the exit-point bracket.
 _START_OFFSET = 1e-9
 
-# Exit-point solver settings, those of scipy.optimize.brentq's defaults
+# Exit-point solver settings: scipy's brentq defaults
 # except the absolute tolerance.
 _XTOL = 1e-13
 _RTOL = 4.0 * np.finfo(float).eps
@@ -395,7 +395,7 @@ def _billiard_steps(domain: ConvexDomain, s, xi):
 def _brentq_rows(f, a, b):
     """Brent's method on every row of a set of brackets [a, b] at once.
 
-    A row-wise port of scipy.optimize.brentq (brentq.c; Brent 1973,
+    A row-wise port of scipy's brentq (brentq.c; Brent 1973,
     ch. 4): each row takes the interpolation, extrapolation or bisection
     step the scalar solver takes, with the same settings (``_XTOL``,
     ``_RTOL``, ``_MAXITER``) and the same arithmetic, so its root is
