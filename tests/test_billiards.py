@@ -17,6 +17,7 @@ Independent routes used here:
 
 import csv
 import dataclasses
+import hashlib
 import io
 import math
 
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ellipe
 
-from qsabine import billiards
+from qsabine import TransparentObstacle, billiards, sabine_bounds
 from qsabine.billiards import (
     ConvexDomain,
     GLANCING_MARGIN,
@@ -512,6 +513,30 @@ class TestLockstepMap:
                 assert [(p.s, p.xi) for p in seg.points[1:]] == list(
                     zip(batch_s[i].tolist(), batch_xi[i].tolist()))
                 assert list(seg.chords) == batch_chords[i].tolist()
+
+    # Every point and chord of 8-step orbits from a 4 x 33 (s, xi) grid,
+    # footpoint-major with |xi| up to 1 - 1e-6, on each domain, bit for
+    # bit: one sha256 over repr of the three (rows, 8) arrays as lists.
+    ORBITS_PINNED = "ead569806e0401bbd5a03c2bdfbc2d4c9f64cb40f2c3e9c0fe07b71bf8fc45f0"
+    # repr of the (lower, upper) Sabine band of TransparentObstacle(2, 1)
+    # on the disk and on the 1.5 x 1 ellipse, as the benchmark runs them.
+    BANDS_PINNED = (
+        ("-1.1547004100640297", "-1.0986122886681098"),
+        ("-1.73178891874475", "-0.5133746635319174"),
+    )
+
+    def test_orbits_are_pinned(self):
+        digest = hashlib.sha256()
+        for dom in self.DOMAINS:
+            s = np.repeat(np.linspace(0.0, dom.perimeter, 4, endpoint=False), 33)
+            xi = np.tile(np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, 33), 4)
+            digest.update(repr([a.tolist() for a in _orbits(dom, s, xi, 8)]).encode())
+        assert digest.hexdigest() == self.ORBITS_PINNED
+
+    def test_band_endpoints_are_pinned(self):
+        model = TransparentObstacle(2.0, 1.0)
+        bands = [sabine_bounds(dom, model) for dom in self.DOMAINS[:2]]
+        assert tuple((repr(b.lower), repr(b.upper)) for b in bands) == self.BANDS_PINNED
 
     def test_orbit_rows_at_the_glancing_guard(self):
         dom = ConvexDomain.disk()
