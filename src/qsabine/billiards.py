@@ -30,7 +30,10 @@ a guarded Newton iteration, so positions, unit tangents and curvatures
 are available directly in the arclength variable.  Array accessors are
 exact stacks of the scalar ones: each element leaves the Newton loop on
 its own residual, and each row's quadrature is summed by its own dot
-product.
+product.  One inversion serves both the position and the unit tangent
+of a footpoint, at the start of a step and at its exit, and the Newton
+step's speed comes from the same evaluation of the parametrization as
+the quadrature nodes.
 """
 
 from __future__ import annotations
@@ -132,7 +135,9 @@ class ConvexDomain:
     :meth:`from_support`.  The raw initializer wires a counterclockwise
     parametrization p(theta), theta in [0, theta_period), with speed
     |p'(theta)| > 0 and an analytic curvature callable into cumulative
-    arclength tables; all public accessors then take arclength.
+    arclength tables; all public accessors then take arclength.  ``pos``
+    and ``vel`` return p and p' as a pair (x, y) of arrays shaped like
+    theta.
 
     Attributes
     ----------
@@ -160,6 +165,12 @@ class ConvexDomain:
         self._theta_edges = edges
         self._arc_edges = np.concatenate([[0.0], np.cumsum(panel)])
         self.perimeter = float(self._arc_edges[-1])
+        # Per panel: first theta, first arclength, theta width, arc length.
+        # Column j is the panel that x lies in when searchsorted(edges, x,
+        # "right") = j, clamped to the table at both ends.
+        panels = np.array([edges[:-1], self._arc_edges[:-1],
+                           np.diff(edges), np.diff(self._arc_edges)])
+        self._panels = panels[:, np.r_[0, 0:_ARC_PANELS, _ARC_PANELS - 1]]
 
         probe = np.linspace(0.0, self._period, 4096, endpoint=False)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -178,10 +189,10 @@ class ConvexDomain:
         r = float(radius)
 
         def pos(th):
-            return r * np.stack([np.cos(th), np.sin(th)], axis=-1)
+            return r * np.cos(th), r * np.sin(th)
 
         def vel(th):
-            return r * np.stack([-np.sin(th), np.cos(th)], axis=-1)
+            return r * -np.sin(th), r * np.cos(th)
 
         def kappa(th):
             return np.full_like(np.asarray(th, dtype=float), 1.0 / r)
@@ -196,10 +207,10 @@ class ConvexDomain:
         a, b = float(a), float(b)
 
         def pos(th):
-            return np.stack([a * np.cos(th), b * np.sin(th)], axis=-1)
+            return a * np.cos(th), b * np.sin(th)
 
         def vel(th):
-            return np.stack([-a * np.sin(th), b * np.cos(th)], axis=-1)
+            return -a * np.sin(th), b * np.cos(th)
 
         def kappa(th):
             s, c = np.sin(th), np.cos(th)
@@ -219,16 +230,14 @@ class ConvexDomain:
         """
 
         def pos(phi):
-            n = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-            t = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
+            c, s = np.cos(phi), np.sin(phi)
             hv = np.asarray(h(phi), dtype=float)
             hpv = np.asarray(hp(phi), dtype=float)
-            return hv[..., None] * n + hpv[..., None] * t
+            return hv * c + hpv * -s, hv * s + hpv * c
 
         def vel(phi):
-            t = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
             rho = np.asarray(h(phi), dtype=float) + np.asarray(hpp(phi), dtype=float)
-            return rho[..., None] * t
+            return rho * -np.sin(phi), rho * np.cos(phi)
 
         def kappa(phi):
             rho = np.asarray(h(phi), dtype=float) + np.asarray(hpp(phi), dtype=float)
@@ -239,47 +248,61 @@ class ConvexDomain:
     # -- arclength chart ---------------------------------------------------
 
     def _speed(self, theta):
-        v = np.asarray(self._vel(np.asarray(theta, dtype=float)))
-        return np.linalg.norm(v, axis=-1)
+        vx, vy = self._vel(theta)
+        return np.sqrt(vx * vx + vy * vy)
 
-    def _arc_of_theta(self, theta):
-        """Cumulative arclength from theta = 0; expects a 1-d array."""
-        th = np.asarray(theta, dtype=float)
-        k = np.clip(np.searchsorted(self._theta_edges, th, side="right") - 1,
-                    0, _ARC_PANELS - 1)
-        a = self._theta_edges[k]
-        half = 0.5 * (th - a)
-        nodes = (a + half)[:, None] + half[:, None] * _GL_NODES[None, :]
-        speeds = self._speed(nodes.ravel()).reshape(nodes.shape)
+    def _unit_tangent(self, theta):
+        vx, vy = self._vel(theta)
+        speed = np.sqrt(vx * vx + vy * vy)
+        return vx / speed, vy / speed
+
+    def _arc_and_speed(self, theta):
+        """Cumulative arclength from theta = 0 and the speed at theta.
+
+        Expects a 1-d array.  The speed at theta is evaluated in the same
+        call of the parametrization as the quadrature nodes.
+        """
+        n = theta.size
+        k = self._theta_edges.searchsorted(theta, side="right")
+        a, sa = self._panels[:2].take(k, axis=1)
+        half = 0.5 * (theta - a)
+        nodes = (a + half)[:, None] + half[:, None] * _GL_NODES
+        speeds = self._speed(np.concatenate([nodes.ravel(), theta]))
         # One dot product per row: a multi-row ``speeds @ w`` goes through
         # gemv, whose summation order differs from the one-row dot.
-        quad = np.matmul(speeds[:, None, :], _GL_WEIGHTS)[:, 0]
-        return self._arc_edges[k] + half * quad
+        quad = np.matmul(speeds[:nodes.size].reshape(n, 1, -1), _GL_WEIGHTS)[:, 0]
+        return sa + half * quad, speeds[nodes.size:]
 
     def _theta_of_arc(self, s):
         """Invert the arclength map on a 1-d array, Newton to 1e-13.
 
         Each element stops iterating once its own residual is below the
-        tolerance, as it would alone.
+        tolerance, as it would alone.  Until the first one does, the
+        whole array iterates without indexing.
         """
         t = np.mod(np.asarray(s, dtype=float), self.perimeter)
-        k = np.clip(np.searchsorted(self._arc_edges, t, side="right") - 1,
-                    0, _ARC_PANELS - 1)
-        a, b = self._theta_edges[k], self._theta_edges[k + 1]
-        sa, sb = self._arc_edges[k], self._arc_edges[k + 1]
-        theta = a + (t - sa) * (b - a) / (sb - sa)
+        k = self._arc_edges.searchsorted(t, side="right")
+        a, sa, width, length = self._panels.take(k, axis=1)
+        theta = a + (t - sa) * width / length
         tol = 1e-13 * max(1.0, self.perimeter)
-        todo = np.arange(theta.size)
+        todo = None  # indices of the elements still iterating, once some are done
+        th, tt = theta, t
         for _ in range(40):
-            res = self._arc_of_theta(theta[todo]) - t[todo]
-            live = ~(np.abs(res) < tol)
-            todo, res = todo[live], res[live]
-            if todo.size == 0:
-                break
-            theta[todo] = theta[todo] - res / self._speed(theta[todo])
-        else:
-            raise RuntimeError("arclength inversion did not converge")
-        return theta
+            arc, speed = self._arc_and_speed(th)
+            res = arc - tt
+            done = np.abs(res) < tol
+            if done.all():
+                return theta
+            if done.any():
+                live = ~done
+                todo = np.flatnonzero(live) if todo is None else todo[live]
+                th, tt, res, speed = th[live], tt[live], res[live], speed[live]
+            th = th - res / speed
+            if todo is None:
+                theta = th
+            else:
+                theta[todo] = th
+        raise RuntimeError("arclength inversion did not converge")
 
     @staticmethod
     def _match(out, s):
@@ -288,18 +311,23 @@ class ConvexDomain:
     def position(self, s):
         """Boundary point gamma(s), shape (2,) or (n, 2)."""
         th = self._theta_of_arc(np.atleast_1d(s))
-        return self._match(self._pos(th), s)
+        return self._match(np.stack(self._pos(th), axis=-1), s)
 
     def tangent(self, s):
         """Unit tangent gamma'(s)."""
         th = self._theta_of_arc(np.atleast_1d(s))
-        v = np.asarray(self._vel(th))
-        return self._match(v / np.linalg.norm(v, axis=-1, keepdims=True), s)
+        return self._match(np.stack(self._unit_tangent(th), axis=-1), s)
+
+    def _frame(self, s):
+        """(position(s), tangent(s)) from one chart inversion."""
+        th = self._theta_of_arc(np.atleast_1d(s))
+        return (self._match(np.stack(self._pos(th), axis=-1), s),
+                self._match(np.stack(self._unit_tangent(th), axis=-1), s))
 
     def inward_normal(self, s):
         """Unit inward normal, the counterclockwise rotation of the tangent."""
-        t = np.atleast_2d(self.tangent(np.atleast_1d(s)))
-        return self._match(np.stack([-t[:, 1], t[:, 0]], axis=-1), s)
+        tx, ty = self._unit_tangent(self._theta_of_arc(np.atleast_1d(s)))
+        return self._match(np.stack([-ty, tx], axis=-1), s)
 
     def curvature(self, s):
         """Curvature kappa(s) > 0."""
@@ -308,15 +336,14 @@ class ConvexDomain:
 
     def second_derivative(self, s):
         """gamma''(s) = kappa(s) * inward normal, by the Frenet relation."""
-        k = np.atleast_1d(self.curvature(s))
-        n = np.atleast_2d(self.inward_normal(s))
-        return self._match(k[:, None] * n, s)
+        th = self._theta_of_arc(np.atleast_1d(s))
+        k = np.asarray(self._kap(th), dtype=float)
+        tx, ty = self._unit_tangent(th)
+        return self._match(k[:, None] * np.stack([-ty, tx], axis=-1), s)
 
     def ray(self, q: PhasePoint):
         """Footpoint and inward unit direction of the lift of q."""
-        s0 = q.s % self.perimeter
-        p0 = self.position(s0)
-        t0 = self.tangent(s0)
+        p0, t0 = self._frame(q.s % self.perimeter)
         n0 = np.array([-t0[1], t0[0]])
         d = q.xi * t0 + math.sqrt(1.0 - q.xi * q.xi) * n0
         return p0, d
@@ -372,20 +399,21 @@ def _billiard_steps(domain: ConvexDomain, s, xi):
     L = domain.perimeter
     s0 = np.mod(s[ok], L)
     x0 = xi[ok]
-    p0 = domain.position(s0)
-    t0 = domain.tangent(s0)
+    p0, t0 = domain._frame(s0)
     n0 = np.stack([-t0[:, 1], t0[:, 0]], axis=-1)
     d = x0[:, None] * t0 + np.sqrt(1.0 - x0 * x0)[:, None] * n0
+    # d and the footpoint as rows (dx, dy, px, py): one take per evaluation.
+    ray = np.vstack([d.T, p0.T])
 
     def crossing(x, rows):
-        r = domain.position(x) - p0[rows]
-        return d[rows, 0] * r[:, 1] - d[rows, 1] * r[:, 0]
+        qx, qy = domain._pos(domain._theta_of_arc(x))
+        dx, dy, px, py = ray.take(rows, axis=1)
+        return dx * (qy - py) - dy * (qx - px)
 
     lo = s0 + _START_OFFSET * L
     hi = s0 + (1.0 - _START_OFFSET) * L
     exit_s = np.mod(_brentq_rows(crossing, lo, hi), L)
-    p1 = domain.position(exit_s)
-    t1 = domain.tangent(exit_s)
+    p1, t1 = domain._frame(exit_s)
     s1[ok] = exit_s
     chord[ok] = np.hypot(p1[:, 0] - p0[:, 0], p1[:, 1] - p0[:, 1])
     xi1[ok] = d[:, 0] * t1[:, 0] + d[:, 1] * t1[:, 1]
@@ -433,12 +461,16 @@ def _brentq_rows(f, a, b):
     xblk, fblk, spre, scur = (np.zeros(rows.size) for _ in range(4))
 
     for _ in range(_MAXITER):
-        # Keep the root bracketed by [xcur, xblk] ...
-        flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+        # Keep the root bracketed by [xcur, xblk] ...  Here fpre is never
+        # 0, and a row whose fcur is 0 stops below whatever this does; the
+        # sign of a product is the xor of the signs, even on under- or
+        # overflow.
+        flip = np.signbit(fpre * fcur)
+        width = xcur - xpre
         xblk = np.where(flip, xpre, xblk)
         fblk = np.where(flip, fpre, fblk)
-        spre = np.where(flip, xcur - xpre, spre)
-        scur = np.where(flip, xcur - xpre, scur)
+        spre = np.where(flip, width, spre)
+        scur = np.where(flip, width, scur)
         # ... with xcur the end of smaller |f|.
         swap = np.abs(fblk) < np.abs(fcur)
         xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
@@ -447,35 +479,37 @@ def _brentq_rows(f, a, b):
                             np.where(swap, fcur, fblk))
 
         delta = (_XTOL + _RTOL * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        to_blk = xblk - xcur
+        sbis = to_blk / 2
+        abis = np.abs(sbis)
+        done = (fcur == 0.0) | (abis < delta)
         if done.any():
             root[rows[done]] = xcur[done]
             keep = ~done
             if not keep.any():
                 return root
-            rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+            rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, to_blk, sbis, abis = (
                 v[keep] for v in (rows, xpre, xcur, xblk, fpre, fcur, fblk,
-                                  spre, scur, delta, sbis))
+                                  spre, scur, delta, to_blk, sbis, abis))
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # Secant step when xpre is the bracket end, else inverse
             # quadratic extrapolation through the three points.
-            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            nfcur = -fcur
+            secant = nfcur * (xcur - xpre) / (fcur - fpre)
             dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            quadratic = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            dblk = (fblk - fcur) / to_blk
+            quadratic = nfcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
         stry = np.where(xpre == xblk, secant, quadratic)
-        limit = 3 * np.abs(sbis) - delta
-        limit = np.where(np.abs(spre) < limit, np.abs(spre), limit)
-        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                 & (2 * np.abs(stry) < limit))
+        apre = np.abs(spre)
+        short = ((apre > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry) < np.minimum(apre, 3 * abis - delta)))
         spre = np.where(short, scur, sbis)
         scur = np.where(short, stry, sbis)
 
         xpre, fpre = xcur, fcur
-        xcur = np.where(np.abs(scur) > delta, xcur + scur,
-                        xcur + np.where(sbis > 0, delta, -delta))
+        # sbis is never 0 here, so copysign gives +-delta as sbis > 0 would.
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
         fcur = call(xcur, rows)
     raise RuntimeError(f"Brent's method did not converge after {_MAXITER} iterations")
 
@@ -493,7 +527,10 @@ def _orbits(domain: ConvexDomain, s, xi, n_steps: int):
     steps = []
     for _ in range(n):
         s, xi, chord = _billiard_steps(domain, s, xi)
-        for i in np.flatnonzero(~np.isnan(chord)).tolist():
+        # The rows PhasePoint would reject; the first one raises its error.
+        bad = ~np.isnan(chord) & ~(np.isfinite(s) & (np.abs(xi) < 1.0))
+        if bad.any():
+            i = int(np.argmax(bad))
             PhasePoint(float(s[i]), float(xi[i]))
         steps.append((s, xi, chord))
     return tuple(np.stack(column, axis=1) for column in zip(*steps))

@@ -149,6 +149,55 @@ class TestConvexDomain:
             stacked = np.array([accessor(float(x)) for x in s])
             assert np.array_equal(accessor(s), stacked)
 
+    def test_frame_is_position_and_tangent(self):
+        # One chart inversion gives position and tangent bit for bit as
+        # two inversions do: scalar and array s, inside and outside [0, L).
+        for dom in (ConvexDomain.disk(1.3), ConvexDomain.ellipse(3.0, 1.0), wavy_domain()):
+            L = dom.perimeter
+            s = np.concatenate([np.random.default_rng(2).uniform(-2.0 * L, 3.0 * L, 200),
+                                [0.0, -0.0, L, -L, 2.5 * L, -1e-300]])
+            for arg in [float(x) for x in s[::20]] + [s[-6], s, s[::3]]:
+                pos, tan = dom._frame(arg)
+                assert np.array_equal(pos, dom.position(arg))
+                assert np.array_equal(tan, dom.tangent(arg))
+                assert np.shape(pos) == np.shape(dom.position(arg))
+
+    def test_ray_and_second_derivative_keep_their_bits(self):
+        # Both read one inversion now; they equal the accessor formulas
+        # that inverted the same s two or three times.
+        for dom in (ConvexDomain.ellipse(1.5, 1.0), wavy_domain()):
+            L = dom.perimeter
+            for s, xi in ((0.3, 0.45), (-2.2, -0.7), (L + 0.9, 0.05), (3.0 * L, -0.99)):
+                p0, d = dom.ray(PhasePoint(s, xi))
+                s0 = s % L
+                t0 = dom.tangent(s0)
+                n0 = np.array([-t0[1], t0[0]])
+                assert np.array_equal(p0, dom.position(s0))
+                assert np.array_equal(d, xi * t0 + math.sqrt(1.0 - xi * xi) * n0)
+            s = np.random.default_rng(4).uniform(-L, 2.0 * L, 50)
+            expected = dom.curvature(s)[:, None] * dom.inward_normal(s)
+            assert np.array_equal(dom.second_derivative(s), expected)
+            assert np.array_equal(dom.second_derivative(float(s[0])), expected[0])
+
+    def test_newton_rows_converging_apart_match_alone(self, monkeypatch):
+        # On an eccentric ellipse the rows of one inversion leave the
+        # Newton loop after different numbers of steps; each row still
+        # equals its own one-element inversion.
+        dom = ConvexDomain.ellipse(3.0, 1.0)
+        s = np.random.default_rng(9).uniform(0.0, dom.perimeter, 300)
+        sizes = []
+        arc_and_speed = dom._arc_and_speed
+
+        def recorded(theta):
+            sizes.append(theta.size)
+            return arc_and_speed(theta)
+
+        monkeypatch.setattr(dom, "_arc_and_speed", recorded)
+        batch = dom._theta_of_arc(s)
+        assert sizes[0] == s.size and any(0 < n < s.size for n in sizes)
+        alone = [dom._theta_of_arc(s[i:i + 1])[0] for i in range(s.size)]
+        assert batch.tolist() == alone
+
     def test_row_dot_premise(self):
         # The arclength quadrature sums each row with a stacked matmul,
         # which must equal the one-row product that a scalar call makes
@@ -537,6 +586,26 @@ class TestLockstepMap:
         model = TransparentObstacle(2.0, 1.0)
         bands = [sabine_bounds(dom, model) for dom in self.DOMAINS[:2]]
         assert tuple((repr(b.lower), repr(b.upper)) for b in bands) == self.BANDS_PINNED
+
+    def test_orbits_reject_the_first_bad_point(self, monkeypatch):
+        # A computed point that is no PhasePoint raises PhasePoint's own
+        # error for the first such row; glancing (NaN chord) rows are skipped.
+        cases = [
+            ([0.1, math.nan, 0.3], [0.2, 0.5, 1.5], [1.0, 1.0, 1.0]),
+            ([0.1, 0.2, math.inf], [0.2, -1.0, 0.5], [1.0, 1.0, 1.0]),
+            ([math.nan, 0.2, 0.3], [math.nan, 1.25, 0.5], [math.nan, 1.0, 1.0]),
+            ([0.1, 0.2, 0.3], [0.2, 0.5, math.nan], [1.0, 1.0, 1.0]),
+        ]
+        for s, xi, chord in cases:
+            first = next(i for i in range(3) if not math.isnan(chord[i])
+                         and not (math.isfinite(s[i]) and abs(xi[i]) < 1.0))
+            with pytest.raises(ValueError) as expected:
+                PhasePoint(s[first], xi[first])
+            monkeypatch.setattr(billiards, "_billiard_steps",
+                                lambda dom, *_, out=(s, xi, chord): tuple(map(np.array, out)))
+            with pytest.raises(ValueError) as got:
+                _orbits(ConvexDomain.disk(), [0.0] * 3, [0.0] * 3, 2)
+            assert str(got.value) == str(expected.value)
 
     def test_orbit_rows_at_the_glancing_guard(self):
         dom = ConvexDomain.disk()
