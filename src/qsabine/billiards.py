@@ -510,6 +510,10 @@ def _brentq_rows(f, a, b):
         xpre, fpre = xcur, fcur
         # sbis is never 0 here, so copysign gives +-delta as sbis > 0 would.
         xcur = xcur + np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
+        # Free this iteration's arrays before f runs: with the ~20k rows
+        # of a scan's seed table they hold megabytes.
+        del flip, width, swap, delta, to_blk, sbis, abis, done
+        del nfcur, secant, dpre, dblk, quadratic, stry, apre, short
         fcur = call(xcur, rows)
     raise RuntimeError(f"Brent's method did not converge after {_MAXITER} iterations")
 

@@ -163,8 +163,8 @@ class TestConvexDomain:
                 assert np.shape(pos) == np.shape(dom.position(arg))
 
     def test_ray_and_second_derivative_keep_their_bits(self):
-        # Both read one inversion now; they equal the accessor formulas
-        # that inverted the same s two or three times.
+        # Each inverts s once; both equal their formulas built from the
+        # separate accessors, bit for bit.
         for dom in (ConvexDomain.ellipse(1.5, 1.0), wavy_domain()):
             L = dom.perimeter
             for s, xi in ((0.3, 0.45), (-2.2, -0.7), (L + 0.9, 0.05), (3.0 * L, -0.99)):
@@ -588,8 +588,9 @@ class TestLockstepMap:
         assert tuple((repr(b.lower), repr(b.upper)) for b in bands) == self.BANDS_PINNED
 
     def test_orbits_reject_the_first_bad_point(self, monkeypatch):
-        # A computed point that is no PhasePoint raises PhasePoint's own
-        # error for the first such row; glancing (NaN chord) rows are skipped.
+        # A computed point that is no PhasePoint raises the error that
+        # building PhasePoints row by row raises first; glancing rows
+        # (NaN chord) are not built.
         cases = [
             ([0.1, math.nan, 0.3], [0.2, 0.5, 1.5], [1.0, 1.0, 1.0]),
             ([0.1, 0.2, math.inf], [0.2, -1.0, 0.5], [1.0, 1.0, 1.0]),
@@ -597,10 +598,10 @@ class TestLockstepMap:
             ([0.1, 0.2, 0.3], [0.2, 0.5, math.nan], [1.0, 1.0, 1.0]),
         ]
         for s, xi, chord in cases:
-            first = next(i for i in range(3) if not math.isnan(chord[i])
-                         and not (math.isfinite(s[i]) and abs(xi[i]) < 1.0))
             with pytest.raises(ValueError) as expected:
-                PhasePoint(s[first], xi[first])
+                for i in range(3):
+                    if not math.isnan(chord[i]):
+                        PhasePoint(s[i], xi[i])
             monkeypatch.setattr(billiards, "_billiard_steps",
                                 lambda dom, *_, out=(s, xi, chord): tuple(map(np.array, out)))
             with pytest.raises(ValueError) as got:
