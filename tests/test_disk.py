@@ -812,6 +812,37 @@ class TestWindingNumber:
                 == qsabine.disk._winding_number(problem, n, cell))
 
 
+class TestModeCounts:
+    """The top-level count of every mode of four default scan windows.
+
+    A CSV cannot catch a wrong count: subdivision repairs it at extra
+    cost, and the roots come out the same.  So each mode's count of its
+    whole scan box (Re max(200, n / 1.2)..re_hi, Im -3..-1e-6) is pinned
+    here: one sha256 over the comma-joined counts of n = 0..360 per
+    configuration, recorded with the per-node contour.  The counts sum to
+    the roots the scans return.
+    """
+
+    CONFIGS = [
+        (TE_FAST, 300.0, 1556, "22222adccc90c0e9"),
+        (DampingDisk(2.0), 300.0, 6236, "02275e7d5f675367"),
+        (DeltaDisk(1.0, 5.0 / 6.0), 300.0, 6261, "8b74ab267bf951f2"),
+        (TransparentDisk(0.5, 1.3), 210.0, 1354, "1b3e922b3058d46c"),
+    ]
+
+    @staticmethod
+    def boxes(re_hi):
+        cap = qsabine.disk.TANGENT_CAP
+        return [(n, (max(200.0, n / cap), re_hi, -3.0, qsabine.disk._IM_CEILING))
+                for n in range(361) if n / cap < re_hi]
+
+    @pytest.mark.parametrize("problem, re_hi, roots, pinned", CONFIGS)
+    def test_per_node_counts_are_pinned(self, problem, re_hi, roots, pinned):
+        counts = [qsabine.disk._winding_number(problem, n, box) for n, box in self.boxes(re_hi)]
+        assert sum(counts) == roots
+        assert hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest()[:16] == pinned
+
+
 class TestResonanceCsv:
     def test_round_trip(self):
         res = scan(TE_FAST, (200.0, 230.0), -3.0, [0])
