@@ -44,6 +44,7 @@ from __future__ import annotations
 import cmath
 import csv
 import functools
+import itertools
 import logging
 import math
 import warnings
@@ -288,7 +289,7 @@ def _second_derivative(n: int, z: complex, f: complex, fp: complex) -> complex:
     return -(1.0 - (n * n) / (z * z)) * f - fp / z
 
 
-def _secular_terms(problem: DiskProblem, n: int, z):
+def _secular_terms(problem: DiskProblem, n: int, z, pair=bessel_pair):
     """f, f' and the two terms A, B of f whose moduli sum to its scale.
 
     One formula per problem, evaluated either at a Python complex (the
@@ -296,14 +297,16 @@ def _secular_terms(problem: DiskProblem, n: int, z):
     over an ndarray (contours and the Newton guard: unguarded, callers
     keep z inside the box).  The point path must not go through arrays:
     numpy's complex abs and division differ from Python's in the last
-    bit, which moves residuals and roots.
+    bit, which moves residuals and roots.  pair(fn, n, w) supplies each
+    Bessel pair (C_n, C_n') of the cylinder function fn at w: bessel_pair
+    at points and nodes, _LatticeRun.pair on the scan's count lattice.
     """
     if isinstance(problem, TransparentDisk):
         c = problem.c
         alpha = problem.alpha
         w = z / c
-        j, jp = bessel_pair(jv, n, w)
-        h, hp = bessel_pair(hankel1, n, z)
+        j, jp = pair(jv, n, w)
+        h, hp = pair(hankel1, n, z)
         jpp = _second_derivative(n, w, j, jp)
         hpp = _second_derivative(n, z, h, hp)
         inner = jp * h / c
@@ -311,8 +314,8 @@ def _secular_terms(problem: DiskProblem, n: int, z):
         fp = jpp * h / (c * c) + jp * hp / c - alpha * (hpp * j + hp * jp / c)
         return inner - outer, fp, inner, outer
     if isinstance(problem, DeltaDisk):
-        j, jp = bessel_pair(jv, n, z)
-        h, hp = bessel_pair(hankel1, n, z)
+        j, jp = pair(jv, n, z)
+        h, hp = pair(hankel1, n, z)
         v = problem.v0 * z ** problem.v_exponent
         vp = problem.v0 * problem.v_exponent * z ** (problem.v_exponent - 1.0)
         jh = j * h
@@ -320,7 +323,7 @@ def _secular_terms(problem: DiskProblem, n: int, z):
         fp = jp * h + j * hp + (2j / pi) * vp / (v * v)
         return f, fp, jh, 2.0 / (pi * v)
     if isinstance(problem, DampingDisk):
-        j, jp = bessel_pair(jv, n, z)
+        j, jp = pair(jv, n, z)
         jpp = _second_derivative(n, z, j, jp)
         f = jp - 1j * problem.a * j
         fp = jpp - 1j * problem.a * jp
@@ -345,9 +348,9 @@ def secular(problem: DiskProblem, n: int, lam: complex) -> tuple:
     return f, fp
 
 
-def _secular_array(problem: DiskProblem, n: int, z):
+def _secular_array(problem: DiskProblem, n: int, z, pair=bessel_pair):
     """Vectorized (f, f') of the same formula, without Bessel guards."""
-    f, fp, _, _ = _secular_terms(problem, n, np.asarray(z, dtype=complex))
+    f, fp, _, _ = _secular_terms(problem, n, np.asarray(z, dtype=complex), pair)
     return f, fp
 
 
@@ -867,17 +870,31 @@ def _seed_points(problem, n, re_lo, re_hi):
 
 
 # Phase-tracked count: starting node spacing along each edge, bisection
-# rounds, and the node budget of one count (about ten times the 389 nodes
-# the costliest count of a default transparent or damping scan uses).
-# A segment is resolved when arg f moves by less than _MAX_DARG across
-# it, the trapezoid value of Im of the integral of f'/f agrees with that
-# increment to _TRAPEZOID_TOL, and it is no longer than the Newton
-# distance |f/f'| at either end, so no zero near the edge hides inside.
+# rounds, and the budget of bisection nodes of one count (the starting
+# ring is not counted, so a wide window is not refused by its ring
+# alone).  A segment is resolved when arg f moves by less than _MAX_DARG
+# across it, the trapezoid value of Im of the integral of f'/f agrees
+# with that increment to _TRAPEZOID_TOL, and it is no longer than the
+# Newton distance |f/f'| at either end, so no zero near the edge hides
+# inside.
 _COUNT_SPACING = 2.0
 _COUNT_ROUNDS = 30
 _COUNT_NODES = 3840
 _MAX_DARG = pi / 2.0
 _TRAPEZOID_TOL = pi / 4.0
+
+# Count lattice: the Re spacing of the nodes a scan shares on its two
+# horizontal edges, fine enough that most segments resolve unbisected;
+# the fewest consecutive modes that share them (a run of up to three
+# modes can pay more AMOS for the lattice's seeds than for its own
+# rings, so such modes keep the per-node contour); and the orders of J
+# recomputed and held at once.
+_LATTICE_SPACING = _COUNT_SPACING / 4.0
+_LATTICE_RUN = 4
+_LATTICE_BLOCK = 32
+
+# Pool tasks are queued this many at a time (see _pool_map).
+_POOL_CHUNK = 16
 
 
 class _Unrepresentable(ArithmeticError):
@@ -888,18 +905,21 @@ class _Unrepresentable(ArithmeticError):
     """
 
 
-def _winding_number(problem, n, box):
+def _winding_number(problem, n, box, rows=None):
     """Zero count of f inside the box by the argument principle, or None.
 
     arg f is tracked node to node around the boundary: each edge starts
     at spacing _COUNT_SPACING and every unresolved segment is bisected
     (one batched evaluation of f, f'/f per round) until it is resolved.
+    rows, the box's edge rows on the scan's count lattice (see
+    _lattice_rows), replace the starting nodes inside the two horizontal
+    edges; corners, vertical edges and midpoints are evaluated here.
     The count is the sum of the principal increments of arg f over the
     resolved segments divided by 2 pi, an integer by construction.  None
     when a segment is still unresolved after _COUNT_ROUNDS bisections or
-    _COUNT_NODES nodes (e.g. a zero on the edge), or the total is
-    negative.  Raises _Unrepresentable when f is not finite or vanishes
-    at a node.
+    _COUNT_NODES bisection nodes (e.g. a zero on the edge), or the total
+    is negative.  Raises _Unrepresentable when f is not finite or
+    vanishes at a node evaluated here.
     """
     re_lo, re_hi, im_lo, im_hi = box
     corners = [
@@ -910,11 +930,14 @@ def _winding_number(problem, n, box):
     for start, stop in zip(corners, corners[1:] + corners[:1]):
         m = max(1, math.ceil(abs(stop - start) / _COUNT_SPACING))
         edges.append(start + (stop - start) * (np.arange(m) / m))
-    za = np.concatenate(edges)
+    if rows is None:
+        za = np.concatenate(edges)
+        fa, ga = _log_derivative(problem, n, za)
+    else:
+        za, fa, ga = _lattice_ring(problem, n, edges, rows)
     zb = np.roll(za, -1)
-    fa, ga = _log_derivative(problem, n, za)
     fb, gb = np.roll(fa, -1), np.roll(ga, -1)
-    nodes = za.size
+    nodes = 0
     total = 0.0
     for bisections in range(_COUNT_ROUNDS + 1):
         dz = zb - za
@@ -940,10 +963,10 @@ def _winding_number(problem, n, box):
         ga, gb = np.concatenate([ga, gm]), np.concatenate([gm, gb])
 
 
-def _log_derivative(problem, n, z):
+def _log_derivative(problem, n, z, pair=bessel_pair):
     """(f, f'/f) at the nodes z; _Unrepresentable unless f and f' are
     finite and f is nonzero at every node."""
-    f, fp = _secular_array(problem, n, z)
+    f, fp = _secular_array(problem, n, z, pair)
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(fp))):
         raise _Unrepresentable(f"f or f' of mode {n} is not finite at a contour node")
     if not np.all(f != 0.0):
@@ -951,15 +974,16 @@ def _log_derivative(problem, n, z):
     return f, fp / f
 
 
-def _count_zeros(problem, n, box):
+def _count_zeros(problem, n, box, rows=None):
     """The box's count, retried once on a contour a hair larger.
 
+    rows, the box's lattice edge rows, serve the first contour only.
     None when unresolved; raises _Unrepresentable when both contours
     meet a node where f cannot be represented.
     """
     unrepresentable = False
     try:
-        count = _winding_number(problem, n, box)
+        count = _winding_number(problem, n, box, rows)
     except _Unrepresentable:
         count, unrepresentable = None, True
     if count is None:
@@ -975,6 +999,171 @@ def _count_zeros(problem, n, box):
             if unrepresentable:
                 raise
     return count
+
+
+def _lattice_ring(problem, n, edges, rows):
+    """(z, f, f'/f) of a box's starting ring whose horizontal edges are
+    lattice rows: each edge's first node (a corner) and the vertical
+    edges are evaluated here, the rest comes from rows."""
+    x, f, g = rows
+    z = x + 1j * np.array([[edges[0][0].imag], [edges[2][0].imag]])
+    own = [edges[0][:1], edges[1], edges[2][:1], edges[3]]
+    cuts = np.cumsum([e.size for e in own])[:-1]
+    z_own = np.concatenate(own)
+
+    def ring(own_values, lattice):
+        a, b, c, d = np.split(own_values, cuts)
+        return np.concatenate([a, lattice[0], b, c, lattice[1, ::-1], d])
+
+    return (ring(z_own, z),) + tuple(map(ring, _log_derivative(problem, n, z_own), (f, g)))
+
+
+def _tail(v, size):
+    """The last size nodes of a lattice row or row pair (size may be 0)."""
+    return v[..., v.shape[-1] - size:]
+
+
+class _Upward:
+    """(C_(n-1), C_n) of the dominant cylinder function H^(1), n ascending.
+
+    Seeded by AMOS at the run's first two orders, then C_(k+1) =
+    (2k/w) C_k - C_(k-1), stable because H^(1) is the dominant solution
+    (Gautschi, SIAM Review 9, 1967; DLMF 10.74(iv)).  Each step is taken
+    only at the nodes the asking mode needs, so that H^(1) cannot
+    overflow where no mode looks.
+    """
+
+    def __init__(self, fn, w, n):
+        self.w, self.n = w, n
+        self.prev, self.cur = fn(n - 1, w), fn(n, w)
+
+    def columns(self, n, size):
+        w, prev, cur = (_tail(v, size) for v in (self.w, self.prev, self.cur))
+        for k in range(self.n, n):
+            prev, cur = cur, (2.0 * k / w) * cur - prev
+        self.w, self.n, self.prev, self.cur = w, n, prev, cur
+        return prev, cur
+
+
+class _Downward:
+    """(C_(n-1), C_n) of the minimal cylinder function J, n ascending.
+
+    Each node is seeded by AMOS at the two highest orders a mode of the
+    run needs there (tops, and tops - 1); the downward recurrence
+    C_(k-1) = (2k/w) C_k - C_(k+1), stable for the minimal solution,
+    fills the orders below.  One sweep from the top keeps the recurrence
+    state at the top of every _LATTICE_BLOCK orders, and a block is swept
+    again into stored columns when a mode first asks for it: one block of
+    columns is held at a time, and AMOS is called only for the seeds.
+    """
+
+    def __init__(self, fn, w, n, tops):
+        self.w, self.lo, self.tops = w, n, tops
+        self.hi = int(tops.max())
+        self.seeds = fn(tops, w), fn(tops - 1, w)
+        self.marks = {}
+        state = (np.zeros_like(w), np.zeros_like(w))
+        for start in reversed(range(n, self.hi + 1, _LATTICE_BLOCK)):
+            self.marks[start] = state
+            state = self._sweep(start, state)
+        self.block = (None, None)
+
+    def _sweep(self, start, state, out=None):
+        """Recur from the top of start's block down to order start - 1.
+
+        state is (C_(k+1), C_k) at the block's top order k, zero at the
+        nodes not yet seeded; out[i], when given, receives order
+        start - 1 + i.  Returns the state at order start - 1.
+        """
+        upper, cur = state
+        high, low = self.seeds
+        for k in range(min(start + _LATTICE_BLOCK - 1, self.hi), start - 1, -1):
+            seeded = self.tops == k
+            cur = np.where(seeded, high, cur)
+            if out is not None:
+                out[k - start + 1] = cur
+            upper, cur = cur, np.where(seeded, low, (2.0 * k / self.w) * cur - upper)
+        if out is not None:
+            out[0] = cur
+        return upper, cur
+
+    def columns(self, n, size):
+        start = n - (n - self.lo) % _LATTICE_BLOCK
+        if self.block[0] != start:
+            out = np.empty((min(_LATTICE_BLOCK, self.hi - start + 1) + 1,) + self.w.shape, complex)
+            self._sweep(start, self.marks[start], out)
+            self.block = (start, out)
+        out = self.block[1]
+        return _tail(out[n - start], size), _tail(out[n - start + 1], size)
+
+
+class _LatticeRun:
+    """Bessel columns of a run of consecutive modes on the count lattice.
+
+    pair stands in for bessel_pair in _secular_terms, so the lattice
+    rows come from the one secular formula.  A cylinder function's first
+    request, at the run's first mode and so at all of the run's nodes,
+    sets up its recurrence: downward for J, upward for H^(1).  tops holds
+    the highest mode of the run whose window contains each node.
+    """
+
+    def __init__(self, tops):
+        self.tops = tops
+        self.recurrences = {}
+
+    def pair(self, fn, n, w):
+        recurrence = self.recurrences.get(fn)
+        if recurrence is None:
+            recurrence = _Downward(fn, w, n, self.tops) if fn is jv else _Upward(fn, w, n)
+            self.recurrences[fn] = recurrence
+        columns = dict(zip((n - 1, n), recurrence.columns(n, w.shape[-1])))
+        return bessel_pair(lambda order, _: columns[order], n, w)
+
+
+def _lattice_rows(problem, re_window, im_floor, windows):
+    """Each window's edge rows on the scan's count lattice, in order.
+
+    The lattice puts nodes at spacing about _LATTICE_SPACING strictly
+    inside re_window on the scan's two horizontal edges, Im = im_floor
+    and the ceiling.  A window's rows are (x, f, f'/f): x the k lattice
+    Re nodes inside the window, ascending, and f, f'/f of shape (2, k),
+    row 0 on the floor and row 1 on the ceiling.  The Bessel columns
+    of every run of at least _LATTICE_RUN consecutive modes are filled
+    by the order recurrence, seeded by AMOS per run (see _LatticeRun).
+    None stands for a window left to the per-node contour: in a shorter
+    run, without lattice nodes, or whose rows are not finite and
+    nonzero everywhere.  A generator, so that rows are built as the
+    tasks are handed out.
+    """
+    re_lo, re_hi = re_window
+    m = math.ceil((re_hi - re_lo) / _LATTICE_SPACING)
+    x = re_lo + (re_hi - re_lo) * (np.arange(1, m) / m)
+    grid = x + 1j * np.array([[im_floor], [_IM_CEILING]])
+    firsts = np.searchsorted(x, [lo for _, lo, _ in windows], side="right")
+    i = 0
+    while i < len(windows):
+        j = i + 1
+        while j < len(windows) and windows[j][0] == windows[j - 1][0] + 1:
+            j += 1
+        if j - i < _LATTICE_RUN or firsts[i] == x.size:
+            yield from [None] * (j - i)
+        else:
+            nodes = np.arange(firsts[i], x.size)
+            run = _LatticeRun(windows[i][0] - 1 + np.searchsorted(firsts[i:j], nodes, side="right"))
+            for k in range(i, j):
+                yield _edge_rows(problem, windows[k][0], x[firsts[k]:], grid[:, firsts[k]:], run)
+        i = j
+
+
+def _edge_rows(problem, n, x, z, run):
+    """(x, f, f'/f) of mode n at the lattice nodes z, or None unless
+    representable there by the test of _log_derivative."""
+    with np.errstate(all="ignore"):
+        try:
+            f, g = _log_derivative(problem, n, z, run.pair)
+        except _Unrepresentable:
+            return None
+    return x, f, g
 
 
 def _in_box(lam: complex, box) -> bool:
@@ -1027,10 +1216,10 @@ def _hunt(problem, n, box, roots, scan_box):
         _absorb(roots, cand, scan_box)
 
 
-def _complete_cell(problem, n, box, roots, scan_box, incomplete, depth=0):
+def _complete_cell(problem, n, box, roots, scan_box, incomplete, depth=0, rows=None):
     inside = sum(1 for r in roots if _in_box(r.lam, box))
     try:
-        count = _count_zeros(problem, n, box)
+        count = _count_zeros(problem, n, box, rows)
     except _Unrepresentable as err:
         # splitting cannot cure it: report the cell at once
         incomplete.append((n, box, None, inside, str(err)))
@@ -1053,8 +1242,9 @@ def _complete_cell(problem, n, box, roots, scan_box, incomplete, depth=0):
 def _scan_mode(problem, im_floor, task):
     """All resonances of one angular mode in its window, plus any cells
     where completeness could not be certified.  task is the mode's
-    (n, re_lo, re_hi) window and its seed list."""
-    (n, re_lo, re_hi), seeds = task
+    (n, re_lo, re_hi) window, its seed list and its lattice edge rows
+    (or None), which serve the count of the whole box."""
+    (n, re_lo, re_hi), seeds, rows = task
     box = (re_lo, re_hi, im_floor, _IM_CEILING)
     roots: list = []
     for lam0, tag, trust in seeds:
@@ -1066,7 +1256,7 @@ def _scan_mode(problem, im_floor, task):
             continue
         _absorb(roots, cand, box)
     incomplete: list = []
-    _complete_cell(problem, n, box, roots, box, incomplete)
+    _complete_cell(problem, n, box, roots, box, incomplete, rows=rows)
     roots.sort(key=lambda r: r.lam.real)
     return roots, incomplete
 
@@ -1118,6 +1308,35 @@ def pool_size(workers: int, n_modes: int) -> int:
     return size if size > 1 else 0
 
 
+def _scan_tasks(problem, re_window, im_floor, modes):
+    """The (window, seeds, lattice rows) task of every mode with a window.
+
+    Each mode's window is clipped to tangent frequencies <= TANGENT_CAP.
+    The seed table is built at once; the lattice rows as tasks are drawn.
+    """
+    re_lo, re_hi = re_window
+    windows = [(n, max(re_lo, n / TANGENT_CAP), re_hi) for n in modes if n / TANGENT_CAP < re_hi]
+    return zip(windows, _seed_table(problem, windows),
+               _lattice_rows(problem, re_window, im_floor, windows))
+
+
+def _pool_map(pool, job, tasks):
+    """pool.map over tasks in chunks of _POOL_CHUNK, in order.
+
+    The next chunk is queued before the last one is collected, so the
+    workers stay busy while only two chunks of tasks, lattice rows
+    included, are alive at once.
+    """
+    tasks = iter(tasks)
+    outcomes, pending = [], []
+    while chunk := list(itertools.islice(tasks, _POOL_CHUNK)):
+        queued = pool.map(job, chunk)
+        outcomes.extend(pending)
+        pending = queued
+    outcomes.extend(pending)
+    return outcomes
+
+
 def scan(
     problem: DiskProblem,
     re_window,
@@ -1154,13 +1373,12 @@ def scan(
     re_lo, re_hi, modes = check_scan_box(problem, re_window, im_floor, n_range)
     if not modes:
         return []
-    windows = [(n, max(re_lo, n / TANGENT_CAP), re_hi) for n in modes if n / TANGENT_CAP < re_hi]
-    tasks = list(zip(windows, _seed_table(problem, windows)))
+    tasks = _scan_tasks(problem, (re_lo, re_hi), float(im_floor), modes)
     job = functools.partial(_scan_mode, problem, float(im_floor))
     size = pool_size(workers, len(modes))
     if size:
         with ProcessPoolExecutor(max_workers=size) as pool:
-            outcomes = list(pool.map(job, tasks))
+            outcomes = _pool_map(pool, job, tasks)
     else:
         outcomes = [job(task) for task in tasks]
     found: list = []

@@ -54,7 +54,7 @@ from qsabine.disk import (
 )
 from qsabine.reflectivity import TransparentObstacle
 from qsabine.sabine import sabine_quotient
-from qsabine.specfun import ScaledMagnitudeError
+from qsabine.specfun import ScaledMagnitudeError, bessel_pair
 
 from oracles import airy_series, airy_zero_bisect
 
@@ -836,11 +836,169 @@ class TestModeCounts:
         return [(n, (max(200.0, n / cap), re_hi, -3.0, qsabine.disk._IM_CEILING))
                 for n in range(361) if n / cap < re_hi]
 
+    @staticmethod
+    def digest(counts):
+        return hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest()[:16]
+
     @pytest.mark.parametrize("problem, re_hi, roots, pinned", CONFIGS)
     def test_per_node_counts_are_pinned(self, problem, re_hi, roots, pinned):
         counts = [qsabine.disk._winding_number(problem, n, box) for n, box in self.boxes(re_hi)]
         assert sum(counts) == roots
-        assert hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest()[:16] == pinned
+        assert self.digest(counts) == pinned
+
+    @pytest.mark.parametrize("problem, re_hi, roots, pinned", CONFIGS)
+    def test_lattice_counts_equal_per_node_counts(self, problem, re_hi, roots, pinned):
+        # The scan's tasks carry every mode's lattice rows (one run of
+        # consecutive modes, mode 0 included); each count that starts
+        # from them must be the per-node count above, mode by mode.
+        tasks = list(qsabine.disk._scan_tasks(problem, (200.0, re_hi), -3.0, range(361)))
+        boxes = self.boxes(re_hi)
+        assert [(n, box[:2]) for n, box in boxes] == [(n, (lo, hi)) for (n, lo, hi), _, _ in tasks]
+        assert all(rows is not None for _, _, rows in tasks)
+        counts = [qsabine.disk._winding_number(problem, n, box, rows)
+                  for (n, box), (_, _, rows) in zip(boxes, tasks)]
+        assert sum(counts) == roots
+        assert self.digest(counts) == pinned
+
+
+class TestCountLattice:
+    """The Bessel columns a scan shares across its modes' contour counts."""
+
+    CONFIGS = [(cfg[0], cfg[1]) for cfg in TestModeCounts.CONFIGS]
+    CEILING = qsabine.disk._IM_CEILING
+
+    @staticmethod
+    def record_pairs(monkeypatch):
+        """Every (run, fn, n, w, pair) the lattice hands to _secular_terms."""
+        seen = []
+        pair = qsabine.disk._LatticeRun.pair
+
+        def recorded(run, fn, n, w):
+            out = pair(run, fn, n, w)
+            seen.append((run, fn, n, w, out))
+            return out
+
+        monkeypatch.setattr(qsabine.disk._LatticeRun, "pair", recorded)
+        return seen
+
+    @pytest.mark.parametrize("problem, re_hi", CONFIGS)
+    def test_columns_match_amos_at_the_lattice_nodes(self, monkeypatch, problem, re_hi):
+        # Every fifth mode's pairs against AMOS at the same nodes.  Largest
+        # defects measured: 6.6e-13 relative on the floor (Im -3); on the
+        # ceiling (Im -1e-6) 3.7e-13 of |C| + |C'|, although J and J' alone
+        # differ by up to 3e-8 relative where they pass near a real zero.
+        seen = self.record_pairs(monkeypatch)
+        list(qsabine.disk._scan_tasks(problem, (200.0, re_hi), -3.0, range(361)))
+        assert {fn for _, fn, *_ in seen} == (
+            {jv} if isinstance(problem, DampingDisk) else {jv, hankel1})
+        for _, fn, n, w, (c, cp) in seen:
+            if n % 5:
+                continue
+            want, want_p = bessel_pair(fn, n, w)
+            scale = np.abs(want) + np.abs(want_p)
+            assert np.all(np.abs(c - want) <= 2e-12 * scale), (fn, n)
+            assert np.all(np.abs(cp - want_p) <= 2e-12 * scale), (fn, n)
+            assert np.all(np.abs(c[0] - want[0]) <= 2e-12 * np.abs(want[0])), (fn, n)
+            assert np.all(np.abs(cp[0] - want_p[0]) <= 2e-12 * np.abs(want_p[0])), (fn, n)
+
+    # TestBesselPairOracle's points in the lower half plane with n <= 500.
+    ORACLE_POINTS = (
+        (1, 30.0 - 50j), (40, 19990.0 - 50j), (100, 3000.0 - 50j),
+        (400, 600.0 - 50j), (500, 500.0 - 1j),
+    )
+
+    def test_recurrence_against_mpmath(self):
+        # J comes 40 orders down from its seeds, H^(1) up to 40 orders up
+        # from its seeds, at one node each; mpmath at 30 digits.  In the
+        # lower half plane H^(1) = J + i Y does not cancel.  The largest
+        # defect measured is 1.5e-11, H^(1)_400(600 - 50i) (AMOS: 4e-14);
+        # the others are at most 4e-13.  At the default floor, Im -3, the
+        # columns of the default scans keep 6.6e-13 (test above).
+        mpmath = pytest.importorskip("mpmath")
+        for n, z in self.ORACLE_POINTS:
+            run = qsabine.disk._LatticeRun(np.array([n + 40]))
+            w = np.array([z])
+            for k in range(max(0, n - 40), n + 1):
+                pairs = [run.pair(fn, k, w) for fn in (jv, hankel1)]
+            with mpmath.workdps(30):
+                m = mpmath.mpc(z.real, z.imag)
+                jp = mpmath.besselj(n, m, 1)
+                want = [(mpmath.besselj(n, m), jp),
+                        (mpmath.hankel1(n, m), jp + 1j * mpmath.bessely(n, m, 1))]
+            for (c, cp), (v, vp) in zip(pairs, want):
+                assert abs(complex(c[0]) - complex(v)) <= 1e-10 * abs(complex(v)), (n, z)
+                assert abs(complex(cp[0]) - complex(vp)) <= 1e-10 * abs(complex(vp)), (n, z)
+
+    def test_unrepresentable_rows_fall_back_per_node(self, monkeypatch):
+        # A row that is not finite leaves its mode to the per-node contour,
+        # and the recurrence's overflow raises no numpy warning.
+        pair = qsabine.disk._LatticeRun.pair
+
+        def spoiled(run, fn, n, w):
+            c, cp = pair(run, fn, n, w)
+            return (c * np.inf, cp) if n == 5 else (c, cp)
+
+        monkeypatch.setattr(qsabine.disk._LatticeRun, "pair", spoiled)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tasks = list(qsabine.disk._scan_tasks(TE_FAST, (200.0, 215.0), -3.0, range(10)))
+        assert [rows is None for *_, rows in tasks] == [n == 5 for n in range(10)]
+
+    @pytest.mark.parametrize("modes", [[0], [0, 1], range(4), range(0, 30)])
+    def test_scan_does_not_depend_on_the_lattice(self, monkeypatch, modes):
+        # Runs of fewer than four modes count per node; longer ones, mode 0
+        # (order -1) included, start from the lattice.  The roots agree
+        # with an all-per-node scan, residuals and seed tags included.
+        tasks = list(qsabine.disk._scan_tasks(TE_FAST, (200.0, 215.0), -3.0, modes))
+        assert all((rows is None) == (len(modes) < 4) for *_, rows in tasks)
+        with_lattice = scan(TE_FAST, (200.0, 215.0), -3.0, modes)
+        monkeypatch.setattr(qsabine.disk, "_LATTICE_RUN", 10 ** 9)
+        assert scan(TE_FAST, (200.0, 215.0), -3.0, modes) == with_lattice
+        assert with_lattice
+
+    def test_run_covers_only_its_windows(self, monkeypatch):
+        # Modes 1000..1003 of Re 200..1400 start at Re 833.3.  At Re 200,
+        # where none of them looks, H_1003 would overflow.  A recurrence
+        # is set up at the nodes of its first request, which lie inside
+        # the run's windows, and never goes elsewhere.
+        seen = self.record_pairs(monkeypatch)
+        tasks = list(qsabine.disk._scan_tasks(TE_FAST, (200.0, 1400.0), -3.0, range(1000, 1004)))
+        assert min(w.real.min() for _, fn, _, w, _ in seen if fn is jv) > 833.3 / TE_FAST.c
+        assert min(w.real.min() for _, fn, _, w, _ in seen if fn is hankel1) > 833.3
+        for (n, lo, hi), _, rows in tasks:
+            box = (lo, hi, -3.0, self.CEILING)
+            assert rows is not None and rows[0][0] > lo
+            assert (qsabine.disk._winding_number(TE_FAST, n, box, rows)
+                    == qsabine.disk._winding_number(TE_FAST, n, box))
+
+    def test_wide_window_counts(self):
+        # At Re 200..1400 a lattice ring holds about 4,800 nodes, more than
+        # the 3,840 bisection nodes a count may add; the ring is not charged
+        # to that budget, so these counts equal the per-node ones.
+        modes = [0, 1, 2, 3, 8, 9, 10, 11, 198, 199, 200, 201]
+        tasks = list(qsabine.disk._scan_tasks(TE_FAST, (200.0, 1400.0), -3.0, modes))
+        boxes = [(n, (lo, hi, -3.0, self.CEILING), rows) for (n, lo, hi), _, rows in tasks]
+        counts = [qsabine.disk._winding_number(TE_FAST, n, box, rows) for n, box, rows in boxes]
+        assert counts == [qsabine.disk._winding_number(TE_FAST, n, box) for n, box, _ in boxes]
+        assert counts[6] == 191 and counts[10] == 132
+
+    def test_short_runs_cost_no_more_amos(self, monkeypatch):
+        # A lone mode keeps its per-node contour and so its AMOS cost; a
+        # run of four shares its lattice and costs less than per node.
+        elems = []
+        for name in ("jv", "hankel1"):
+            fn = getattr(qsabine.disk, name)
+            monkeypatch.setattr(qsabine.disk, name,
+                                lambda *a, fn=fn: elems.append(np.size(out := fn(*a))) or out)
+
+        def cost(modes, lattice):
+            monkeypatch.setattr(qsabine.disk, "_LATTICE_RUN", 4 if lattice else 10 ** 9)
+            elems.clear()
+            scan(DeltaDisk(1.0, 5.0 / 6.0), (1001.0, 1047.0), -4.0, modes)
+            return sum(elems)
+
+        assert cost([1000], True) == cost([1000], False)
+        assert cost(range(1000, 1004), True) < cost(range(1000, 1004), False)
 
 
 class TestResonanceCsv:
