@@ -36,7 +36,12 @@ counts over the scan rectangle, with subdivision and reseeding where the
 count disagrees with the roots in hand.  A count tracks arg f node to
 node around the rectangle and bisects each boundary segment until the
 phase is resolved on it (Delves & Lyness, Math. Comp. 21, 1967), so it
-is an integer by construction or no count at all.
+is an integer by construction or no count at all.  Every mode's box
+shares the scan's two horizontal edges, so a scan fills their starting
+nodes once, on one lattice: the Bessel columns of each run of
+consecutive modes come from the three-term order recurrence, downward
+for J and upward for H^(1), seeded by AMOS (Gautschi, SIAM Review 9,
+1967), and each pool task carries its mode's edge rows of f and f'/f.
 """
 
 from __future__ import annotations
@@ -1027,10 +1032,10 @@ class _Upward:
     """(C_(n-1), C_n) of the dominant cylinder function H^(1), n ascending.
 
     Seeded by AMOS at the run's first two orders, then C_(k+1) =
-    (2k/w) C_k - C_(k-1), stable because H^(1) is the dominant solution
-    (Gautschi, SIAM Review 9, 1967; DLMF 10.74(iv)).  Each step is taken
-    only at the nodes the asking mode needs, so that H^(1) cannot
-    overflow where no mode looks.
+    (2k/w) C_k - C_(k-1), the stable direction for H^(1), the dominant
+    solution once k > |w| (Gautschi, SIAM Review 9, 1967; DLMF
+    10.74(iv)).  Each step is taken only at the nodes the asking mode
+    needs, so that H^(1) cannot overflow where no mode looks.
     """
 
     def __init__(self, fn, w, n):
@@ -1357,7 +1362,10 @@ def scan(
     list, with binary subdivision and fresh Newton casts wherever the
     count disagrees.  The seeds of all modes are built first, as one
     table, so that every phase condition of the scan is inverted in one
-    batched Brent solve.  Cells whose count never reconciles are reported
+    batched Brent solve.  Each run of at least four consecutive modes
+    starts its counts from rows on one lattice along the rectangle's two
+    horizontal edges, filled by the order recurrence as the modes are
+    handed out.  Cells whose count never reconciles are reported
     through IncompleteScanWarning, and so, at once and without
     subdivision, are cells on whose contour the secular function is not
     representable in double precision.
@@ -1365,8 +1373,9 @@ def scan(
     workers > 1 distributes modes over a process pool of
     pool_size(workers, modes) processes: never more than one per distinct
     mode, and none at all (a serial scan) when that leaves at most one.
-    Modes are handed out one per task, with their seeds, in ascending
-    order, so the costly low modes start first.  Results are merged in a
+    Modes are handed out one per task, with their seeds and lattice
+    rows, in ascending order, so the costly low modes start first, and
+    are queued _POOL_CHUNK tasks at a time.  Results are merged in a
     stable (Re lambda, n) order either way, so the output is
     deterministic for a fixed configuration.
     """
