@@ -892,11 +892,14 @@ _TRAPEZOID_TOL = pi / 4.0
 # horizontal edges, fine enough that most segments resolve unbisected;
 # the fewest consecutive modes that share them (a run of up to three
 # modes can pay more AMOS for the lattice's seeds than for its own
-# rings, so such modes keep the per-node contour); and the orders of J
-# recomputed and held at once.
+# rings, so such modes keep the per-node contour); the orders of J
+# recomputed and held at once; and the largest growth of rounding errors
+# the upward H^(1) recurrence may incur (about 3e-16 times it, measured,
+# so at most ~3e-10 relative; Im -3 incurs 202, Im -8 up to 7e6).
 _LATTICE_SPACING = _COUNT_SPACING / 4.0
 _LATTICE_RUN = 4
 _LATTICE_BLOCK = 32
+_LATTICE_GROWTH = 1e6
 
 # Pool tasks are queued this many at a time (see _pool_map).
 _POOL_CHUNK = 16
@@ -1029,25 +1032,35 @@ def _tail(v, size):
 
 
 class _Upward:
-    """(C_(n-1), C_n) of the dominant cylinder function H^(1), n ascending.
+    """(C_(n-1), C_n) of H^(1), n ascending, by the upward recurrence.
 
     Seeded by AMOS at the run's first two orders, then C_(k+1) =
-    (2k/w) C_k - C_(k-1), the stable direction for H^(1), the dominant
-    solution once k > |w| (Gautschi, SIAM Review 9, 1967; DLMF
-    10.74(iv)).  Each step is taken only at the nodes the asking mode
-    needs, so that H^(1) cannot overflow where no mode looks.
+    (2k/w) C_k - C_(k-1) (Gautschi, SIAM Review 9, 1967; DLMF
+    10.74(iv)).  Upward is stable where H^(1) dominates: beyond the
+    turning point, k > |w|, and below it near the real axis.  Far below
+    the axis H^(2) gains on H^(1) as k grows towards |w|, by up to
+    e^(2 |Im w|), and so does the rounding error.  A probe, the solution
+    started from (0, C_n), measures that gain node by node: once it
+    exceeds _LATTICE_GROWTH the node's columns are NaN, so its rows fail
+    the test of _log_derivative and the mode is counted per node.  Each
+    step is taken only at the nodes the asking mode needs, so that H^(1)
+    cannot overflow where no mode looks.
     """
 
     def __init__(self, fn, w, n):
         self.w, self.n = w, n
-        self.prev, self.cur = fn(n - 1, w), fn(n, w)
+        prev, cur = fn(n - 1, w), fn(n, w)
+        # row 0 carries the columns, row 1 the probe
+        self.prev, self.cur = np.stack([prev, np.zeros_like(w)]), np.stack([cur, cur])
+        self.lost = np.zeros(w.shape, bool)
 
     def columns(self, n, size):
-        w, prev, cur = (_tail(v, size) for v in (self.w, self.prev, self.cur))
+        w, prev, cur, lost = (_tail(v, size) for v in (self.w, self.prev, self.cur, self.lost))
         for k in range(self.n, n):
             prev, cur = cur, (2.0 * k / w) * cur - prev
-        self.w, self.n, self.prev, self.cur = w, n, prev, cur
-        return prev, cur
+            lost = lost | (np.abs(cur[1]) > _LATTICE_GROWTH * np.abs(cur[0]))
+        self.w, self.n, self.prev, self.cur, self.lost = w, n, prev, cur, lost
+        return np.where(lost, np.nan, prev[0]), np.where(lost, np.nan, cur[0])
 
 
 class _Downward:
@@ -1137,8 +1150,9 @@ def _lattice_rows(problem, re_window, im_floor, windows):
     by the order recurrence, seeded by AMOS per run (see _LatticeRun).
     None stands for a window left to the per-node contour: in a shorter
     run, without lattice nodes, or whose rows are not finite and
-    nonzero everywhere.  A generator, so that rows are built as the
-    tasks are handed out.
+    nonzero everywhere (which includes H^(1) columns that lost their
+    digits far below the axis, see _Upward).  A generator, so that rows
+    are built as the tasks are handed out.
     """
     re_lo, re_hi = re_window
     m = math.ceil((re_hi - re_lo) / _LATTICE_SPACING)

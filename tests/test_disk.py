@@ -901,6 +901,29 @@ class TestCountLattice:
             assert np.all(np.abs(c[0] - want[0]) <= 2e-12 * np.abs(want[0])), (fn, n)
             assert np.all(np.abs(cp[0] - want_p[0]) <= 2e-12 * np.abs(want_p[0])), (fn, n)
 
+    @pytest.mark.parametrize("floor", [-8.0, -50.0])
+    def test_deep_floors_drop_rows_that_lost_digits(self, monkeypatch, floor):
+        # Far below the axis the upward H^(1) recurrence amplifies its
+        # rounding errors by up to e^(2 |Im|): without the probe, Im -20
+        # gives H^(1) columns off by a factor of 68.  Rows whose probe
+        # exceeds the growth bound are dropped (modes from 203 at Im -8,
+        # from 108 at Im -50); the kept rows match AMOS to 1e-9, and
+        # every eighth mode's count equals the per-node count.
+        seen = self.record_pairs(monkeypatch)
+        tasks = list(qsabine.disk._scan_tasks(TE_FAST, (200.0, 300.0), floor, range(361)))
+        kept = {n for (n, _, _), _, rows in tasks if rows is not None}
+        assert 0 < len(kept) < len(tasks)
+        for _, fn, n, w, (c, cp) in seen:
+            if n in kept and n % 5 == 0:
+                want, want_p = bessel_pair(fn, n, w)
+                scale = np.abs(want) + np.abs(want_p)
+                assert np.all(np.abs(c - want) <= 1e-9 * scale), (fn, n)
+                assert np.all(np.abs(cp - want_p) <= 1e-9 * scale), (fn, n)
+        for (n, lo, hi), _, rows in tasks[::8]:
+            box = (lo, hi, floor, self.CEILING)
+            assert (qsabine.disk._winding_number(TE_FAST, n, box, rows)
+                    == qsabine.disk._winding_number(TE_FAST, n, box)), n
+
     # TestBesselPairOracle's points in the lower half plane with n <= 500.
     ORACLE_POINTS = (
         (1, 30.0 - 50j), (40, 19990.0 - 50j), (100, 3000.0 - 50j),
