@@ -1068,8 +1068,11 @@ class _Downward:
 
     Each node is seeded by AMOS at the two highest orders a mode of the
     run needs there (tops, and tops - 1); the downward recurrence
-    C_(k-1) = (2k/w) C_k - C_(k+1), stable for the minimal solution,
-    fills the orders below.  One sweep from the top keeps the recurrence
+    C_(k-1) = (2k/w) C_k - C_(k+1) fills the orders below.  It is stable
+    for the minimal solution beyond the turning point, and below it, in
+    the lower half plane, J follows H^(1), which gains on H^(2) as k
+    falls (measured: within 6e-13 of AMOS on the default lattice at
+    Im -3 and at Im -50).  One sweep from the top keeps the recurrence
     state at the top of every _LATTICE_BLOCK orders, and a block is swept
     again into stored columns when a mode first asks for it: one block of
     columns is held at a time, and AMOS is called only for the seeds.

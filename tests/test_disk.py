@@ -1009,10 +1009,16 @@ class TestCountLattice:
         # A lone mode keeps its per-node contour and so its AMOS cost; a
         # run of four shares its lattice and costs less than per node.
         elems = []
+
+        def counted(fn):
+            def call(*args):
+                out = fn(*args)
+                elems.append(np.size(out))
+                return out
+            return call
+
         for name in ("jv", "hankel1"):
-            fn = getattr(qsabine.disk, name)
-            monkeypatch.setattr(qsabine.disk, name,
-                                lambda *a, fn=fn: elems.append(np.size(out := fn(*a))) or out)
+            monkeypatch.setattr(qsabine.disk, name, counted(getattr(qsabine.disk, name)))
 
         def cost(modes, lattice):
             monkeypatch.setattr(qsabine.disk, "_LATTICE_RUN", 4 if lattice else 10 ** 9)
