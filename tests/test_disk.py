@@ -12,6 +12,9 @@ Independent routes used here:
     through the public warning machinery, and directly against counts
     confirmed by scans and mpmath, and hypothesis properties: additive
     under cell splits, unchanged under n -> -n)
+  * the count lattice: its recurrence columns against AMOS at the same
+    nodes and against mpmath, and every mode's count from it against
+    the per-node count
   * mpmath at 30 digits for the delta glancing roots, and the Airy
     reduction of the delta secular condition near the turning point
     (Maclaurin-series Airy functions)
