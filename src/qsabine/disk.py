@@ -1149,10 +1149,11 @@ def _lattice_rows(problem, re_window, im_floor, windows):
     and the ceiling.  A window's rows are (x, f, f'/f): x the k lattice
     Re nodes inside the window, ascending, and f, f'/f of shape (2, k),
     row 0 on the floor and row 1 on the ceiling.  The Bessel columns
-    of every run of at least _LATTICE_RUN consecutive modes are filled
-    by the order recurrence, seeded by AMOS per run (see _LatticeRun).
-    None stands for a window left to the per-node contour: in a shorter
-    run, without lattice nodes, or whose rows are not finite and
+    of every run of at least _LATTICE_RUN consecutive modes with
+    lattice nodes are filled by the order recurrence, seeded by AMOS per
+    run (see _LatticeRun).  None stands for a window left to the
+    per-node contour: in a shorter run, without lattice nodes (a window
+    may start beyond the last node), or whose rows are not finite and
     nonzero everywhere (which includes H^(1) columns that lost their
     digits far below the axis, see _Upward).  A generator, so that rows
     are built as the tasks are handed out.
@@ -1167,13 +1168,16 @@ def _lattice_rows(problem, re_window, im_floor, windows):
         j = i + 1
         while j < len(windows) and windows[j][0] == windows[j - 1][0] + 1:
             j += 1
-        if j - i < _LATTICE_RUN or firsts[i] == x.size:
-            yield from [None] * (j - i)
+        # the run's top modes may start beyond the last lattice node
+        stop = i + int(np.searchsorted(firsts[i:j], x.size))
+        if stop - i < _LATTICE_RUN:
+            stop = i
         else:
             nodes = np.arange(firsts[i], x.size)
-            run = _LatticeRun(windows[i][0] - 1 + np.searchsorted(firsts[i:j], nodes, side="right"))
-            for k in range(i, j):
+            run = _LatticeRun(windows[i][0] - 1 + np.searchsorted(firsts[i:stop], nodes, side="right"))
+            for k in range(i, stop):
                 yield _edge_rows(problem, windows[k][0], x[firsts[k]:], grid[:, firsts[k]:], run)
+        yield from [None] * (j - stop)
         i = j
 
 

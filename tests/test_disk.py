@@ -982,6 +982,23 @@ class TestCountLattice:
         assert scan(TE_FAST, (200.0, 215.0), -3.0, modes) == with_lattice
         assert with_lattice
 
+    def test_top_modes_beyond_the_last_node(self, monkeypatch):
+        # On Re 200..250.2 the last lattice node is 249.70, but mode 300's
+        # window starts at 250.0: it has no lattice nodes, counts per node
+        # and does not belong to the run of modes 100..299.  Every count
+        # and the roots agree with an all-per-node scan.
+        modes = range(100, 301)
+        tasks = list(qsabine.disk._scan_tasks(TE_FAST, (200.0, 250.2), -3.0, modes))
+        assert [rows is None for *_, rows in tasks] == [n == 300 for n in modes]
+        for (n, lo, hi), _, rows in tasks:
+            box = (lo, hi, -3.0, self.CEILING)
+            assert (qsabine.disk._winding_number(TE_FAST, n, box, rows)
+                    == qsabine.disk._winding_number(TE_FAST, n, box)), n
+        with_lattice = scan(TE_FAST, (200.0, 250.2), -3.0, modes)
+        monkeypatch.setattr(qsabine.disk, "_LATTICE_RUN", 10 ** 9)
+        assert scan(TE_FAST, (200.0, 250.2), -3.0, modes) == with_lattice
+        assert with_lattice
+
     def test_run_covers_only_its_windows(self, monkeypatch):
         # Modes 1000..1003 of Re 200..1400 start at Re 833.3.  At Re 200,
         # where none of them looks, H_1003 would overflow.  A recurrence
