@@ -300,6 +300,26 @@ OUT_OF_BOX = (
 )
 
 
+# Boundary-law parameters that both the band and the scan commands refuse.
+BAD_LAWS = (
+    ["--problem", "delta", "--v0", "0"],
+    ["--problem", "delta", "--v0", "inf"],
+    ["--problem", "delta", "--v-exponent", "2"],
+    ["--problem", "delta", "--v-exponent", "-0.5"],
+    ["--problem", "damping", "--a", "0"],
+)
+
+
+class TestLawRefusals:
+    @pytest.mark.parametrize("command", ["bounds", "resonances"])
+    @pytest.mark.parametrize("flags", BAD_LAWS, ids=" ".join)
+    def test_bad_law_exits_2(self, command, flags, capsys):
+        status, out, err = run_argv(
+            [command] + flags + ["--grid", "9", "--nmax", "2"] + TINY, capsys)
+        assert status == 2
+        assert err.startswith("config error: ") and out == ""
+
+
 class TestScanBox:
     @pytest.mark.parametrize("argv", OUT_OF_BOX, ids=" ".join)
     def test_out_of_box_exits_2(self, argv, capsys):
