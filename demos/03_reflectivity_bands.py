@@ -36,7 +36,7 @@ for label, model in (
     ("transparent c=2, alpha=1  ", TransparentObstacle(2.0, 1.0)),
     ("transparent c=2, alpha=0.4", TransparentObstacle(2.0, 0.4)),
     ("damping a=2               ", BoundaryDamping(2.0)),
-    ("delta V0=1, h=1/250       ", DeltaPotential(1.0, -5.0 / 6.0, 1.0 / 250.0)),
+    ("delta V0=1, h=1/250       ", DeltaPotential(1.0, 5.0 / 6.0, 1.0 / 250.0)),
 ):
     band = sabine_bounds(disk, model)
     lower = "-inf" if not np.isfinite(band.lower) else f"{band.lower:+.6f}"

@@ -12,7 +12,6 @@ import numpy as np
 
 from qsabine import (
     ConvexDomain,
-    TransparentDisk,
     TransparentObstacle,
     one_bounce_quotients,
     sabine_bounds,
@@ -20,12 +19,11 @@ from qsabine import (
     write_resonance_csv,
 )
 
-problem = TransparentDisk(2.0, 1.0)
-model = TransparentObstacle(2.0, 1.0)
+law = TransparentObstacle(2.0, 1.0)
 disk = ConvexDomain.disk()
 
-res = scan(problem, (200.0, 230.0), -3.0, range(0, 41))
-band = sabine_bounds(disk, model)
+res = scan(law, (200.0, 230.0), -3.0, range(0, 41))
+band = sabine_bounds(disk, law)
 print(f"{len(res)} resonances in [200, 230] x [-3, 0), modes 0..40")
 print(f"sabine band: [{band.lower:+.6f}, {band.upper:+.6f}]")
 
@@ -34,7 +32,7 @@ inside = np.mean((im >= band.lower - 0.05) & (im <= band.upper + 0.05))
 print(f"within band +-0.05: {100 * inside:.1f}%")
 
 print("\n  n   Re lambda     Im lambda     one-bounce prediction")
-preds = one_bounce_quotients(model, [r.n / r.lam.real for r in res[:10]])
+preds = one_bounce_quotients(law, [r.n / r.lam.real for r in res[:10]])
 for r, pred in zip(res[:10], preds):
     print(f"  {r.n:3d}  {r.lam.real:10.4f}  {r.lam.imag:+.8f}   {pred:+.8f}")
 

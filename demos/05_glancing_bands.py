@@ -15,22 +15,22 @@ and 0.272 for n = 1000, 2500, 6300 and 9800, not yet small: the
 quotients sit well below 1 and drift upward slowly, the O(n^(-1/6))
 approach to the asymptotic band.
 """
-from qsabine import DeltaDisk, DeltaPotential, glancing_bands, scan
+from qsabine import DeltaPotential, glancing_bands, scan
 
 M_BANDS = 4
-problem = DeltaDisk(1.0, 5.0 / 6.0)
 
 print(f"glancing band predictions at h = 1/1000 (first {M_BANDS} Airy zeros):")
-for b in glancing_bands(DeltaPotential(1.0, -5.0 / 6.0, 1e-3), M_BANDS):
+for b in glancing_bands(DeltaPotential(1.0, 5.0 / 6.0, 1e-3), M_BANDS):
     print(f"  j={b.j}: Im lambda = {b.im_lambda:+.6f}")
 
 print("\nband quotients measured / predicted:")
 print("    n   delta1  j   Re lambda    Im lambda    val/B")
 for n in (1000, 2500, 6300, 9800):
     h = 1.0 / n
+    law = DeltaPotential(1.0, 5.0 / 6.0, h)
     delta1 = 2.0 ** (1.0 / 3.0) * n ** (-1.0 / 6.0)
-    res = scan(problem, (n + 0.5, n + 5.5 * n ** (1.0 / 3.0)), -4.0, [n])
-    bands = glancing_bands(DeltaPotential(1.0, -5.0 / 6.0, h), M_BANDS)
+    res = scan(law, (n + 0.5, n + 5.5 * n ** (1.0 / 3.0)), -4.0, [n])
+    bands = glancing_bands(law, M_BANDS)
     roots = sorted((r for r in res if 0.95 <= r.n / r.lam.real <= 1.0),
                    key=lambda r: r.lam.real)
     for b, r in zip(bands, roots):

@@ -5,10 +5,11 @@ resonances: billiard-averaged reflectivity bounds (the Sabine band) and
 Airy-zero glancing bands, checked against resonances of the unit disk
 computed from exact secular functions for three transmission problems.
 
-The curated surface below covers the standard workflow: build a
-reflectivity model and a disk problem, extremize the Sabine quotient,
-scan a frequency window for resonances, and compare.  Everything else
-stays importable from the submodules.
+The curated surface below covers the standard workflow: build one
+boundary law (TransparentObstacle, DeltaPotential or BoundaryDamping),
+extremize its Sabine quotient, scan a frequency window of the same law
+on the disk for resonances, and compare.  Everything else stays
+importable from the submodules.
 """
 from __future__ import annotations
 
@@ -42,17 +43,17 @@ from .sabine import (
     sabine_quotient,
 )
 from .disk import (
-    DampingDisk,
-    DeltaDisk,
     IncompleteScanWarning,
     NoConvergenceError,
     Resonance,
-    TransparentDisk,
     scan,
     secular,
     write_resonance_csv,
 )
 from .specfun import airy, airy_minus, airy_zeros, bessel_quad, friedlander_symbols
+
+# The former name of BoundaryDamping; perfbench/workloads.py imports it.
+DampingDisk = BoundaryDamping
 
 __all__ = [
     "__version__",
@@ -77,12 +78,9 @@ __all__ = [
     "one_bounce_quotients",
     "sabine_bounds",
     "sabine_quotient",
-    "DampingDisk",
-    "DeltaDisk",
     "IncompleteScanWarning",
     "NoConvergenceError",
     "Resonance",
-    "TransparentDisk",
     "scan",
     "secular",
     "write_resonance_csv",

@@ -2,9 +2,9 @@
 
 Five commands share one flag surface:
 
-  bounds      Sabine band of the configured reflectivity model (JSON)
-  bands       near-glancing band predictions for the delta problem (JSON)
-  resonances  scan the configured disk problem and dump the table (CSV)
+  bounds      Sabine band of the configured boundary law (JSON)
+  bands       near-glancing band predictions for the delta law (JSON)
+  resonances  scan the configured law on the disk and dump the table (CSV)
   plot        scan (or load a dumped table) and render an SVG figure
   verify      run the acceptance suite and report per-criterion results
 
@@ -46,13 +46,10 @@ import numpy as np
 from . import __version__, svg
 from .billiards import ConvexDomain
 from .disk import (
-    DampingDisk,
-    DeltaDisk,
     IncompleteScanWarning,
     NoConvergenceError,
     RESONANCE_CSV_HEADER,
     TANGENT_CAP,
-    TransparentDisk,
     check_scan_box,
     pool_size,
     scan,
@@ -66,28 +63,11 @@ from .specfun import BESSEL_ORDER_MAX
 __all__ = ["ConfigError", "RunConfig", "emit_figure", "run", "main"]
 
 
-@dataclasses.dataclass(frozen=True)
-class _ProblemEntry:
-    """Parameter fields of one problem, its disk class and its reflectivity
-    model built from (params, Re window or None)."""
-
-    fields: Tuple[str, ...]
-    disk: type
-    model: Callable
-
-
+# Each problem's boundary law and the settings that are its parameters.
 _PROBLEM_TABLE = {
-    "transparent": _ProblemEntry(
-        ("c", "alpha"), TransparentDisk,
-        lambda p, window: TransparentObstacle(p["c"], p["alpha"])),
-    # the semiclassical parameter is the inverse mid-window frequency
-    "delta": _ProblemEntry(
-        ("v0", "v_exponent"), DeltaDisk,
-        lambda p, window: DeltaPotential(p["v0"], -p["v_exponent"],
-                                         2.0 / sum(window) if window else 1.0)),
-    "damping": _ProblemEntry(
-        ("a",), DampingDisk,
-        lambda p, window: BoundaryDamping(p["a"])),
+    "transparent": (TransparentObstacle, ("c", "alpha")),
+    "delta": (DeltaPotential, ("v0", "v_exponent")),
+    "damping": (BoundaryDamping, ("a",)),
 }
 
 
@@ -118,17 +98,15 @@ def _decay_curve(model, tf_max: float):
 def _circle_panels(rows, config) -> list:
     """Im lambda against n / Re lambda with the one-bounce decay curve,
     above Im lambda against Re lambda with the Sabine band edges."""
-    entry, params = _PROBLEM_TABLE[config.problem], config.params()
     tangent = [r.n / r.lam.real for r in rows]
     re_vals = [r.lam.real for r in rows]
     im_vals = [r.lam.imag for r in rows]
     top = svg.Panel("n / Re lambda", "Im lambda")
     top.scatter(tangent, im_vals)
-    top.line(*_decay_curve(entry.model(params, None), max(tangent) * 1.02))
+    top.line(*_decay_curve(config.law(None), max(tangent) * 1.02))
     bottom = svg.Panel("Re lambda", "Im lambda")
     bottom.scatter(re_vals, im_vals)
-    band = sabine_bounds(ConvexDomain.disk(),
-                         entry.model(params, (min(re_vals), max(re_vals))))
+    band = sabine_bounds(ConvexDomain.disk(), config.law((min(re_vals), max(re_vals))))
     for edge in (band.lower, band.upper):
         if math.isfinite(edge):
             bottom.hline(edge)
@@ -142,7 +120,7 @@ def _bands_panels(rows, config) -> list:
     window = (min(re_vals), max(re_vals))
     panel = svg.Panel("Re lambda", "-Im lambda", "log", "log")
     panel.scatter(re_vals, [-r.lam.imag for r in rows])
-    model = _PROBLEM_TABLE[config.problem].model(config.params(), window)
+    model = config.law(window)
     gx = np.geomspace(window[0], window[1], 64)
     for b in glancing_bands(model, m_bands=3):
         panel.line(gx, [-b.predicted_im_lambda(1.0 / x) for x in gx], dash="5,4")
@@ -207,9 +185,9 @@ class RunConfig:
     Every field after ``command`` is a setting declared once, with its
     default, converter, flag and help line.  Field defaults are the
     package defaults; a config file overrides them and explicit flags
-    override the file.  ``validate`` constructs the target module's
-    objects eagerly so that an invalid parameter is rejected here,
-    naming the violated invariant, rather than mid-scan.
+    override the file.  ``validate`` constructs the boundary law eagerly,
+    and checks a scan's box, so that an invalid parameter is rejected
+    here, naming the violated invariant, rather than mid-scan.
     """
 
     command: str
@@ -264,18 +242,23 @@ class RunConfig:
             if lo_n < 0 or hi_n < lo_n or step < 1:
                 raise ConfigError("mode range must be 0 <= A <= B with positive step")
         try:
-            problem = self.disk_problem()
-            self.reflectivity_model()
+            law = self.law(self.re_window)
             if self.scans():
-                check_scan_box(problem, self.re_window, self.im_floor, self.modes())
+                check_scan_box(law, self.re_window, self.im_floor, self.modes())
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
-    def disk_problem(self):
-        return _PROBLEM_TABLE[self.problem].disk(**self.params())
-
-    def reflectivity_model(self):
-        return _PROBLEM_TABLE[self.problem].model(self.params(), self.re_window)
+    def law(self, window: Optional[Tuple[float, float]]):
+        """The configured boundary law.  The delta law's semiclassical
+        parameter h is the inverse mid-window frequency of ``window``, or
+        1 without one; a scan does not read it."""
+        cls, _ = _PROBLEM_TABLE[self.problem]
+        if self.problem == "delta" and window:
+            if not sum(window) > 0.0:
+                raise ValueError("the delta law's h = 2 / (A + B) needs a re window "
+                                 "A:B with A + B > 0")
+            return cls(**self.params(), h=2.0 / sum(window))
+        return cls(**self.params())
 
     def scans(self) -> bool:
         """Whether the command runs a resonance scan."""
@@ -289,7 +272,7 @@ class RunConfig:
         return range(0, cap + 1)
 
     def params(self) -> dict:
-        return {name: getattr(self, name) for name in _PROBLEM_TABLE[self.problem].fields}
+        return {name: getattr(self, name) for name in _PROBLEM_TABLE[self.problem][1]}
 
     def config_hash(self) -> str:
         # Only computation-relevant fields: output path and worker count
@@ -423,7 +406,7 @@ def _write_manifest(config: RunConfig, elapsed: float) -> None:
 
 
 def _scan_with_completeness(config: RunConfig):
-    problem = config.disk_problem()
+    problem = config.law(config.re_window)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IncompleteScanWarning)
         results = scan(problem, config.re_window, config.im_floor, config.modes(),
@@ -435,7 +418,7 @@ def _scan_with_completeness(config: RunConfig):
 
 def _cmd_bounds(config: RunConfig) -> int:
     """`bounds` and `bands`: the Sabine band, and for `bands` the glancing bands."""
-    model = config.reflectivity_model()
+    model = config.law(config.re_window)
     glancing = glancing_bands(model, m_bands=3) if config.command == "bands" else ()
     band = sabine_bounds(ConvexDomain.disk(), model,
                          n_max=config.nmax, xi_points=config.grid)
@@ -506,7 +489,9 @@ def run(config: RunConfig) -> int:
     body, _ = _COMMANDS[config.command]
     try:
         status = body(config)
-    except ConfigError as err:
+    except ValueError as err:
+        # ConfigError, or a law the computation finds degenerate (say a
+        # reflectivity that vanishes on the whole band grid)
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except NoConvergenceError as err:

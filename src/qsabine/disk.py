@@ -1,17 +1,19 @@
-"""Scattering resonances of the unit disk for three transmission problems.
+"""Scattering resonances of the unit disk for the three boundary laws.
 
 For each angular mode n the outgoing solutions are governed by a secular
 function f_n(lambda) built from Bessel and Hankel factors; resonances are
-its zeros in the open lower half plane.  Three variants are supported:
+its zeros in the open lower half plane.  The problem is one of the
+boundary laws of ``reflectivity``, the same object the Sabine band
+takes, with constant parameters:
 
-  transparent   wave-speed contrast c and coupling alpha across the
-                circle:  f = c^-1 Jn'(lambda/c) Hn(lambda)
-                             - alpha Hn'(lambda) Jn(lambda/c)
-  delta         a frequency-scaled delta potential of strength
-                V(lambda) = v0 lambda^v_exponent on the circle, in the
-                Wronskian-reduced form  f = Jn Hn - 2i/(pi V)
-  damping       an absorbing boundary condition with damping a:
-                f = Jn' - i a Jn
+  TransparentObstacle(c, alpha)   wave-speed contrast c and coupling
+                alpha across the circle:  f = c^-1 Jn'(lambda/c) Hn(lambda)
+                                              - alpha Hn'(lambda) Jn(lambda/c)
+  DeltaPotential(v0, v_exponent)  a frequency-scaled delta potential of
+                strength V(lambda) = v0 lambda^v_exponent on the circle, in
+                the Wronskian-reduced form  f = Jn Hn - 2i/(pi V)
+  BoundaryDamping(a)              an absorbing boundary condition with
+                damping a:  f = Jn' - i a Jn
 
 Each secular function is written once, together with its derivative
 and the two terms whose moduli normalize the residual; the same formula
@@ -62,16 +64,13 @@ import numpy as np
 from scipy.special import hankel1, jv
 
 from .billiards import _brentq_rows
+from .reflectivity import BoundaryDamping, DeltaPotential, ReflectivityModel, TransparentObstacle
 # bessel_quad is not called here: perfbench/tracing.py wraps it on this
 # module by name.
 from .specfun import BESSEL_ARG_MAX, BESSEL_IM_MAX, BESSEL_ORDER_MAX
 from .specfun import _CBRT2, ScaledMagnitudeError, airy_zeros, bessel_pair, bessel_quad, phi_minus
 
 __all__ = [
-    "TransparentDisk",
-    "DeltaDisk",
-    "DampingDisk",
-    "DiskProblem",
     "Resonance",
     "NoConvergenceError",
     "IncompleteScanWarning",
@@ -165,73 +164,6 @@ class IncompleteScanWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class TransparentDisk:
-    """Transmission across the unit circle with wave speed c inside.
-
-    The interior field is a combination of J_n(lambda/c), the exterior
-    one of H_n(lambda); continuity of the field and of alpha times the
-    normal derivative couples them.
-    """
-
-    c: float
-    alpha: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise ValueError("wave speed c must be finite and positive")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError("coupling alpha must be finite and positive")
-
-    @property
-    def tag(self) -> str:
-        return "transparent"
-
-
-@dataclass(frozen=True)
-class DeltaDisk:
-    """Delta potential on the unit circle with frequency-scaled strength.
-
-    The potential multiplies the boundary trace by V(lambda) =
-    v0 lambda^v_exponent (principal branch), so the field is continuous
-    while its normal derivative jumps by -V times the trace.
-    """
-
-    v0: float
-    v_exponent: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.v0) and self.v0 > 0.0):
-            raise ValueError("potential amplitude v0 must be finite and positive")
-        if not math.isfinite(self.v_exponent):
-            raise ValueError("potential exponent must be finite")
-
-    def strength(self, lam: complex) -> complex:
-        return self.v0 * complex(lam) ** self.v_exponent
-
-    @property
-    def tag(self) -> str:
-        return "delta"
-
-
-@dataclass(frozen=True)
-class DampingDisk:
-    """Absorbing boundary condition u_r = i a u on the unit circle."""
-
-    a: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ValueError("damping a must be finite and positive")
-
-    @property
-    def tag(self) -> str:
-        return "damping"
-
-
-DiskProblem = Union[TransparentDisk, DeltaDisk, DampingDisk]
-
-
-@dataclass(frozen=True)
 class Resonance:
     """One zero of the secular function in the lower half plane.
 
@@ -294,7 +226,7 @@ def _second_derivative(n: int, z: complex, f: complex, fp: complex) -> complex:
     return -(1.0 - (n * n) / (z * z)) * f - fp / z
 
 
-def _secular_terms(problem: DiskProblem, n: int, z, pair=bessel_pair):
+def _secular_terms(problem: ReflectivityModel, n: int, z, pair=bessel_pair):
     """f, f' and the two terms A, B of f whose moduli sum to its scale.
 
     One formula per problem, evaluated either at a Python complex (the
@@ -306,7 +238,7 @@ def _secular_terms(problem: DiskProblem, n: int, z, pair=bessel_pair):
     Bessel pair (C_n, C_n') of the cylinder function fn at w: bessel_pair
     at points and nodes, _LatticeRun.pair on the scan's count lattice.
     """
-    if isinstance(problem, TransparentDisk):
+    if isinstance(problem, TransparentObstacle):
         c = problem.c
         alpha = problem.alpha
         w = z / c
@@ -318,7 +250,7 @@ def _secular_terms(problem: DiskProblem, n: int, z, pair=bessel_pair):
         outer = alpha * hp * j
         fp = jpp * h / (c * c) + jp * hp / c - alpha * (hpp * j + hp * jp / c)
         return inner - outer, fp, inner, outer
-    if isinstance(problem, DeltaDisk):
+    if isinstance(problem, DeltaPotential):
         j, jp = pair(jv, n, z)
         h, hp = pair(hankel1, n, z)
         v = problem.v0 * z ** problem.v_exponent
@@ -327,7 +259,7 @@ def _secular_terms(problem: DiskProblem, n: int, z, pair=bessel_pair):
         f = jh - 2j / (pi * v)
         fp = jp * h + j * hp + (2j / pi) * vp / (v * v)
         return f, fp, jh, 2.0 / (pi * v)
-    if isinstance(problem, DampingDisk):
+    if isinstance(problem, BoundaryDamping):
         j, jp = pair(jv, n, z)
         jpp = _second_derivative(n, z, j, jp)
         f = jp - 1j * problem.a * j
@@ -336,14 +268,14 @@ def _secular_terms(problem: DiskProblem, n: int, z, pair=bessel_pair):
     raise TypeError(f"not a disk problem: {problem!r}")
 
 
-def _secular_parts(problem: DiskProblem, n: int, lam: complex):
+def _secular_parts(problem: ReflectivityModel, n: int, lam: complex):
     """(f, f', scale) at one point, scale being the residual normalizer."""
     f, fp, a, b = _secular_terms(problem, n, complex(lam))
     scale = abs(a) + abs(b)
     return f, fp, (scale if scale > 0.0 else 1.0)
 
 
-def secular(problem: DiskProblem, n: int, lam: complex) -> tuple:
+def secular(problem: ReflectivityModel, n: int, lam: complex) -> tuple:
     """Secular function and its lambda-derivative at one point.
 
     The derivative is analytic, assembled from the Bessel derivative
@@ -353,13 +285,13 @@ def secular(problem: DiskProblem, n: int, lam: complex) -> tuple:
     return f, fp
 
 
-def _secular_array(problem: DiskProblem, n: int, z, pair=bessel_pair):
+def _secular_array(problem: ReflectivityModel, n: int, z, pair=bessel_pair):
     """Vectorized (f, f') of the same formula, without Bessel guards."""
     f, fp, _, _ = _secular_terms(problem, n, np.asarray(z, dtype=complex), pair)
     return f, fp
 
 
-def mode_symmetry_defect(problem: DiskProblem, n: int, lam: complex) -> float:
+def mode_symmetry_defect(problem: ReflectivityModel, n: int, lam: complex) -> float:
     """Relative mismatch of |f| between modes n and -n.
 
     Bessel reflection sends every order-n factor to (-1)^n times itself,
@@ -379,14 +311,14 @@ def mode_symmetry_defect(problem: DiskProblem, n: int, lam: complex) -> float:
 # asymptotic seeds
 
 
-def seed_normal(problem: TransparentDisk, n: int, k: int) -> complex:
+def seed_normal(problem: TransparentObstacle, n: int, k: int) -> complex:
     """Start point of the normal-incidence family of the transparent disk.
 
     Re lambda_0 = c (2 - sgn(1 - alpha c) + 2 n + 4 k) pi / 4 and
     Im lambda_0 = (c/2) log|(1 - alpha c)/(1 + alpha c)|, the reflection
     strength of a diameter-bouncing wave.
     """
-    if not isinstance(problem, TransparentDisk):
+    if not isinstance(problem, TransparentObstacle):
         raise TypeError("normal-incidence seeds exist for the transparent problem only")
     if abs(problem.alpha * problem.c - 1.0) < 1e-14:
         raise ValueError(
@@ -453,7 +385,7 @@ def _branch_sign(c: float, alpha: float, r: float) -> float:
     return 1.0 if nu >= alpha * math.sqrt(r * r - 1.0) else -1.0
 
 
-def _transverse_value(problem: TransparentDisk, n: int, r: float) -> complex:
+def _transverse_value(problem: TransparentObstacle, n: int, r: float) -> complex:
     """Seed at radius ratio r = Re lambda / n > 1 on the transverse family."""
     nu = math.sqrt(r * r / (problem.c * problem.c) - 1.0)
     ww = problem.alpha * math.sqrt(r * r - 1.0)
@@ -465,7 +397,7 @@ def _transverse_value(problem: TransparentDisk, n: int, r: float) -> complex:
     return complex(n * r, im)
 
 
-def seed_transverse(problem: TransparentDisk, p: int, q: int, m: int) -> complex:
+def seed_transverse(problem: TransparentObstacle, p: int, q: int, m: int) -> complex:
     """Start point on the transverse family of rotation number p/q.
 
     The footprint polygon has mq sides; the radius ratio r solves the
@@ -475,7 +407,7 @@ def seed_transverse(problem: TransparentDisk, p: int, q: int, m: int) -> complex
     transverse reflection decay.  Each phase condition is a one-row
     _invert_phases solve.
     """
-    if not isinstance(problem, TransparentDisk):
+    if not isinstance(problem, TransparentObstacle):
         raise TypeError("transverse seeds exist for the transparent problem only")
     if q < 1 or m < 1:
         raise ValueError("need q >= 1 and m >= 1")
@@ -499,7 +431,7 @@ def seed_transverse(problem: TransparentDisk, p: int, q: int, m: int) -> complex
     )
 
 
-def seed_glancing(problem: DeltaDisk, n: int, j: int) -> complex:
+def seed_glancing(problem: DeltaPotential, n: int, j: int) -> complex:
     """Start point of the j-th glancing resonance of the delta problem.
 
     Near lambda = n the mode sits an Airy length below the turning
@@ -507,14 +439,14 @@ def seed_glancing(problem: DeltaDisk, n: int, j: int) -> complex:
     2^(1/3) n^(2/3) / V and leaks at second order in delta1 through the
     outgoing log-derivative Phi_-.
     """
-    if not isinstance(problem, DeltaDisk):
+    if not isinstance(problem, DeltaPotential):
         raise TypeError("glancing seeds exist for the delta problem only")
     if n < 1 or j < 1:
         raise ValueError("need mode n >= 1 and band index j >= 1")
     return _glancing_start(problem, n, float(airy_zeros(j).zeros[j - 1]))
 
 
-def _glancing_start(problem: DeltaDisk, n: int, zeta: float) -> complex:
+def _glancing_start(problem: DeltaPotential, n: int, zeta: float) -> complex:
     """seed_glancing at the Airy zero zeta."""
     v = problem.v0 * float(n) ** problem.v_exponent
     n23 = float(n) ** (2.0 / 3.0)
@@ -556,7 +488,7 @@ def _newton_guard(problem, n, lam0, eps, a, b, scale0) -> bool:
 
 
 def newton_refine(
-    problem: DiskProblem,
+    problem: ReflectivityModel,
     n: int,
     lambda_0: complex,
     epsilon: float,
@@ -844,9 +776,9 @@ def _delta_table(problem, windows):
 
 
 _SEED_TABLES = {
-    TransparentDisk: _transparent_table,
-    DampingDisk: _damping_table,
-    DeltaDisk: _delta_table,
+    TransparentObstacle.tag: _transparent_table,
+    BoundaryDamping.tag: _damping_table,
+    DeltaPotential.tag: _delta_table,
 }
 
 
@@ -858,10 +790,8 @@ def _seed_table(problem, windows):
     by one batched Brent solve (two for the delta problem's fixed-point
     passes), and the Airy zeros are computed once per table.
     """
-    table = _SEED_TABLES.get(type(problem))
-    if table is None:
-        raise TypeError(f"not a disk problem: {problem!r}")
     pad = 3.0
+    table = _SEED_TABLES[problem.tag]
     return table(problem, [(n, re_lo - pad, re_hi + pad) for n, re_lo, re_hi in windows])
 
 
@@ -1287,29 +1217,40 @@ def _scan_mode(problem, im_floor, task):
     return roots, incomplete
 
 
-def check_scan_box(problem: DiskProblem, re_window, im_floor: float, n_range):
+def check_scan_box(problem: ReflectivityModel, re_window, im_floor: float, n_range):
     """Check a scan's window, floor and modes against the guarded box.
 
-    Returns the window ends as floats and the sorted distinct modes.
-    Raises ValueError naming the bound a setting violates.
+    Also checks what only the disk needs of the law: a delta or damping
+    amplitude that is a positive constant.  Returns the window ends as
+    floats and the sorted distinct modes.  Raises ValueError naming the
+    bound a setting violates, and TypeError for an object that is not a
+    boundary law.
     """
+    if not isinstance(problem, ReflectivityModel):
+        raise TypeError(f"not a disk problem: {problem!r}")
     re_lo, re_hi = float(re_window[0]), float(re_window[1])
     if not 1.0 < re_lo < re_hi:
         raise ValueError("need 1 < re_window[0] < re_window[1]")
     if re_hi > BESSEL_ARG_MAX - 200.0:
         raise ValueError("window exceeds the guarded special-function box")
-    if isinstance(problem, TransparentDisk):
-        if re_lo < problem.c:
-            raise ValueError(
-                "window must start at or above c: the interior argument "
-                "lambda / c would leave the guarded special-function box"
-            )
-        if re_hi / problem.c > BESSEL_ARG_MAX - 200.0:
-            raise ValueError(
-                f"window exceeds the guarded special-function box: the interior "
-                f"argument re_window[1] / c = {re_hi / problem.c:.6g} is above "
-                f"{BESSEL_ARG_MAX - 200.0:.6g}"
-            )
+    if not isinstance(problem, TransparentObstacle):
+        # the angular modes separate only for a constant amplitude, and a
+        # profile would not pickle for the pool
+        name = "v0" if isinstance(problem, DeltaPotential) else "a"
+        amplitude = getattr(problem, name)
+        if callable(amplitude) or not amplitude > 0.0:
+            raise ValueError(f"a disk scan needs a positive constant {name}, got {amplitude!r}")
+    elif re_lo < problem.c:
+        raise ValueError(
+            "window must start at or above c: the interior argument "
+            "lambda / c would leave the guarded special-function box"
+        )
+    elif re_hi / problem.c > BESSEL_ARG_MAX - 200.0:
+        raise ValueError(
+            f"window exceeds the guarded special-function box: the interior "
+            f"argument re_window[1] / c = {re_hi / problem.c:.6g} is above "
+            f"{BESSEL_ARG_MAX - 200.0:.6g}"
+        )
     if not im_floor < _IM_CEILING:
         raise ValueError(f"need im_floor < {_IM_CEILING}")
     if im_floor < -BESSEL_IM_MAX:
@@ -1364,7 +1305,7 @@ def _pool_map(pool, job, tasks):
 
 
 def scan(
-    problem: DiskProblem,
+    problem: ReflectivityModel,
     re_window,
     im_floor: float,
     n_range,

@@ -1,7 +1,10 @@
-"""Pointwise reflection coefficients for three transmission problems.
+"""The three boundary laws and their pointwise reflection coefficients.
 
-Three boundary models, each assigning a complex reflection coefficient
-r(x', xi) to a tangential frequency |xi| < 1 and a boundary position:
+Each law is one frozen dataclass that holds its parameters, checks them,
+names its CSV tag and computes its reflection coefficient r(x', xi) at a
+tangential frequency |xi| < 1 and a boundary position.  The same object
+is passed to the Sabine band (``sabine``) and to the disk resonance scan
+(``disk``), whose secular functions read the same parameters:
 
 * ``TransparentObstacle``: a penetrable interface between interior wave
   speed c and exterior speed 1, with normal-derivative coupling alpha,
@@ -11,10 +14,13 @@ r(x', xi) to a tangential frequency |xi| < 1 and a boundary position:
 
   When c**2 < xi**2 the square root is taken on the branch with
   argument in (-pi/2, 3pi/2], which puts it on the positive imaginary
-  axis and forces |r| = 1: total internal reflection.
+  axis and forces |r| = 1: total internal reflection.  c = 1 gives the
+  constant r = (1 - alpha)/(1 + alpha), and c = alpha = 1 is free space.
 
-* ``DeltaPotential``: a semiclassical delta sheet of strength
-  sigma = v0 * h**alpha_exp on the boundary,
+* ``DeltaPotential``: a delta sheet on the boundary.  The disk scan uses
+  its frequency-scaled strength V(lambda) = v0 lambda**v_exponent; the
+  reflectivity uses the semiclassical symbol sigma = v0 * h**-v_exponent
+  at the parameter h,
 
       r = h*sigma / (2i*sqrt(1 - xi**2) - h*sigma).
 
@@ -26,6 +32,8 @@ All three satisfy |r| <= 1.  Zeros of r (the Brewster angle of a
 transmitting interface, critically matched damping, v0 = 0) make
 log |r|**2 diverge; ``log_reflectivity`` signals them with the
 dedicated ``TOTAL_TRANSMISSION`` value instead of a silent infinity.
+Amplitude profiles v0(position) and a(position) serve the reflectivity
+only: the disk scan needs constants (see ``disk.check_scan_box``).
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, ClassVar, Optional, Union
 
 from .billiards import GLANCING_MARGIN
 
@@ -70,14 +78,20 @@ def _scalar_or_call(value, position):
 
 @dataclass(frozen=True)
 class TransparentObstacle:
-    """Penetrable interface with interior speed c != 1 and coupling alpha > 0."""
+    """Penetrable interface with interior speed c > 0 and coupling alpha > 0.
+
+    On the disk the interior field is a combination of J_n(lambda/c), the
+    exterior one of H_n(lambda); continuity of the field and of alpha
+    times the normal derivative couples them.
+    """
 
     c: float
     alpha: float
+    tag: ClassVar[str] = "transparent"
 
     def __post_init__(self):
-        if not (math.isfinite(self.c) and self.c > 0.0 and self.c != 1.0):
-            raise ValueError("interior speed c must be finite, positive and != 1")
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise ValueError("interior speed c must be finite and positive")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError("coupling alpha must be finite and positive")
 
@@ -85,58 +99,77 @@ class TransparentObstacle:
     def is_te(self) -> bool:
         """Transverse electric regime: |r| is bounded below on [0, 1)."""
         c, alpha = self.c, self.alpha
-        return (c < 1.0 and alpha < 1.0 / c) or (c > 1.0 and alpha > 1.0 / c)
+        return (c <= 1.0 and alpha < 1.0 / c) or (c >= 1.0 and alpha > 1.0 / c)
 
     @property
     def is_tm(self) -> bool:
-        """Transverse magnetic regime: r vanishes at the Brewster angle."""
+        """Transverse magnetic regime: r vanishes at the Brewster angle
+        (for c = alpha = 1, everywhere)."""
         return not self.is_te
+
+    def _coefficient(self, xi: float, nu: float, position: float) -> complex:
+        w = branched_sqrt(complex(self.c * self.c - xi * xi))
+        return (nu - self.alpha * w) / (self.alpha * w + nu)
 
 
 @dataclass(frozen=True)
 class DeltaPotential:
-    """Delta sheet of semiclassical strength v0 * h**alpha_exp.
+    """Delta sheet on the boundary: the field is continuous while its
+    normal derivative jumps by -V times the trace.
 
-    v0 may be a nonnegative scalar or a callable profile v0(position);
-    alpha_exp lies in [-1, 0] and h > 0 is the semiclassical parameter.
+    On the disk V(lambda) = v0 lambda**v_exponent (principal branch); the
+    reflectivity takes the semiclassical strength sigma = v0 h**-v_exponent
+    at h > 0.  v0 is a finite nonnegative scalar or a callable profile
+    v0(position); v_exponent lies in [0, 1].
     """
 
     v0: Union[float, Callable]
-    alpha_exp: float = 0.0
+    v_exponent: float = 0.0
     h: float = 1.0
+    tag: ClassVar[str] = "delta"
 
     def __post_init__(self):
-        if not callable(self.v0) and not self.v0 >= 0.0:
-            raise ValueError("amplitude v0 must be nonnegative")
-        if not -1.0 <= self.alpha_exp <= 0.0:
-            raise ValueError("alpha_exp must lie in [-1, 0]")
+        if not callable(self.v0) and not (math.isfinite(self.v0) and self.v0 >= 0.0):
+            raise ValueError("amplitude v0 must be finite and nonnegative")
+        if not 0.0 <= self.v_exponent <= 1.0:
+            raise ValueError("v_exponent must lie in [0, 1]")
         if not self.h > 0.0:
             raise ValueError("semiclassical parameter h must be positive")
 
+    def strength(self, lam: complex) -> complex:
+        """V(lambda) = v0 lambda**v_exponent of a constant amplitude."""
+        return self.v0 * complex(lam) ** self.v_exponent
+
     def sigma(self, position: float = 0.0) -> float:
-        """Symbol value sigma = v0(x') * h**alpha_exp at the given position."""
+        """Symbol value sigma = v0(x') * h**-v_exponent at the given position."""
         v = _scalar_or_call(self.v0, position)
         if not v >= 0.0:
             raise ValueError(f"amplitude profile must stay nonnegative, got {v!r}")
-        return v * self.h ** self.alpha_exp
+        return v * self.h ** -self.v_exponent
 
     def coupling(self, position: float = 0.0) -> float:
-        """Effective boundary coupling h * sigma = v0 * h**(1 + alpha_exp)."""
+        """Effective boundary coupling h * sigma = v0 * h**(1 - v_exponent)."""
         coupling = self.h * self.sigma(position)
         if not math.isfinite(coupling):
             raise ValueError("delta coupling h * sigma must be finite")
         return coupling
 
+    def _coefficient(self, xi: float, nu: float, position: float) -> complex:
+        hw = self.coupling(position)
+        return hw / (2.0j * nu - hw)
+
 
 @dataclass(frozen=True)
 class BoundaryDamping:
-    """Absorbing boundary with damping a(x') >= a_0 > 0.
+    """Absorbing boundary with damping a(x') >= a_0 > 0; on the disk the
+    condition u_r = i a u.
 
     a may be a finite positive scalar or a callable profile a(position) that
     stays bounded away from zero.
     """
 
     a: Union[float, Callable]
+    tag: ClassVar[str] = "damping"
 
     def __post_init__(self):
         if not callable(self.a) and not (math.isfinite(self.a) and self.a > 0.0):
@@ -147,6 +180,12 @@ class BoundaryDamping:
         if not val > 0.0:
             raise ValueError(f"damping profile must stay positive, got {val!r}")
         return val
+
+    def _coefficient(self, xi: float, nu: float, position: float) -> complex:
+        a = self.damping_at(position)
+        # a = nu is a genuine zero of r, not a pole: the denominator
+        # a + nu stays positive
+        return complex((nu - a) / (a + nu))
 
 
 ReflectivityModel = Union[TransparentObstacle, DeltaPotential, BoundaryDamping]
@@ -192,19 +231,11 @@ def reflect(model: ReflectivityModel, xi: float, position: float = 0.0) -> compl
         The reflection coefficient; |r| <= 1 always.  The transparent
         coefficient is real whenever c**2 >= xi**2.
     """
-    nu = _normal_component(xi)
-    if isinstance(model, TransparentObstacle):
-        w = branched_sqrt(complex(model.c * model.c - xi * xi))
-        return (nu - model.alpha * w) / (model.alpha * w + nu)
-    if isinstance(model, DeltaPotential):
-        hw = model.coupling(position)
-        return hw / (2.0j * nu - hw)
-    if isinstance(model, BoundaryDamping):
-        a = model.damping_at(position)
-        # a = nu is a genuine zero of r, not a pole: the denominator
-        # a + nu stays positive
-        return complex((nu - a) / (a + nu))
-    raise TypeError(f"not a reflectivity model: {model!r}")
+    # a tuple, not ReflectivityModel: isinstance of a typing.Union costs
+    # about 7x more, and the Sabine band calls this once per orbit point
+    if not isinstance(model, (TransparentObstacle, DeltaPotential, BoundaryDamping)):
+        raise TypeError(f"not a reflectivity model: {model!r}")
+    return model._coefficient(xi, _normal_component(xi), position)
 
 
 def brewster(model: TransparentObstacle) -> Optional[float]:

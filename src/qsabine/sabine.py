@@ -317,10 +317,14 @@ def glancing_limit(
     the limit is 0.  For c > 1 the per-bounce loss log|r|^2 and the
     chord length both vanish linearly in sqrt(1 - xi^2) and the quotient
     tends to -c kappa(s) / (alpha sqrt(c^2 - 1)), proportional to the
-    boundary curvature at the footpoint.
+    boundary curvature at the footpoint.  For c = 1 the loss does not
+    vanish with the chord, so there is no finite limit: ValueError.
     """
     if not isinstance(model, TransparentObstacle):
         raise TypeError("the glancing limit is defined for transparent obstacles")
+    if model.c == 1.0:
+        raise ValueError("no finite glancing limit at c = 1: the per-bounce loss "
+                         "does not vanish with the chord")
     if model.c < 1.0:
         return 0.0
     kappa = float(domain.curvature(float(s)))
@@ -332,10 +336,10 @@ class GlancingBand:
     """One near-glancing resonance band of the delta-potential problem.
 
     Band j sits at Im lambda ~ (Q/|s_v|^2) (2 h Q)^{1/3} ImPhi_-(zeta_j)
-    where s_v = v0 h^{1 + alpha_exp} is the semiclassical coupling and
+    where s_v = v0 h^{1 - v_exponent} is the semiclassical coupling and
     zeta_j the j-th Airy zero.  On the unit disk the glancing factor Q is
     identically 1, so the band is the single value ``im_lambda`` at the
-    model's h, and ``scale`` is the paper's B = 2^{1/3} / (v0 h^{alpha_exp})^2,
+    model's h, and ``scale`` is the paper's B = 2^{1/3} / (v0 h^{-v_exponent})^2,
     the h-independent form h^{2/3} Im(h lambda) / ImPhi_-(zeta_j).
     """
 
@@ -344,7 +348,7 @@ class GlancingBand:
     scale: float
     im_lambda: float
     v0: float
-    alpha_exp: float
+    v_exponent: float
 
     def __post_init__(self) -> None:
         if not self.im_lambda < 0.0:
@@ -354,11 +358,11 @@ class GlancingBand:
 
     def predicted_im_lambda(self, h: float) -> float:
         """Band prediction at semiclassical parameter h."""
-        return _band_value(self.v0, self.alpha_exp, float(h), self.im_phi_j)
+        return _band_value(self.v0, self.v_exponent, float(h), self.im_phi_j)
 
 
-def _band_value(v0: float, alpha_exp: float, h: float, im_phi: float) -> float:
-    sigma_hv = v0 * h ** (1.0 + alpha_exp)
+def _band_value(v0: float, v_exponent: float, h: float, im_phi: float) -> float:
+    sigma_hv = v0 * h ** (1.0 - v_exponent)
     return (1.0 / sigma_hv**2) * ((2.0 * h) ** (1.0 / 3.0) * im_phi)
 
 
@@ -385,7 +389,7 @@ def glancing_bands(model: DeltaPotential, m_bands: int = 3) -> Tuple[GlancingBan
         raise ValueError("m_bands must be a whole number in 1..100")
 
     table = airy_zeros(m)
-    sigma_v = v0 * h_val**model.alpha_exp
+    sigma_v = v0 * h_val**-model.v_exponent
     bands = []
     for j in range(1, m + 1):
         im_phi = table.im_phi_minus[j - 1]
@@ -393,9 +397,9 @@ def glancing_bands(model: DeltaPotential, m_bands: int = 3) -> Tuple[GlancingBan
             j=j,
             im_phi_j=float(im_phi),
             scale=_CBRT2 / sigma_v**2,
-            im_lambda=float(_band_value(v0, model.alpha_exp, h_val, im_phi)),
+            im_lambda=float(_band_value(v0, model.v_exponent, h_val, im_phi)),
             v0=v0,
-            alpha_exp=model.alpha_exp,
+            v_exponent=model.v_exponent,
         )
         if bands:
             # The Airy zeros push successive bands strictly down.

@@ -23,15 +23,7 @@ import numpy as np
 
 from . import specfun as sf
 from .billiards import ConvexDomain, PhasePoint, _billiard_steps, glancing_expansion_check
-from .disk import (
-    DampingDisk,
-    DeltaDisk,
-    TransparentDisk,
-    newton_refine,
-    scan,
-    seed_glancing,
-    seed_normal,
-)
+from .disk import newton_refine, scan, seed_glancing, seed_normal
 from .reflectivity import (
     BoundaryDamping,
     DeltaPotential,
@@ -160,15 +152,16 @@ def _check_billiard_map(workers: int) -> tuple:
 def _check_seed_quotient(workers: int) -> tuple:
     worst = 0.0
     for c, alpha in ((2.0, 1.0), (2.0, 0.4), (0.5, 1.0), (0.5, 4.0)):
-        q = one_bounce_quotients(TransparentObstacle(c, alpha), [0.0])[0]
-        s = seed_normal(TransparentDisk(c, alpha), 3, 7)
+        law = TransparentObstacle(c, alpha)
+        q = one_bounce_quotients(law, [0.0])[0]
+        s = seed_normal(law, 3, 7)
         worst = max(worst, abs(s.imag - q))
     ok = worst < 1e-9
     return ok, f"seed height vs one-bounce quotient, max gap {worst:.1e} (< 1e-9), 4 parameter pairs"
 
 
 def _check_seed_convergence(workers: int) -> tuple:
-    problem = TransparentDisk(2.0, 1.0)
+    problem = TransparentObstacle(2.0, 1.0)
     slopes = []
     for n in (0, 3):
         drift, res_re = [], []
@@ -182,12 +175,12 @@ def _check_seed_convergence(workers: int) -> tuple:
     return ok, f"seed-to-root drift slopes {slopes[0]:+.3f}, {slopes[1]:+.3f} (<= -0.8)"
 
 
-def _band_membership(problem, model, workers: int) -> tuple:
+def _band_membership(law, workers: int) -> tuple:
     """Scan Re 200..300, Im >= -3, n 0..360 and measure the fraction of
     roots inside the disk's Sabine band widened by 0.05 on each side.
     Returns (results, lo, hi, fraction)."""
-    results = scan(problem, (200.0, 300.0), -3.0, range(0, 361), workers=workers)
-    band = sabine_bounds(ConvexDomain.disk(), model)
+    results = scan(law, (200.0, 300.0), -3.0, range(0, 361), workers=workers)
+    band = sabine_bounds(ConvexDomain.disk(), law)
     lo, hi = band.lower - 0.05, band.upper + 0.05
     im = np.array([r.lam.imag for r in results])
     return results, lo, hi, float(np.mean((im >= lo) & (im <= hi)))
@@ -195,7 +188,7 @@ def _band_membership(problem, model, workers: int) -> tuple:
 
 def _check_transparent_band(workers: int) -> tuple:
     model = TransparentObstacle(2.0, 1.0)
-    results, _, _, inside = _band_membership(TransparentDisk(2.0, 1.0), model, workers)
+    results, _, _, inside = _band_membership(model, workers)
     # One-bounce decay curve through the low-angle cloud.
     tf = np.array([r.n / r.lam.real for r in results])
     cloud = tf <= 0.4
@@ -209,10 +202,10 @@ def _check_transparent_band(workers: int) -> tuple:
 
 
 def _check_brewster_contrast(workers: int) -> tuple:
-    xi_b = brewster(TransparentObstacle(2.0, 0.4))
-    tm = scan(TransparentDisk(2.0, 0.4), (200.0, 260.0), -8.0, range(50, 100),
-              workers=workers)
-    te = scan(TransparentDisk(2.0, 1.0), (200.0, 260.0), -8.0, range(50, 100),
+    tm_law = TransparentObstacle(2.0, 0.4)
+    xi_b = brewster(tm_law)
+    tm = scan(tm_law, (200.0, 260.0), -8.0, range(50, 100), workers=workers)
+    te = scan(TransparentObstacle(2.0, 1.0), (200.0, 260.0), -8.0, range(50, 100),
               workers=workers)
     te_floor = min(r.lam.imag for r in te)
     near = [r.lam.imag for r in tm if abs(2.0 * r.n / r.lam.real - xi_b) < 0.05]
@@ -234,16 +227,16 @@ def _check_delta_glancing(workers: int) -> tuple:
     # seed.  A root beyond the predicted bands fails the criterion.
     v0 = 5.0
     m_bands = 4
-    problem = DeltaDisk(v0, 5.0 / 6.0)
     rows = []
     delta1 = []
     for n in (1000, 1600, 2500, 4000, 6300, 9800):
         hi = n + 5.5 * n ** (1.0 / 3.0)
-        res = scan(problem, (n + 0.5, hi), -4.0, [n], workers=workers)
         h = 1.0 / n
+        law = DeltaPotential(v0, 5.0 / 6.0, h)
+        res = scan(law, (n + 0.5, hi), -4.0, [n], workers=workers)
         delta1.append(sf._CBRT2 * n ** (-1.0 / 6.0) / v0)
-        bands = glancing_bands(DeltaPotential(v0, -5.0 / 6.0, h), m_bands)
-        seeds = [seed_glancing(problem, n, b.j) for b in bands]
+        bands = glancing_bands(law, m_bands)
+        seeds = [seed_glancing(law, n, b.j) for b in bands]
         roots = sorted((r for r in res if 0.95 <= r.n / r.lam.real <= 1.0),
                        key=lambda r: r.lam.real)
         for k, r in enumerate(roots):
@@ -271,8 +264,7 @@ def _check_delta_glancing(workers: int) -> tuple:
 
 
 def _check_damping_band(workers: int) -> tuple:
-    results, lo, hi, inside = _band_membership(DampingDisk(2.0), BoundaryDamping(2.0),
-                                                workers)
+    results, lo, hi, inside = _band_membership(BoundaryDamping(2.0), workers)
     ok = inside == 1.0
     measured = (f"{100 * inside:.2f}% of {len(results)} eigenvalues in "
                 f"[{lo:.4f}, {hi:.4f}] (need 100%)")

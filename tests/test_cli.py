@@ -20,7 +20,8 @@ import pytest
 
 from qsabine import cli, svg
 from qsabine.cli import ConfigError, RunConfig, emit_figure, parse_config, run
-from qsabine.disk import IncompleteScanWarning, Resonance, scan, write_resonance_csv
+from qsabine.disk import (RESONANCE_CSV_HEADER, IncompleteScanWarning, Resonance, scan,
+                          write_resonance_csv)
 from qsabine.sabine import sabine_bounds
 from qsabine.billiards import ConvexDomain
 from qsabine.reflectivity import TransparentObstacle
@@ -236,10 +237,9 @@ class TestResonancesCommand:
         out = tmp_path / "res.csv"
         status, _, _ = run_argv(["resonances", "--out", str(out)] + TINY, capsys)
         assert status == 0
-        from qsabine.disk import TransparentDisk
-
         buf = io.StringIO()
-        write_resonance_csv(scan(TransparentDisk(2.0, 1.0), (200.0, 215.0), -3.0, range(0, 3)), buf)
+        write_resonance_csv(scan(TransparentObstacle(2.0, 1.0), (200.0, 215.0), -3.0, range(0, 3)),
+                            buf)
         assert out.read_text() == buf.getvalue()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, capsys):
@@ -307,6 +307,7 @@ BAD_LAWS = (
     ["--problem", "delta", "--v-exponent", "2"],
     ["--problem", "delta", "--v-exponent", "-0.5"],
     ["--problem", "damping", "--a", "0"],
+    ["--problem", "delta", "--re=-1:1"],
 )
 
 
@@ -315,9 +316,25 @@ class TestLawRefusals:
     @pytest.mark.parametrize("flags", BAD_LAWS, ids=" ".join)
     def test_bad_law_exits_2(self, command, flags, capsys):
         status, out, err = run_argv(
-            [command] + flags + ["--grid", "9", "--nmax", "2"] + TINY, capsys)
+            [command, "--grid", "9", "--nmax", "2"] + TINY + flags, capsys)
         assert status == 2
         assert err.startswith("config error: ") and out == ""
+        if "--v-exponent" in flags:
+            assert err == "config error: v_exponent must lie in [0, 1]\n"
+
+    def test_unit_speed(self, tmp_path, capsys):
+        # c = 1 is a valid law: a scan of free space (alpha = 1) finds no
+        # resonance, and at alpha = 2 the reflectivity is the constant -1/3.
+        # Free space reflects nothing, so its band is refused.
+        out = tmp_path / "free.csv"
+        status, _, _ = run_argv(["resonances", "--c", "1", "--out", str(out)] + TINY, capsys)
+        assert status == 0 and out.read_text() == ",".join(RESONANCE_CSV_HEADER) + "\n"
+        status, out, _ = run_argv(["bounds", "--c", "1", "--alpha", "2", "--grid", "9",
+                                   "--nmax", "2"], capsys)
+        assert status == 0 and json.loads(out)["upper"] == pytest.approx(np.log(1.0 / 3.0) / 2.0)
+        status, out, err = run_argv(["bounds", "--c", "1", "--grid", "9", "--nmax", "2"], capsys)
+        assert status == 2 and out == ""
+        assert err.startswith("config error: reflectivity vanishes on the whole sample grid")
 
 
 class TestScanBox:

@@ -37,13 +37,10 @@ from scipy.special import hankel1, jv, jvp, h1vp
 import qsabine.disk
 from qsabine.billiards import ConvexDomain, PhasePoint
 from qsabine.disk import (
-    DampingDisk,
-    DeltaDisk,
     IncompleteScanWarning,
     NoConvergenceError,
     RESONANCE_CSV_HEADER,
     Resonance,
-    TransparentDisk,
     check_scan_box,
     mode_symmetry_defect,
     newton_refine,
@@ -55,18 +52,18 @@ from qsabine.disk import (
     seed_transverse,
     write_resonance_csv,
 )
-from qsabine.reflectivity import TransparentObstacle
-from qsabine.sabine import sabine_quotient
+from qsabine.reflectivity import BoundaryDamping, DeltaPotential, TransparentObstacle
+from qsabine.sabine import one_bounce_quotients, sabine_quotient
 from qsabine.specfun import ScaledMagnitudeError, bessel_pair
 
 from oracles import airy_series, airy_zero_bisect
 
 DISK = ConvexDomain.disk()
-TE_FAST = TransparentDisk(2.0, 1.0)
-TE_SLOW = TransparentDisk(0.5, 1.0)
+TE_FAST = TransparentObstacle(2.0, 1.0)
+TE_SLOW = TransparentObstacle(0.5, 1.0)
 LOG3 = math.log(3.0)
 
-# First three Airy roots of mode n = 1000 of DeltaDisk(1, 5/6).
+# First three Airy roots of mode n = 1000 of DeltaPotential(1, 5/6).
 DELTA_LADDER_1000 = (
     complex(1016.3424, -1.1193),
     complex(1030.7267, -1.2371),
@@ -79,7 +76,7 @@ DELTA_LADDER_1000 = (
 # frequency n / Re lambda below the scan cap, and deep enough to hold
 # the normal-incidence zeros (Im -0.55 to -1.1) of these problems.
 PROBLEMS = st.sampled_from(
-    [TE_FAST, TransparentDisk(0.5, 1.3), DeltaDisk(1.0, 5.0 / 6.0), DampingDisk(2.0)]
+    [TE_FAST, TransparentObstacle(0.5, 1.3), DeltaPotential(1.0, 5.0 / 6.0), BoundaryDamping(2.0)]
 )
 
 
@@ -101,23 +98,23 @@ def residual(problem, n, lam):
 class TestProblemTypes:
     def test_field_validation(self):
         with pytest.raises(ValueError):
-            TransparentDisk(0.0, 1.0)
+            TransparentObstacle(0.0, 1.0)
         with pytest.raises(ValueError):
-            TransparentDisk(2.0, -1.0)
+            TransparentObstacle(2.0, -1.0)
         with pytest.raises(ValueError):
-            TransparentDisk(math.inf, 1.0)
+            TransparentObstacle(math.inf, 1.0)
         with pytest.raises(ValueError):
-            DeltaDisk(0.0)
+            DeltaPotential(math.inf)
         with pytest.raises(ValueError):
-            DampingDisk(-2.0)
+            BoundaryDamping(-2.0)
 
     def test_tags_and_strength(self):
         assert TE_FAST.tag == "transparent"
-        assert DampingDisk(2.0).tag == "damping"
-        d = DeltaDisk(3.0, 0.5)
+        assert BoundaryDamping(2.0).tag == "damping"
+        d = DeltaPotential(3.0, 0.5)
         assert d.tag == "delta"
         assert d.strength(4.0) == pytest.approx(6.0)
-        assert DeltaDisk(3.0).strength(100.0) == pytest.approx(3.0)
+        assert DeltaPotential(3.0).strength(100.0) == pytest.approx(3.0)
 
     def test_resonance_validation(self):
         ok = Resonance(complex(10.0, -1.0), 2, 1e-12, "normal", "transparent")
@@ -149,7 +146,7 @@ class TestSecular:
 
     def test_delta_against_scipy_assembly(self):
         rng = np.random.default_rng(4)
-        prob = DeltaDisk(2.0, 0.5)
+        prob = DeltaPotential(2.0, 0.5)
         for _ in range(20):
             lam = complex(rng.uniform(5, 300), -rng.uniform(0.05, 3.0))
             n = int(rng.integers(0, 30))
@@ -160,7 +157,7 @@ class TestSecular:
 
     def test_damping_against_scipy_assembly(self):
         rng = np.random.default_rng(5)
-        prob = DampingDisk(2.0)
+        prob = BoundaryDamping(2.0)
         for _ in range(20):
             lam = complex(rng.uniform(5, 300), -rng.uniform(0.05, 3.0))
             n = int(rng.integers(0, 30))
@@ -172,7 +169,7 @@ class TestSecular:
         # c = alpha = 1 makes inside and outside identical; the secular
         # function collapses to -W[J, H] = -2i / (pi lambda), which
         # never vanishes: free space has no resonances.
-        free = TransparentDisk(1.0, 1.0)
+        free = TransparentObstacle(1.0, 1.0)
         rng = np.random.default_rng(6)
         for _ in range(25):
             lam = complex(rng.uniform(2, 500), -rng.uniform(0.01, 5.0))
@@ -182,7 +179,7 @@ class TestSecular:
 
     def test_derivative_against_central_difference(self):
         rng = np.random.default_rng(8)
-        problems = (TE_FAST, TE_SLOW, DeltaDisk(1.0, 5.0 / 6.0), DampingDisk(2.0))
+        problems = (TE_FAST, TE_SLOW, DeltaPotential(1.0, 5.0 / 6.0), BoundaryDamping(2.0))
         h = 1e-5
         for _ in range(20):
             lam = complex(rng.uniform(10, 200), -rng.uniform(0.1, 2.0))
@@ -198,7 +195,7 @@ class TestSecular:
         # Newton evaluates one point at a time, contours and the guard
         # evaluate arrays; both must give the same f and f'.
         rng = np.random.default_rng(9)
-        problems = (TE_FAST, TransparentDisk(0.5, 1.3), DeltaDisk(2.0, 0.5), DampingDisk(2.0))
+        problems = (TE_FAST, TransparentObstacle(0.5, 1.3), DeltaPotential(2.0, 0.5), BoundaryDamping(2.0))
         lams = [complex(rng.uniform(200, 300), -rng.uniform(0.01, 3.0)) for _ in range(8)]
         for prob in problems:
             for n in (0, 1, 7, 150, 360):
@@ -215,13 +212,13 @@ class TestSecular:
         with pytest.raises(ValueError):
             secular(TE_FAST, 10, 100.0 - 60.0j)
         with pytest.raises(ValueError):
-            secular(DampingDisk(2.0), 10, 0.5 - 0.1j)
-        f, fp = secular(DampingDisk(2.0), 2000, 1500.0 - 1.0j)
+            secular(BoundaryDamping(2.0), 10, 0.5 - 0.1j)
+        f, fp = secular(BoundaryDamping(2.0), 2000, 1500.0 - 1.0j)
         assert cmath.isfinite(f) and cmath.isfinite(fp)
 
     def test_mode_symmetry(self):
         rng = np.random.default_rng(7)
-        problems = (TE_FAST, TE_SLOW, DampingDisk(2.0), DeltaDisk(1.0, 0.5))
+        problems = (TE_FAST, TE_SLOW, BoundaryDamping(2.0), DeltaPotential(1.0, 0.5))
         for _ in range(10):
             lam = complex(rng.uniform(50, 300), -rng.uniform(0.1, 3.0))
             n = int(rng.integers(1, 40))
@@ -249,14 +246,14 @@ class TestSeedNormal:
         # Same number the one-bounce Sabine quotient of the diameter
         # orbit produces.
         for c, alpha in ((2.0, 1.0), (2.0, 0.4), (0.5, 1.0), (0.5, 4.0)):
-            model = TransparentObstacle(c, alpha)
-            q = sabine_quotient(DISK, model, PhasePoint(0.0, 0.0), 1)
-            s = seed_normal(TransparentDisk(c, alpha), 3, 7)
+            law = TransparentObstacle(c, alpha)
+            q = sabine_quotient(DISK, law, PhasePoint(0.0, 0.0), 1)
+            s = seed_normal(law, 3, 7)
             assert s.imag == pytest.approx(q, abs=1e-12)
 
     def test_matched_impedance_rejected(self):
         with pytest.raises(ValueError):
-            seed_normal(TransparentDisk(2.0, 0.5), 0, 0)
+            seed_normal(TransparentObstacle(2.0, 0.5), 0, 0)
 
 
 class TestSeedTransverse:
@@ -291,35 +288,35 @@ class TestSeedTransverse:
 
     def test_wrong_problem_rejected(self):
         with pytest.raises(TypeError):
-            seed_transverse(DampingDisk(2.0), -1, 4, 1)
+            seed_transverse(BoundaryDamping(2.0), -1, 4, 1)
 
 
 class TestSeedGlancing:
     def test_frozen_start_point(self):
-        s = seed_glancing(DeltaDisk(1.0, 5.0 / 6.0), 1000, 1)
+        s = seed_glancing(DeltaPotential(1.0, 5.0 / 6.0), 1000, 1)
         assert s.real == pytest.approx(1015.5229167052904, abs=1e-8)
         assert s.imag == pytest.approx(-1.9462132530103904, abs=1e-8)
 
     def test_band_index_ordering(self):
-        prob = DeltaDisk(1.0, 5.0 / 6.0)
+        prob = DeltaPotential(1.0, 5.0 / 6.0)
         seeds = [seed_glancing(prob, 1000, j) for j in (1, 2, 3)]
         assert seeds[0].real < seeds[1].real < seeds[2].real
         assert seeds[0].imag > seeds[1].imag > seeds[2].imag
 
     def test_weak_potential_rejected(self):
         with pytest.raises(ValueError, match="too weak"):
-            seed_glancing(DeltaDisk(1.0, 0.0), 100, 1)
+            seed_glancing(DeltaPotential(1.0, 0.0), 100, 1)
 
     def test_wrong_problem_rejected(self):
         with pytest.raises(TypeError):
-            seed_glancing(DampingDisk(2.0), 100, 1)
+            seed_glancing(BoundaryDamping(2.0), 100, 1)
 
 
 class TestSeedPoints:
     PROBLEMS = [
-        TE_FAST, TransparentDisk(2.0, 0.4), TransparentDisk(0.5, 1.3),
-        DampingDisk(2.0), DampingDisk(0.5),
-        DeltaDisk(1.0, 5.0 / 6.0), DeltaDisk(5.0, 5.0 / 6.0),
+        TE_FAST, TransparentObstacle(2.0, 0.4), TransparentObstacle(0.5, 1.3),
+        BoundaryDamping(2.0), BoundaryDamping(0.5),
+        DeltaPotential(1.0, 5.0 / 6.0), DeltaPotential(5.0, 5.0 / 6.0),
     ]
 
     # Every start point, tag and trust radius of the scan seed families
@@ -449,12 +446,12 @@ class TestNewtonRefine:
 
         monkeypatch.setattr(qsabine.disk, "_newton_guard", guard)
         with pytest.raises(NoConvergenceError):
-            newton_refine(TransparentDisk(2.0, 1.0), 0, complex(150.0, -0.5), 0.05)
+            newton_refine(TransparentObstacle(2.0, 1.0), 0, complex(150.0, -0.5), 0.05)
 
     def test_dirichlet_limit_of_strong_delta(self):
         # V -> infinity pins the n = 0 root to the first zero of J_0
         # with an O(1/V) shift and width.
-        r = newton_refine(DeltaDisk(1e6, 0.0), 0, complex(2.40, -0.001), 0.1)
+        r = newton_refine(DeltaPotential(1e6, 0.0), 0, complex(2.40, -0.001), 0.1)
         assert r.lam.real == pytest.approx(2.404825557695773, abs=3e-6)
         assert -1e-10 < r.lam.imag < 0.0
 
@@ -463,10 +460,10 @@ class TestNewtonRefine:
         # residual would need |f| below double precision; the refinement
         # honestly refuses to certify.
         with pytest.raises(NoConvergenceError):
-            newton_refine(DeltaDisk(1e8, 0.0), 0, complex(2.40, -0.001), 0.1)
+            newton_refine(DeltaPotential(1e8, 0.0), 0, complex(2.40, -0.001), 0.1)
 
     def test_glancing_seed_converges_unguarded(self):
-        prob = DeltaDisk(1.0, 5.0 / 6.0)
+        prob = DeltaPotential(1.0, 5.0 / 6.0)
         s = seed_glancing(prob, 1000, 1)
         r = newton_refine(prob, 1000, s, 1.2, tag="glancing")
         assert r.lam.real == pytest.approx(1016.3424, abs=1e-3)
@@ -546,13 +543,13 @@ class TestScan:
         # Every generalized eigenvalue of the constant damping a = 2
         # lies between the normal height log(1/3)/2 and the glancing
         # height -1/2.
-        res = scan(DampingDisk(2.0), (200.0, 212.0), -1.0, range(0, 30))
+        res = scan(BoundaryDamping(2.0), (200.0, 212.0), -1.0, range(0, 30))
         assert len(res) == 115
         for r in res:
             assert -0.5494 < r.lam.imag < -0.5
 
     def test_delta_glancing_ladder(self):
-        res = scan(DeltaDisk(1.0, 5.0 / 6.0), (1001.0, 1047.0), -4.0, [1000])
+        res = scan(DeltaPotential(1.0, 5.0 / 6.0), (1001.0, 1047.0), -4.0, [1000])
         assert len(res) == 3
         for r, w in zip(res, DELTA_LADDER_1000):
             assert abs(r.lam - w) < 1e-3
@@ -562,7 +559,7 @@ class TestScan:
         # step from each scanned root must be negligible.
         mpmath = pytest.importorskip("mpmath")
         n = 1000
-        res = scan(DeltaDisk(1.0, 5.0 / 6.0), (1001.0, 1047.0), -4.0, [n])
+        res = scan(DeltaPotential(1.0, 5.0 / 6.0), (1001.0, 1047.0), -4.0, [n])
         assert len(res) == 3
         with mpmath.workdps(30):
             for r, w in zip(res, DELTA_LADDER_1000):
@@ -658,7 +655,7 @@ class TestScan:
         serial = scan(TE_FAST, (200.0, 215.0), -3.0, modes)
         assert [(r.lam, r.n) for r in pooled] == [(r.lam, r.n) for r in serial]
 
-    @pytest.mark.parametrize("problem", [DampingDisk(2.0), DeltaDisk(1.0, 5.0 / 6.0)])
+    @pytest.mark.parametrize("problem", [BoundaryDamping(2.0), DeltaPotential(1.0, 5.0 / 6.0)])
     def test_pooled_scan_matches_serial(self, inline_pool, problem):
         # Each pool task carries its mode's rows of the scan's seed
         # table, glancing starts (modes 190..210) included.
@@ -687,7 +684,7 @@ class TestScan:
     def test_interior_argument_bounded(self):
         # For c < 1 the interior argument lambda / c outruns lambda: at
         # Re 15010 it is about 30020, past the special-function box.
-        slow = TransparentDisk(0.5, 1.3)
+        slow = TransparentObstacle(0.5, 1.3)
         with pytest.raises(ValueError, match=r"re_window\[1\] / c = 30020 is above 19800"):
             scan(slow, (15000.0, 15010.0), -3.0, [0, 1, 2])
         with pytest.raises(ValueError, match="interior"):
@@ -698,6 +695,17 @@ class TestScan:
     def test_unknown_problem_rejected(self):
         with pytest.raises(TypeError, match="not a disk problem"):
             scan(object(), (200.0, 300.0), -3.0, [0])
+
+    @pytest.mark.parametrize("make", [
+        lambda: DeltaPotential(lambda s: 1.0), lambda: BoundaryDamping(lambda s: 2.0),
+        lambda: DeltaPotential(0.0), lambda: DeltaPotential(math.inf),
+    ], ids=["delta profile", "damping profile", "zero v0", "infinite v0"])
+    def test_amplitude_refused_before_the_pool(self, inline_pool, make):
+        # The modes separate only for a constant amplitude, and a profile
+        # would not pickle; v0 = 0 is a law, but not a disk problem.
+        with pytest.raises(ValueError, match="positive constant|finite"):
+            scan(make(), (200.0, 215.0), -3.0, range(4), workers=2)
+        assert inline_pool == []
 
     def test_non_integer_mode_rejected(self):
         # int() would truncate 0.5 to mode 0 and scan that instead.
@@ -725,7 +733,7 @@ class TestScan:
 
     @pytest.mark.parametrize("problem, window, n", [
         (TE_FAST, (3200.0, 3220.0), 3000),
-        (DampingDisk(2.0), (15000.0, 15010.0), 17900),
+        (BoundaryDamping(2.0), (15000.0, 15010.0), 17900),
     ])
     def test_unrepresentable_cell_fails_fast(self, monkeypatch, problem, window, n):
         # The unscaled array secular function underflows to 0 at every
@@ -760,13 +768,13 @@ class TestWindingNumber:
         # A fixed Gauss-Legendre sum rounded within 0.2 of an integer
         # gave 26, 26, 26 and 16 here; these counts agree with a
         # 4096-node-per-edge sum and with the roots a scan returns.
-        assert qsabine.disk._winding_number(DampingDisk(2.0), n, self.FULL_BOX) == zeros
+        assert qsabine.disk._winding_number(BoundaryDamping(2.0), n, self.FULL_BOX) == zeros
 
     def test_close_pair_under_the_ceiling(self):
         # Two zeros ~0.003 below the top edge share one starting
         # segment; their 2 pi of phase aliases away unless segments are
         # cut to the Newton distance |f/f'|.
-        slow = TransparentDisk(0.5, 1.3)
+        slow = TransparentObstacle(0.5, 1.3)
         count = qsabine.disk._winding_number(slow, 217, self.SLOW_BOX)
         roots = scan(slow, self.SLOW_BOX[:2], -3.0, [217])
         assert count == len(roots) == 6
@@ -779,7 +787,7 @@ class TestWindingNumber:
         # mpmath), leave no cell uncounted.
         with warnings.catch_warnings():
             warnings.simplefilter("error", IncompleteScanWarning)
-            roots = scan(TransparentDisk(0.5, 1.3), self.SLOW_BOX[:2], -3.0,
+            roots = scan(TransparentObstacle(0.5, 1.3), self.SLOW_BOX[:2], -3.0,
                          [221, 222, 223, 226, 227, 228])
         for n, want in ((221, complex(201.037486224476, -1.3775507e-6)),
                         (226, complex(205.875324314171, -1.362111e-6))):
@@ -828,9 +836,9 @@ class TestModeCounts:
 
     CONFIGS = [
         (TE_FAST, 300.0, 1556, "22222adccc90c0e9"),
-        (DampingDisk(2.0), 300.0, 6236, "02275e7d5f675367"),
-        (DeltaDisk(1.0, 5.0 / 6.0), 300.0, 6261, "8b74ab267bf951f2"),
-        (TransparentDisk(0.5, 1.3), 210.0, 1354, "1b3e922b3058d46c"),
+        (BoundaryDamping(2.0), 300.0, 6236, "02275e7d5f675367"),
+        (DeltaPotential(1.0, 5.0 / 6.0), 300.0, 6261, "8b74ab267bf951f2"),
+        (TransparentObstacle(0.5, 1.3), 210.0, 1354, "1b3e922b3058d46c"),
     ]
 
     @staticmethod
@@ -893,7 +901,7 @@ class TestCountLattice:
         seen = self.record_pairs(monkeypatch)
         list(qsabine.disk._scan_tasks(problem, (200.0, re_hi), -3.0, range(361)))
         assert {fn for _, fn, *_ in seen} == (
-            {jv} if isinstance(problem, DampingDisk) else {jv, hankel1})
+            {jv} if isinstance(problem, BoundaryDamping) else {jv, hankel1})
         for _, fn, n, w, (c, cp) in seen:
             if n % 5:
                 continue
@@ -1043,11 +1051,28 @@ class TestCountLattice:
         def cost(modes, lattice):
             monkeypatch.setattr(qsabine.disk, "_LATTICE_RUN", 4 if lattice else 10 ** 9)
             elems.clear()
-            scan(DeltaDisk(1.0, 5.0 / 6.0), (1001.0, 1047.0), -4.0, modes)
+            scan(DeltaPotential(1.0, 5.0 / 6.0), (1001.0, 1047.0), -4.0, modes)
             return sum(elems)
 
         assert cost([1000], True) == cost([1000], False)
         assert cost(range(1000, 1004), True) < cost(range(1000, 1004), False)
+
+
+class TestOneLawBothLayers:
+    """One boundary-law object is the scan's problem and the reflectivity
+    of the one-bounce decay law, which each root of mode n follows at
+    tangent frequency n / Re lambda (up to O(lambda^-2))."""
+
+    # At v_exponent = 1 the delta coupling h sigma = v0 is the same at
+    # every h, so the law needs no window-dependent semiclassical parameter.
+    @pytest.mark.parametrize("law, tol", [
+        (TE_FAST, 1e-5), (DeltaPotential(3.0, 1.0), 1e-3), (BoundaryDamping(2.0), 1e-5),
+    ], ids=["transparent", "delta", "damping"])
+    def test_roots_sit_on_the_one_bounce_law(self, law, tol):
+        roots = scan(law, (200.0, 215.0), -3.0, range(0, 200, 7))
+        q = one_bounce_quotients(law, [r.tangent_freq for r in roots])
+        assert len(roots) > 25 and {r.problem for r in roots} == {law.tag}
+        assert max(abs(r.lam.imag - qr) for r, qr in zip(roots, q)) < tol
 
 
 class TestResonanceCsv:

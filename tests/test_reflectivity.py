@@ -55,25 +55,31 @@ class TestBranchedSqrt:
 
 
 class TestModelValidation:
-    def test_transparent_rejects_unit_speed(self):
-        with pytest.raises(ValueError):
-            TransparentObstacle(1.0, 1.0)
+    def test_transparent_ranges(self):
         with pytest.raises(ValueError):
             TransparentObstacle(-2.0, 1.0)
         with pytest.raises(ValueError):
             TransparentObstacle(2.0, 0.0)
+        # c = 1 reflects by the constant (1 - alpha)/(1 + alpha), and
+        # c = alpha = 1 is free space; glancing_limit refuses c = 1
+        for xi in (0.0, 0.6, 0.99):
+            assert reflect(TransparentObstacle(1.0, 3.0), xi) == pytest.approx(-0.5, abs=1e-15)
+            assert reflect(TransparentObstacle(1.0, 1.0), xi) == 0.0
+        assert TransparentObstacle(1.0, 3.0).is_te and TransparentObstacle(1.0, 1.0).is_tm
+        assert brewster(TransparentObstacle(1.0, 3.0)) is None
 
     def test_delta_ranges(self):
         with pytest.raises(ValueError):
             DeltaPotential(-1.0)
-        with pytest.raises(ValueError):
-            DeltaPotential(1.0, alpha_exp=0.5)
-        with pytest.raises(ValueError):
-            DeltaPotential(1.0, alpha_exp=-1.5)
+        with pytest.raises(ValueError, match=r"v_exponent must lie in \[0, 1\]"):
+            DeltaPotential(1.0, v_exponent=-0.5)
+        with pytest.raises(ValueError, match=r"v_exponent must lie in \[0, 1\]"):
+            DeltaPotential(1.0, v_exponent=1.5)
         with pytest.raises(ValueError):
             DeltaPotential(1.0, h=0.0)
-        assert DeltaPotential(2.0, -0.5, 0.25).sigma() == 2.0 * 0.25 ** -0.5
-        assert DeltaPotential(2.0, -0.5, 0.25).coupling() == 2.0 * 0.25 ** 0.5
+        assert DeltaPotential(2.0, 0.5, 0.25).sigma() == 2.0 * 0.25 ** -0.5
+        assert DeltaPotential(2.0, 0.5, 0.25).coupling() == 2.0 * 0.25 ** 0.5
+        assert DeltaPotential(3.0, 0.5).strength(4.0) == 6.0
 
     def test_damping_positive(self):
         with pytest.raises(ValueError):
@@ -88,6 +94,8 @@ class TestModelValidation:
                 TransparentObstacle(c, alpha)
         with pytest.raises(ValueError, match="finite"):
             BoundaryDamping(inf)
+        with pytest.raises(ValueError, match="finite"):
+            DeltaPotential(inf)
         # a callable profile is checked where it is evaluated
         assert BoundaryDamping(lambda s: 2.0).damping_at(0.3) == 2.0
 
@@ -151,7 +159,7 @@ class TestReflect:
         assert abs(r + 1.0) < 1e-4
 
     def test_delta_position_profile(self):
-        model = DeltaPotential(lambda s: 1.0 + s, alpha_exp=-0.5, h=0.01)
+        model = DeltaPotential(lambda s: 1.0 + s, v_exponent=0.5, h=0.01)
         assert reflect(model, 0.2, position=0.0) != reflect(model, 0.2, position=1.0)
 
     def test_modulus_bounded_by_one(self):
@@ -160,7 +168,7 @@ class TestReflect:
             TransparentObstacle(2.0, 0.4),
             TransparentObstacle(0.5, 1.0),
             TransparentObstacle(0.5, 4.0),
-            DeltaPotential(2.0, -0.5, 0.01),
+            DeltaPotential(2.0, 0.5, 0.01),
             DeltaPotential(0.3, 0.0, 1.0),
             BoundaryDamping(2.0),
             BoundaryDamping(0.3),
@@ -179,7 +187,7 @@ class TestReflect:
             assert least > 0.33
 
     def test_symmetry_in_xi(self):
-        for model in (TransparentObstacle(2.0, 0.4), DeltaPotential(1.0, -0.5, 0.1),
+        for model in (TransparentObstacle(2.0, 0.4), DeltaPotential(1.0, 0.5, 0.1),
                       BoundaryDamping(2.0)):
             for xi in (0.2, 0.7):
                 assert reflect(model, xi) == reflect(model, -xi)
@@ -216,7 +224,7 @@ class TestLogReflectivity:
     def test_never_positive(self):
         rng = np.random.default_rng(11)
         models = (TransparentObstacle(0.5, 1.0), TransparentObstacle(2.0, 0.4),
-                  DeltaPotential(1.0, -0.5, 0.05), BoundaryDamping(0.7))
+                  DeltaPotential(1.0, 0.5, 0.05), BoundaryDamping(0.7))
         for model in models:
             for xi in rng.uniform(0.0, GLANCING_CUTOFF, 200):
                 assert log_reflectivity(model, float(xi)) <= 0.0

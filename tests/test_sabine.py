@@ -202,7 +202,7 @@ class TestSabineBounds:
         (DISK, TE_SLOW, -0.27465307216702745, 0.0),
         (DISK, BoundaryDamping(2.0), -0.5493061443340549, -0.5000000833106609),
         (DISK, BoundaryDamping(0.5), -math.inf, -0.5493061443340549),
-        (DISK, DeltaPotential(1.0, -5.0 / 6.0, 0.004), -0.908929032425253,
+        (DISK, DeltaPotential(1.0, 5.0 / 6.0, 0.004), -0.908929032425253,
          -0.8164247854237713),
         (ConvexDomain.ellipse(1.5, 1.0), TE_SLOW, -0.27465307216702745, 0.0),
         (ConvexDomain.ellipse(1.5, 1.0), BoundaryDamping(2.0), -0.7498868070908591,
@@ -279,11 +279,15 @@ class TestGlancingLimit:
             glancing_limit(DISK, DeltaPotential(1.0), 0.0)
         with pytest.raises(TypeError, match="transparent"):
             glancing_limit(DISK, BoundaryDamping(2.0), 0.0)
+        # c = 1: the loss per bounce does not vanish with the chord
+        for alpha in (1.0, 3.0):
+            with pytest.raises(ValueError, match="c = 1"):
+                glancing_limit(DISK, TransparentObstacle(1.0, alpha), 0.0)
 
 
 class TestGlancingBands:
     def test_disk_scale_factor_is_cbrt_2(self):
-        # Q == 1 and sigma(V) == 1 on the unit disk at alpha_exp = 0 and
+        # Q == 1 and sigma(V) == 1 on the unit disk at v_exponent = 0 and
         # unit amplitude, so B = 2^{1/3} on the nose.
         bands = glancing_bands(DeltaPotential(1.0, 0.0, h=0.01), m_bands=3)
         for b in bands:
@@ -292,7 +296,7 @@ class TestGlancingBands:
 
     def test_band_identity(self):
         # h^{2/3} Im z / ImPhi_-(zeta_j) recovers B exactly, z = h lambda.
-        model = DeltaPotential(1.0, -5.0 / 6.0, h=1e-3)
+        model = DeltaPotential(1.0, 5.0 / 6.0, h=1e-3)
         for b in glancing_bands(model, m_bands=3):
             im_z = 1e-3 * b.predicted_im_lambda(1e-3)
             assert (1e-3) ** (2.0 / 3.0) * im_z / b.im_phi_j == pytest.approx(
@@ -300,9 +304,9 @@ class TestGlancingBands:
             )
 
     def test_critical_exponent_freezes_band_height(self):
-        # At alpha_exp = -5/6 the h powers cancel: the band heights are
+        # At v_exponent = 5/6 the h powers cancel: the band heights are
         # h-independent and equal 2^{1/3} ImPhi_-(zeta_j).
-        model = DeltaPotential(1.0, -5.0 / 6.0, h=1e-3)
+        model = DeltaPotential(1.0, 5.0 / 6.0, h=1e-3)
         bands = glancing_bands(model, m_bands=4)
         table = airy_zeros(4)
         for b, im_phi in zip(bands, table.im_phi_minus):
@@ -314,15 +318,15 @@ class TestGlancingBands:
             )
 
     def test_first_band_values_at_critical_exponent(self):
-        bands = glancing_bands(DeltaPotential(1.0, -5.0 / 6.0, h=1e-3), m_bands=3)
+        bands = glancing_bands(DeltaPotential(1.0, 5.0 / 6.0, h=1e-3), m_bands=3)
         heights = [b.predicted_im_lambda(1e-3) for b in bands]
         assert heights == pytest.approx(
             [-1.9462132530, -2.5529643665, -2.9629905596], abs=1e-9
         )
 
     def test_height_slope_in_h(self):
-        # |Im lambda| ~ h^{1/3 - 2 - 2 alpha_exp}.
-        model = DeltaPotential(1.0, -14.0 / 15.0, h=1e-3)
+        # |Im lambda| ~ h^{1/3 - 2 + 2 v_exponent}.
+        model = DeltaPotential(1.0, 14.0 / 15.0, h=1e-3)
         b = glancing_bands(model, m_bands=1)[0]
         slope = math.log(
             abs(b.predicted_im_lambda(1e-4)) / abs(b.predicted_im_lambda(1e-3))
@@ -330,7 +334,7 @@ class TestGlancingBands:
         assert slope == pytest.approx(1.0 / 3.0 - 2.0 + 28.0 / 15.0, abs=1e-9)
 
     def test_bands_strictly_ordered(self):
-        bands = glancing_bands(DeltaPotential(2.0, -0.5, h=1e-2), m_bands=5)
+        bands = glancing_bands(DeltaPotential(2.0, 0.5, h=1e-2), m_bands=5)
         for hi, lo in zip(bands, bands[1:]):
             assert lo.im_lambda < hi.im_lambda
 
