@@ -97,16 +97,18 @@ def _decay_curve(model, tf_max: float):
 
 def _circle_panels(rows, config) -> list:
     """Im lambda against n / Re lambda with the one-bounce decay curve,
-    above Im lambda against Re lambda with the Sabine band edges."""
+    above Im lambda against Re lambda with the Sabine band edges, both
+    from the law of the rows' Re lambda window."""
     tangent = [r.n / r.lam.real for r in rows]
     re_vals = [r.lam.real for r in rows]
     im_vals = [r.lam.imag for r in rows]
+    law = config.law((min(re_vals), max(re_vals)))
     top = svg.Panel("n / Re lambda", "Im lambda")
     top.scatter(tangent, im_vals)
-    top.line(*_decay_curve(config.law(None), max(tangent) * 1.02))
+    top.line(*_decay_curve(law, max(tangent) * 1.02))
     bottom = svg.Panel("Re lambda", "Im lambda")
     bottom.scatter(re_vals, im_vals)
-    band = sabine_bounds(ConvexDomain.disk(), config.law((min(re_vals), max(re_vals))))
+    band = sabine_bounds(ConvexDomain.disk(), law)
     for edge in (band.lower, band.upper):
         if math.isfinite(edge):
             bottom.hline(edge)
@@ -248,12 +250,12 @@ class RunConfig:
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
-    def law(self, window: Optional[Tuple[float, float]]):
+    def law(self, window: Tuple[float, float]):
         """The configured boundary law.  The delta law's semiclassical
-        parameter h is the inverse mid-window frequency of ``window``, or
-        1 without one; a scan does not read it."""
+        parameter h is the inverse mid-window frequency of ``window``; a
+        scan does not read it."""
         cls, _ = _PROBLEM_TABLE[self.problem]
-        if self.problem == "delta" and window:
+        if self.problem == "delta":
             if not sum(window) > 0.0:
                 raise ValueError("the delta law's h = 2 / (A + B) needs a re window "
                                  "A:B with A + B > 0")

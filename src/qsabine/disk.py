@@ -24,26 +24,29 @@ Resonance.guarded is first read rather than during a scan.
 
 Zeros are located by a trust-region Newton iteration started from
 asymptotic seed families (normal-incidence and transverse phase
-conditions, Airy corrections for nearly glancing modes).  The
+conditions, Airy corrections for nearly glancing modes), many starts
+in lockstep: one guarded AMOS array per cylinder function and round,
+and each start's step in Python complex, bit for bit as alone.  The
 normal-incidence family sees the boundary only through
 r(0) = (1 - alpha c)/(1 + alpha c), so the damping problem's n = 0
 family is the transparent one at c = 1, alpha = a.  A scan builds the
 seeds of all its modes first, as one table: the chord phase conditions
 F(r) = target of every mode are inverted together by the row-wise Brent
 solver of the billiard map (Brent 1973), each row bit-identical to a
-scalar brentq, and each pool task then carries its mode's seeds.  The
-one-mode seed list and seed_transverse are one-row tables.  The result
-of a windowed scan is certified complete per mode by argument-principle
-counts over the scan rectangle, with subdivision and reseeding where the
-count disagrees with the roots in hand.  A count tracks arg f node to
-node around the rectangle and bisects each boundary segment until the
-phase is resolved on it (Delves & Lyness, Math. Comp. 21, 1967), so it
-is an integer by construction or no count at all.  Every mode's box
-shares the scan's two horizontal edges, so a scan fills their starting
-nodes once, on one lattice: the Bessel columns of each run of
+scalar brentq.  The one-mode seed list and seed_transverse are one-row
+tables.  Modes are handed out in blocks of consecutive modes, one task
+per block, and a task refines all of its block's seeds in one lockstep.
+The result of a windowed scan is certified complete per mode by
+argument-principle counts over the scan rectangle, with subdivision and
+reseeding where the count disagrees with the roots in hand.  A count
+tracks arg f node to node around the rectangle and bisects each boundary
+segment until the phase is resolved on it (Delves & Lyness, Math.
+Comp. 21, 1967), so it is an integer by construction or no count at
+all.  Every mode's box shares the scan's two horizontal edges, so a
+scan fills their starting nodes once, on one lattice: the Bessel columns of each run of
 consecutive modes come from the three-term order recurrence, downward
 for J and upward for H^(1), seeded by AMOS (Gautschi, SIAM Review 9,
-1967), and each pool task carries its mode's edge rows of f and f'/f.
+1967), and each task carries its modes' edge rows of f and f'/f.
 """
 
 from __future__ import annotations
@@ -68,7 +71,8 @@ from .reflectivity import BoundaryDamping, DeltaPotential, ReflectivityModel, Tr
 # bessel_quad is not called here: perfbench/tracing.py wraps it on this
 # module by name.
 from .specfun import BESSEL_ARG_MAX, BESSEL_IM_MAX, BESSEL_ORDER_MAX
-from .specfun import _CBRT2, ScaledMagnitudeError, airy_zeros, bessel_pair, bessel_quad, phi_minus
+from .specfun import (_CBRT2, ScaledMagnitudeError, _Downward, _Upward, airy_zeros, bessel_pair,
+                      bessel_quad, bessel_rows, phi_minus)
 
 __all__ = [
     "Resonance",
@@ -226,7 +230,26 @@ def _second_derivative(n: int, z: complex, f: complex, fp: complex) -> complex:
     return -(1.0 - (n * n) / (z * z)) * f - fp / z
 
 
-def _secular_terms(problem: ReflectivityModel, n: int, z, pair=bessel_pair):
+def _check_v0(problem: DeltaPotential):
+    """f and the glancing starts divide by V = v0 lambda^v_exponent."""
+    if problem.v0 == 0:
+        raise ValueError(f"the disk's delta problem needs v0 != 0, got {problem.v0!r}")
+
+
+def _cylinders(problem: ReflectivityModel, z):
+    """(fn, w) of each cylinder function f is built from, with its
+    argument at z, in the order _secular_terms asks for them."""
+    if isinstance(problem, TransparentObstacle):
+        return (jv, z / problem.c), (hankel1, z)
+    if isinstance(problem, DeltaPotential):
+        _check_v0(problem)
+        return (jv, z), (hankel1, z)
+    if isinstance(problem, BoundaryDamping):
+        return ((jv, z),)
+    raise TypeError(f"not a disk problem: {problem!r}")
+
+
+def _secular_terms(problem: ReflectivityModel, n: int, z, pair=bessel_pair, pairs=None):
     """f, f' and the two terms A, B of f whose moduli sum to its scale.
 
     One formula per problem, evaluated either at a Python complex (the
@@ -236,14 +259,18 @@ def _secular_terms(problem: ReflectivityModel, n: int, z, pair=bessel_pair):
     numpy's complex abs and division differ from Python's in the last
     bit, which moves residuals and roots.  pair(fn, n, w) supplies each
     Bessel pair (C_n, C_n') of the cylinder function fn at w: bessel_pair
-    at points and nodes, _LatticeRun.pair on the scan's count lattice.
+    at points and nodes, _LatticeRun.pair on the scan's count lattice;
+    pairs, when given, are those pairs already evaluated at
+    _cylinders(problem, z) (_secular_rows).
     """
+    if pairs is None:
+        pairs = [pair(fn, n, w) for fn, w in _cylinders(problem, z)]
+    (j, jp), *hankel = pairs
     if isinstance(problem, TransparentObstacle):
         c = problem.c
         alpha = problem.alpha
         w = z / c
-        j, jp = pair(jv, n, w)
-        h, hp = pair(hankel1, n, z)
+        ((h, hp),) = hankel
         jpp = _second_derivative(n, w, j, jp)
         hpp = _second_derivative(n, z, h, hp)
         inner = jp * h / c
@@ -251,28 +278,36 @@ def _secular_terms(problem: ReflectivityModel, n: int, z, pair=bessel_pair):
         fp = jpp * h / (c * c) + jp * hp / c - alpha * (hpp * j + hp * jp / c)
         return inner - outer, fp, inner, outer
     if isinstance(problem, DeltaPotential):
-        j, jp = pair(jv, n, z)
-        h, hp = pair(hankel1, n, z)
+        ((h, hp),) = hankel
         v = problem.v0 * z ** problem.v_exponent
         vp = problem.v0 * problem.v_exponent * z ** (problem.v_exponent - 1.0)
         jh = j * h
         f = jh - 2j / (pi * v)
         fp = jp * h + j * hp + (2j / pi) * vp / (v * v)
         return f, fp, jh, 2.0 / (pi * v)
-    if isinstance(problem, BoundaryDamping):
-        j, jp = pair(jv, n, z)
-        jpp = _second_derivative(n, z, j, jp)
-        f = jp - 1j * problem.a * j
-        fp = jpp - 1j * problem.a * jp
-        return f, fp, jp, problem.a * j
-    raise TypeError(f"not a disk problem: {problem!r}")
+    jpp = _second_derivative(n, z, j, jp)
+    f = jp - 1j * problem.a * j
+    fp = jpp - 1j * problem.a * jp
+    return f, fp, jp, problem.a * j
 
 
-def _secular_parts(problem: ReflectivityModel, n: int, lam: complex):
+def _secular_parts(problem: ReflectivityModel, n: int, lam: complex, pairs=None):
     """(f, f', scale) at one point, scale being the residual normalizer."""
-    f, fp, a, b = _secular_terms(problem, n, complex(lam))
+    f, fp, a, b = _secular_terms(problem, n, complex(lam), pairs=pairs)
     scale = abs(a) + abs(b)
     return f, fp, (scale if scale > 0.0 else 1.0)
+
+
+def _secular_rows(problem: ReflectivityModel, points) -> list:
+    """_secular_parts at many (n, lambda) points, or, unraised, the
+    error of each point's first failing Bessel pair; one bessel_rows
+    call per cylinder function."""
+    orders = [n for n, _ in points]
+    calls = zip(*(_cylinders(problem, complex(lam)) for _, lam in points))
+    columns = [bessel_rows(col[0][0], orders, [w for _, w in col]) for col in calls]
+    return [next((p for p in pairs if isinstance(p, Exception)), None)
+            or _secular_parts(problem, n, lam, pairs)
+            for (n, lam), pairs in zip(points, zip(*columns))]
 
 
 def secular(problem: ReflectivityModel, n: int, lam: complex) -> tuple:
@@ -448,6 +483,7 @@ def seed_glancing(problem: DeltaPotential, n: int, j: int) -> complex:
 
 def _glancing_start(problem: DeltaPotential, n: int, zeta: float) -> complex:
     """seed_glancing at the Airy zero zeta."""
+    _check_v0(problem)
     v = problem.v0 * float(n) ** problem.v_exponent
     n23 = float(n) ** (2.0 / 3.0)
     delta1 = _CBRT2 * n23 / v
@@ -509,12 +545,50 @@ def newton_refine(
     Raises NoConvergenceError (with the visited points attached) on a
     vanishing derivative, three consecutive steps longer than epsilon,
     50 iterations without convergence, or convergence outside the open
-    lower right quadrant.
+    lower right quadrant.  The one-row case of _newton_rows.
     """
+    (outcome,) = _newton_rows(problem, [(n, lambda_0, tag, epsilon)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+# What a refinement raises for its start alone; a scan drops the start.
+_REFINE_ERRORS = (NoConvergenceError, ScaledMagnitudeError, ValueError)
+
+
+def _newton_rows(problem: ReflectivityModel, rows) -> list:
+    """newton_refine of many (n, lambda_0, tag, epsilon) rows in lockstep.
+
+    Each round evaluates the live rows together (_secular_rows), then
+    each row steps alone in Python complex (_newton_steps), so that its
+    Resonance, or unraised error of _REFINE_ERRORS, keeps every bit.
+    """
+    outcomes = [None] * len(rows)
+    live = [(i, row[0], _newton_steps(problem, *row)) for i, row in enumerate(rows)]
+    values = [None] * len(live)
+    while live:
+        steps, live, points = live, [], []
+        for (i, n, step), value in zip(steps, values):
+            try:
+                points.append((n, step.throw(value) if isinstance(value, Exception)
+                               else step.send(value)))
+                live.append((i, n, step))
+            except StopIteration as done:
+                outcomes[i] = done.value
+            except _REFINE_ERRORS as err:
+                outcomes[i] = err
+        values = _secular_rows(problem, points)
+    return outcomes
+
+
+def _newton_steps(problem, n, lambda_0, tag, epsilon):
+    """newton_refine of one row as a generator: it yields each point
+    whose (f, f', scale) it is sent back, or thrown their error."""
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError("trust radius must be positive")
     lam = complex(lambda_0)
-    f, fp, scale = _secular_parts(problem, n, lam)
+    f, fp, scale = yield lam
     if not cmath.isfinite(f):
         raise NoConvergenceError("secular function not finite at the start point", (lam,))
     if abs(f) / scale < _RESIDUAL_FIXED:
@@ -538,7 +612,7 @@ def newton_refine(
                 )
         else:
             oversize = 0
-        f, fp, scale = _secular_parts(problem, n, lam)
+        f, fp, scale = yield lam
         if not cmath.isfinite(f):
             raise NoConvergenceError("secular function not finite during iteration", trace)
         if abs(f) / scale < _RESIDUAL_DONE:
@@ -822,17 +896,15 @@ _TRAPEZOID_TOL = pi / 4.0
 # horizontal edges, fine enough that most segments resolve unbisected;
 # the fewest consecutive modes that share them (a run of up to three
 # modes can pay more AMOS for the lattice's seeds than for its own
-# rings, so such modes keep the per-node contour); the orders of J
-# recomputed and held at once; and the largest growth of rounding errors
-# the upward H^(1) recurrence may incur (about 3e-16 times it, measured,
-# so at most ~3e-10 relative; Im -3 incurs 202, Im -8 up to 7e6).
+# rings, so such modes keep the per-node contour).  The recurrences
+# themselves are specfun's _Downward and _Upward.
 _LATTICE_SPACING = _COUNT_SPACING / 4.0
 _LATTICE_RUN = 4
-_LATTICE_BLOCK = 32
-_LATTICE_GROWTH = 1e6
 
-# Pool tasks are queued this many at a time (see _pool_map).
-_POOL_CHUNK = 16
+# The most modes one scan task (a block) carries.  A queued block is
+# pickled with its lattice rows, about 15 kB a mode: blocks of 16 raised
+# a default pooled scan's peak RSS by 1.1 MB, blocks of 4 did not.
+_BLOCK_MODES = 4
 
 
 class _Unrepresentable(ArithmeticError):
@@ -956,98 +1028,6 @@ def _lattice_ring(problem, n, edges, rows):
     return (ring(z_own, z),) + tuple(map(ring, _log_derivative(problem, n, z_own), (f, g)))
 
 
-def _tail(v, size):
-    """The last size nodes of a lattice row or row pair (size may be 0)."""
-    return v[..., v.shape[-1] - size:]
-
-
-class _Upward:
-    """(C_(n-1), C_n) of H^(1), n ascending, by the upward recurrence.
-
-    Seeded by AMOS at the run's first two orders, then C_(k+1) =
-    (2k/w) C_k - C_(k-1) (Gautschi, SIAM Review 9, 1967; DLMF
-    10.74(iv)).  Upward is stable where H^(1) dominates: beyond the
-    turning point, k > |w|, and below it near the real axis.  Far below
-    the axis H^(2) gains on H^(1) as k grows towards |w|, by up to
-    e^(2 |Im w|), and so does the rounding error.  A probe, the solution
-    started from (0, C_n), measures that gain node by node: once it
-    exceeds _LATTICE_GROWTH the node's columns are NaN, so its rows fail
-    the test of _log_derivative and the mode is counted per node.  Each
-    step is taken only at the nodes the asking mode needs, so that H^(1)
-    cannot overflow where no mode looks.
-    """
-
-    def __init__(self, fn, w, n):
-        self.w, self.n = w, n
-        prev, cur = fn(n - 1, w), fn(n, w)
-        # row 0 carries the columns, row 1 the probe
-        self.prev, self.cur = np.stack([prev, np.zeros_like(w)]), np.stack([cur, cur])
-        self.lost = np.zeros(w.shape, bool)
-
-    def columns(self, n, size):
-        w, prev, cur, lost = (_tail(v, size) for v in (self.w, self.prev, self.cur, self.lost))
-        for k in range(self.n, n):
-            prev, cur = cur, (2.0 * k / w) * cur - prev
-            lost = lost | (np.abs(cur[1]) > _LATTICE_GROWTH * np.abs(cur[0]))
-        self.w, self.n, self.prev, self.cur, self.lost = w, n, prev, cur, lost
-        return np.where(lost, np.nan, prev[0]), np.where(lost, np.nan, cur[0])
-
-
-class _Downward:
-    """(C_(n-1), C_n) of the minimal cylinder function J, n ascending.
-
-    Each node is seeded by AMOS at the two highest orders a mode of the
-    run needs there (tops, and tops - 1); the downward recurrence
-    C_(k-1) = (2k/w) C_k - C_(k+1) fills the orders below.  It is stable
-    for the minimal solution beyond the turning point, and below it, in
-    the lower half plane, J follows H^(1), which gains on H^(2) as k
-    falls (measured: within 6e-13 of AMOS on the default lattice at
-    Im -3 and at Im -50).  One sweep from the top keeps the recurrence
-    state at the top of every _LATTICE_BLOCK orders, and a block is swept
-    again into stored columns when a mode first asks for it: one block of
-    columns is held at a time, and AMOS is called only for the seeds.
-    """
-
-    def __init__(self, fn, w, n, tops):
-        self.w, self.lo, self.tops = w, n, tops
-        self.hi = int(tops.max())
-        self.seeds = fn(tops, w), fn(tops - 1, w)
-        self.marks = {}
-        state = (np.zeros_like(w), np.zeros_like(w))
-        for start in reversed(range(n, self.hi + 1, _LATTICE_BLOCK)):
-            self.marks[start] = state
-            state = self._sweep(start, state)
-        self.block = (None, None)
-
-    def _sweep(self, start, state, out=None):
-        """Recur from the top of start's block down to order start - 1.
-
-        state is (C_(k+1), C_k) at the block's top order k, zero at the
-        nodes not yet seeded; out[i], when given, receives order
-        start - 1 + i.  Returns the state at order start - 1.
-        """
-        upper, cur = state
-        high, low = self.seeds
-        for k in range(min(start + _LATTICE_BLOCK - 1, self.hi), start - 1, -1):
-            seeded = self.tops == k
-            cur = np.where(seeded, high, cur)
-            if out is not None:
-                out[k - start + 1] = cur
-            upper, cur = cur, np.where(seeded, low, (2.0 * k / self.w) * cur - upper)
-        if out is not None:
-            out[0] = cur
-        return upper, cur
-
-    def columns(self, n, size):
-        start = n - (n - self.lo) % _LATTICE_BLOCK
-        if self.block[0] != start:
-            out = np.empty((min(_LATTICE_BLOCK, self.hi - start + 1) + 1,) + self.w.shape, complex)
-            self._sweep(start, self.marks[start], out)
-            self.block = (start, out)
-        out = self.block[1]
-        return _tail(out[n - start], size), _tail(out[n - start + 1], size)
-
-
 class _LatticeRun:
     """Bessel columns of a run of consecutive modes on the count lattice.
 
@@ -1157,19 +1137,18 @@ def _split(box, n, depth):
 
 
 def _hunt(problem, n, box, roots, scan_box):
-    """Newton casts from interior points of a suspicious cell."""
+    """Newton casts from five interior points of a suspicious cell, in
+    one lockstep."""
     re_lo, re_hi, im_lo, im_hi = box
     eps = max(10.0 * _MIN_CELL, math.hypot(re_hi - re_lo, im_hi - im_lo))
     starts = [
         (0.5, 0.5), (0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75),
     ]
-    for fx, fy in starts:
-        z0 = complex(re_lo + fx * (re_hi - re_lo), im_lo + fy * (im_hi - im_lo))
-        try:
-            cand = newton_refine(problem, n, z0, eps)
-        except (NoConvergenceError, ScaledMagnitudeError, ValueError):
-            continue
-        _absorb(roots, cand, scan_box)
+    casts = [(n, complex(re_lo + fx * (re_hi - re_lo), im_lo + fy * (im_hi - im_lo)),
+              "continuation", eps) for fx, fy in starts]
+    for cand in _newton_rows(problem, casts):
+        if isinstance(cand, Resonance):
+            _absorb(roots, cand, scan_box)
 
 
 def _complete_cell(problem, n, box, roots, scan_box, incomplete, depth=0, rows=None):
@@ -1195,26 +1174,26 @@ def _complete_cell(problem, n, box, roots, scan_box, incomplete, depth=0, rows=N
     incomplete.append((n, box, count, inside, None))
 
 
-def _scan_mode(problem, im_floor, task):
-    """All resonances of one angular mode in its window, plus any cells
-    where completeness could not be certified.  task is the mode's
-    (n, re_lo, re_hi) window, its seed list and its lattice edge rows
-    (or None), which serve the count of the whole box."""
-    (n, re_lo, re_hi), seeds, rows = task
-    box = (re_lo, re_hi, im_floor, _IM_CEILING)
-    roots: list = []
-    for lam0, tag, trust in seeds:
-        if lam0.imag < im_floor - 1.0:
-            continue
-        try:
-            cand = newton_refine(problem, n, lam0, trust, tag=tag)
-        except (NoConvergenceError, ScaledMagnitudeError, ValueError):
-            continue
-        _absorb(roots, cand, box)
-    incomplete: list = []
-    _complete_cell(problem, n, box, roots, box, incomplete, rows=rows)
-    roots.sort(key=lambda r: r.lam.real)
-    return roots, incomplete
+def _scan_block(problem, im_floor, block):
+    """Each mode's resonances in its window and the cells it could not
+    certify.  A task is a mode's (n, re_lo, re_hi) window, seed list and
+    lattice edge rows (or None, see _complete_cell); the seeds of all
+    modes, but those below im_floor - 1, are refined in one lockstep."""
+    seeds = [[(n, *seed) for seed in mode_seeds if not seed[0].imag < im_floor - 1.0]
+             for (n, _, _), mode_seeds, _ in block]
+    refined = iter(_newton_rows(problem, list(itertools.chain(*seeds))))
+    out = []
+    for ((n, re_lo, re_hi), _, rows), mode_seeds in zip(block, seeds):
+        box = (re_lo, re_hi, im_floor, _IM_CEILING)
+        roots: list = []
+        for cand in itertools.islice(refined, len(mode_seeds)):
+            if isinstance(cand, Resonance):
+                _absorb(roots, cand, box)
+        incomplete: list = []
+        _complete_cell(problem, n, box, roots, box, incomplete, rows=rows)
+        roots.sort(key=lambda r: r.lam.real)
+        out.append((roots, incomplete))
+    return out
 
 
 def check_scan_box(problem: ReflectivityModel, re_window, im_floor: float, n_range):
@@ -1287,17 +1266,24 @@ def _scan_tasks(problem, re_window, im_floor, modes):
                _lattice_rows(problem, re_window, im_floor, windows))
 
 
-def _pool_map(pool, job, tasks):
-    """pool.map over tasks in chunks of _POOL_CHUNK, in order.
+def _chunks(items, size):
+    """Lists of size consecutive items (the last may be shorter), drawn
+    from the iterable as each list is asked for."""
+    items = iter(items)
+    while chunk := list(itertools.islice(items, size)):
+        yield chunk
+
+
+def _pool_map(pool, job, tasks, chunk):
+    """pool.map over tasks in chunks of chunk tasks, in order.
 
     The next chunk is queued before the last one is collected, so the
     workers stay busy while only two chunks of tasks, lattice rows
     included, are alive at once.
     """
-    tasks = iter(tasks)
     outcomes, pending = [], []
-    while chunk := list(itertools.islice(tasks, _POOL_CHUNK)):
-        queued = pool.map(job, chunk)
+    for part in _chunks(tasks, chunk):
+        queued = pool.map(job, part)
         outcomes.extend(pending)
         pending = queued
     outcomes.extend(pending)
@@ -1332,28 +1318,31 @@ def scan(
     subdivision, are cells on whose contour the secular function is not
     representable in double precision.
 
-    workers > 1 distributes modes over a process pool of
+    Modes are handed out in ascending order, so the costly low modes
+    start first, in blocks of up to four consecutive modes with their
+    seeds and lattice rows; a block's seeds are refined in one lockstep.
+    workers > 1 distributes the blocks over a process pool of
     pool_size(workers, modes) processes: never more than one per distinct
     mode, and none at all (a serial scan) when that leaves at most one.
-    Modes are handed out one per task, with their seeds and lattice
-    rows, in ascending order, so the costly low modes start first, and
-    are queued _POOL_CHUNK tasks at a time.  Results are merged in a
-    stable (Re lambda, n) order either way, so the output is
-    deterministic for a fixed configuration.
+    There are at least as many blocks as processes, queued two per
+    process at a time.  Results are merged in a stable (Re lambda, n)
+    order either way, so the output is deterministic for a fixed
+    configuration.
     """
     re_lo, re_hi, modes = check_scan_box(problem, re_window, im_floor, n_range)
     if not modes:
         return []
     tasks = _scan_tasks(problem, (re_lo, re_hi), float(im_floor), modes)
-    job = functools.partial(_scan_mode, problem, float(im_floor))
+    job = functools.partial(_scan_block, problem, float(im_floor))
     size = pool_size(workers, len(modes))
+    blocks = _chunks(tasks, min(_BLOCK_MODES, len(modes) // size) if size else _BLOCK_MODES)
     if size:
         with ProcessPoolExecutor(max_workers=size) as pool:
-            outcomes = _pool_map(pool, job, tasks)
+            outcomes = _pool_map(pool, job, blocks, size)
     else:
-        outcomes = [job(task) for task in tasks]
+        outcomes = map(job, blocks)
     found: list = []
-    for (mode_roots, incomplete) in outcomes:
+    for mode_roots, incomplete in itertools.chain.from_iterable(outcomes):
         found.extend(mode_roots)
         for cell in incomplete:
             warnings.warn(IncompleteScanWarning(*cell))

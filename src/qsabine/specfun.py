@@ -6,8 +6,9 @@ bands) reduces to four kinds of evaluations collected here:
 * the Airy function ``Ai`` and the outgoing combination
   ``A_-(z) = Ai(e^{2 pi i/3} z)``,
 * the pairs ``(J_n, J_n')`` and ``(H^(1)_n, H^(1)_n')`` at complex
-  argument, one point at a time (guarded) or over arrays, and the
-  quadruple of both,
+  argument, over guarded (order, point) rows or unguarded arrays, the
+  quadruple of both, and their columns over consecutive orders by the
+  three-term recurrence,
 * the transition variable ``zeta(z)`` of the uniform large-order Bessel
   asymptotics,
 * the glancing symbol functions built from ``Ai`` and ``A_-``.
@@ -37,6 +38,7 @@ __all__ = [
     "phi_minus",
     "airy_zeros",
     "bessel_pair",
+    "bessel_rows",
     "bessel_quad",
     "uniform_zeta",
     "uniform_zeta_prime",
@@ -238,15 +240,21 @@ def bessel_pair(fn, n: int, z):
 
     ``fn`` is scipy's ``jv`` or ``hankel1``; the derivative follows the
     three-term relation C_n' = C_{n-1} - (n/z) C_n.  An ndarray ``z`` is
-    evaluated without guards and non-finite entries propagate.  Any other
-    ``z`` must lie in the box of ``bessel_quad`` (ValueError otherwise)
-    and the pair comes back as Python complex numbers, evaluated through
-    one-element arrays; ScaledMagnitudeError is raised when C_n or C_n'
-    overflows, or C_n underflows to zero in the order-dominated regime.
+    evaluated without guards and non-finite entries propagate; ``n`` may
+    then be an array of orders too.  Any other ``z`` is the one-row case
+    of ``bessel_rows`` and raises the error that returns for its row.
     """
     if isinstance(z, np.ndarray):
         c = fn(n, z)
         return c, fn(n - 1, z) - (n / z) * c
+    (pair,) = bessel_rows(fn, [n], [z])
+    if isinstance(pair, Exception):
+        raise pair
+    return pair
+
+
+def _box_point(n, z):
+    """(int n, complex z), or ValueError outside the box of bessel_quad."""
     if n != int(n):
         raise ValueError("order must be an integer")
     n = int(n)
@@ -257,18 +265,40 @@ def bessel_pair(fn, n: int, z):
         raise ValueError(f"argument modulus {abs(z):.3g} outside [1, {BESSEL_ARG_MAX:.3g}]")
     if abs(z.imag) > BESSEL_IM_MAX:
         raise ValueError(f"|Im z| = {abs(z.imag):.3g} exceeds {BESSEL_IM_MAX:.3g}")
-    c, cp = (complex(v[0]) for v in bessel_pair(fn, n, np.array([z])))
-    if not (cmath.isfinite(c) and cmath.isfinite(cp)):
-        raise ScaledMagnitudeError(
-            f"order-{n} cylinder function overflows double precision at z = {z}",
-            _bessel_log_magnitude(n, z),
-        )
-    if c == 0 and n > abs(z):
-        raise ScaledMagnitudeError(
-            f"order-{n} cylinder function underflows double precision at z = {z}",
-            -_bessel_log_magnitude(n, z),
-        )
-    return c, cp
+    return n, z
+
+
+def bessel_rows(fn, orders, points) -> list:
+    """Guarded pairs (C_n, C_n') of fn at many (order, point) rows.
+
+    The rows inside the box of ``bessel_quad`` are evaluated by one
+    ndarray ``bessel_pair`` call; AMOS evaluates each element on its
+    own, so every row keeps the bits it has alone.  Returns per row its
+    pair as Python complex numbers or, unraised, its ValueError (outside
+    the box) or ScaledMagnitudeError (C_n or C_n' overflows, or C_n
+    underflows to zero where the order dominates).
+    """
+    out, rows = [], []
+    for n, z in zip(orders, points):
+        try:
+            rows.append((len(out), *_box_point(n, z)))
+            out.append(None)
+        except ValueError as err:
+            out.append(err)
+    if rows:
+        _, ns, zs = zip(*rows)
+        c, cp = bessel_pair(fn, np.array(ns), np.array(zs, dtype=complex))
+        for (i, n, z), ci, cpi in zip(rows, c.tolist(), cp.tolist()):
+            out[i] = (ci, cpi)
+            if not (cmath.isfinite(ci) and cmath.isfinite(cpi)):
+                out[i] = ScaledMagnitudeError(
+                    f"order-{n} cylinder function overflows double precision at z = {z}",
+                    _bessel_log_magnitude(n, z))
+            elif ci == 0 and n > abs(z):
+                out[i] = ScaledMagnitudeError(
+                    f"order-{n} cylinder function underflows double precision at z = {z}",
+                    -_bessel_log_magnitude(n, z))
+    return out
 
 
 def bessel_quad(n: int, z: complex) -> BesselQuad:
@@ -290,6 +320,111 @@ def bessel_quad(n: int, z: complex) -> BesselQuad:
     h, hp = bessel_pair(_sp.hankel1, n, z)
     j, jp = bessel_pair(_sp.jv, n, z)
     return BesselQuad(order=int(n), argument=complex(z), j=j, j_prime=jp, h1=h, h1_prime=hp)
+
+
+# ---------------------------------------------------------------------------
+# Bessel columns by the three-term order recurrence, over a run of
+# consecutive orders at fixed nodes (the disk scan's count lattice).  Each
+# object hands out (C_(n-1), C_n) for ascending n, at the last ``size``
+# nodes.  _LATTICE_BLOCK orders of J are recomputed and held at once; the
+# upward H^(1) recurrence may let rounding errors grow by _LATTICE_GROWTH
+# (about 3e-16 times it, measured, so at most ~3e-10 relative; Im -3
+# incurs 202, Im -8 up to 7e6).
+_LATTICE_BLOCK = 32
+_LATTICE_GROWTH = 1e6
+
+
+def _tail(v, size):
+    """The last size nodes of a lattice row or row pair (size may be 0)."""
+    return v[..., v.shape[-1] - size:]
+
+
+class _Upward:
+    """(C_(n-1), C_n) of H^(1), n ascending, by the upward recurrence.
+
+    Seeded by AMOS at the run's first two orders, then C_(k+1) =
+    (2k/w) C_k - C_(k-1) (Gautschi, SIAM Review 9, 1967; DLMF
+    10.74(iv)).  Upward is stable where H^(1) dominates: beyond the
+    turning point, k > |w|, and below it near the real axis.  Far below
+    the axis H^(2) gains on H^(1) as k grows towards |w|, by up to
+    e^(2 |Im w|), and so does the rounding error.  A probe, the solution
+    started from (0, C_n), measures that gain node by node: once it
+    exceeds _LATTICE_GROWTH the node's columns are NaN, and the disk's
+    count lattice counts the mode per node instead.  Each step is taken
+    only at the nodes the asking mode needs, so that H^(1) cannot
+    overflow where no mode looks.
+    """
+
+    def __init__(self, fn, w, n):
+        self.w, self.n = w, n
+        prev, cur = fn(n - 1, w), fn(n, w)
+        # row 0 carries the columns, row 1 the probe
+        self.prev, self.cur = np.stack([prev, np.zeros_like(w)]), np.stack([cur, cur])
+        self.lost = np.zeros(w.shape, bool)
+
+    def columns(self, n, size):
+        w, prev, cur, lost = (_tail(v, size) for v in (self.w, self.prev, self.cur, self.lost))
+        for k in range(self.n, n):
+            prev, cur = cur, (2.0 * k / w) * cur - prev
+            lost = lost | (np.abs(cur[1]) > _LATTICE_GROWTH * np.abs(cur[0]))
+        self.w, self.n, self.prev, self.cur, self.lost = w, n, prev, cur, lost
+        return np.where(lost, np.nan, prev[0]), np.where(lost, np.nan, cur[0])
+
+
+class _Downward:
+    """(C_(n-1), C_n) of the minimal cylinder function J, n ascending.
+
+    Each node is seeded by AMOS at the two highest orders a mode of the
+    run needs there (tops, and tops - 1); the downward recurrence
+    C_(k-1) = (2k/w) C_k - C_(k+1) fills the orders below.  It is stable
+    for the minimal solution beyond the turning point, and below it, in
+    the lower half plane, J follows H^(1), which gains on H^(2) as k
+    falls (measured: within 6e-13 of AMOS on the default lattice at
+    Im -3 and at Im -50).  One sweep from the top keeps the recurrence
+    state at the top of every _LATTICE_BLOCK orders, and a block is swept
+    again into stored columns when a mode first asks for it: one block of
+    columns is held at a time, and AMOS is called only for the seeds.
+    """
+
+    def __init__(self, fn, w, n, tops):
+        self.w, self.lo, self.tops = w, n, tops
+        self.hi = int(tops.max())
+        self.seeds = fn(tops, w), fn(tops - 1, w)
+        self.marks = {}
+        state = (np.zeros_like(w), np.zeros_like(w))
+        for start in reversed(range(n, self.hi + 1, _LATTICE_BLOCK)):
+            self.marks[start] = state
+            state = self._sweep(start, state)
+        self.block = (None, None)
+
+    def _sweep(self, start, state, out=None):
+        """Recur from the top of start's block down to order start - 1.
+
+        state is (C_(k+1), C_k) at the block's top order k, zero at the
+        nodes not yet seeded; out[i], when given, receives order
+        start - 1 + i.  Returns the state at order start - 1.
+        """
+        upper, cur = state
+        high, low = self.seeds
+        for k in range(min(start + _LATTICE_BLOCK - 1, self.hi), start - 1, -1):
+            seeded = self.tops == k
+            cur = np.where(seeded, high, cur)
+            if out is not None:
+                out[k - start + 1] = cur
+            upper, cur = cur, np.where(seeded, low, (2.0 * k / self.w) * cur - upper)
+        if out is not None:
+            out[0] = cur
+        return upper, cur
+
+    def columns(self, n, size):
+        start = n - (n - self.lo) % _LATTICE_BLOCK
+        if self.block[0] != start:
+            out = np.empty((min(_LATTICE_BLOCK, self.hi - start + 1) + 1,) + self.w.shape, complex)
+            self._sweep(start, self.marks[start], out)
+            self.block = (start, out)
+        out = self.block[1]
+        return _tail(out[n - start], size), _tail(out[n - start + 1], size)
+
 
 
 def _zeta_seam(w: float) -> float:

@@ -459,6 +459,20 @@ class TestEmitFigure:
         band = sabine_bounds(ConvexDomain.disk(), TransparentObstacle(2.0, 1.0))
         assert [s.ys for s in bottom.series[1:]] == [(band.lower,), (band.upper,)]
 
+    def test_delta_decay_curve_follows_the_roots(self):
+        # The curve is the one-bounce law at the window's h = 2 / (A + B),
+        # where the delta resonances sit (at h = 1 it missed them by ~2x).
+        config = parse_config(["plot", "--problem", "delta", "--v0", "1",
+                               "--v-exponent", "0.8333333333333334",
+                               "--re", "200:215", "--n", "0:40"])
+        rows = scan(config.law(config.re_window), config.re_window, config.im_floor,
+                    config.modes())
+        top, _ = cli._LAYOUTS["circle"](rows, config)
+        curve = top.series[1]
+        q = np.interp([r.n / r.lam.real for r in rows], curve.xs, curve.ys)
+        assert len(rows) > 150
+        assert max(abs(r.lam.imag - qi) for r, qi in zip(rows, q)) < 0.01
+
     def test_layouts(self):
         circle = cli._LAYOUTS["circle"](self.rows(), parse_config(["plot", "--fig", "circle"]))
         assert [(p.x_label, p.y_label) for p in circle] == [

@@ -216,6 +216,11 @@ class TestSecular:
         f, fp = secular(BoundaryDamping(2.0), 2000, 1500.0 - 1.0j)
         assert cmath.isfinite(f) and cmath.isfinite(fp)
 
+    def test_zero_v0_is_a_value_error(self):
+        # f = J H - 2i / (pi V) divides by V = v0 lambda^v_exponent
+        with pytest.raises(ValueError, match="v0 != 0"):
+            secular(DeltaPotential(0.0), 3, 10.0 - 1.0j)
+
     def test_mode_symmetry(self):
         rng = np.random.default_rng(7)
         problems = (TE_FAST, TE_SLOW, BoundaryDamping(2.0), DeltaPotential(1.0, 0.5))
@@ -310,6 +315,11 @@ class TestSeedGlancing:
     def test_wrong_problem_rejected(self):
         with pytest.raises(TypeError):
             seed_glancing(BoundaryDamping(2.0), 100, 1)
+
+    def test_zero_v0_is_a_value_error(self):
+        # delta1 = 2^(1/3) n^(2/3) / V divides by V = 0
+        with pytest.raises(ValueError, match="v0 != 0"):
+            seed_glancing(DeltaPotential(0.0), 100, 1)
 
 
 class TestSeedPoints:
@@ -462,6 +472,10 @@ class TestNewtonRefine:
         with pytest.raises(NoConvergenceError):
             newton_refine(DeltaPotential(1e8, 0.0), 0, complex(2.40, -0.001), 0.1)
 
+    def test_zero_v0_is_a_value_error(self):
+        with pytest.raises(ValueError, match="v0 != 0"):
+            newton_refine(DeltaPotential(0.0), 3, 10.0 - 1.0j, 0.2)
+
     def test_glancing_seed_converges_unguarded(self):
         prob = DeltaPotential(1.0, 5.0 / 6.0)
         s = seed_glancing(prob, 1000, 1)
@@ -469,6 +483,65 @@ class TestNewtonRefine:
         assert r.lam.real == pytest.approx(1016.3424, abs=1e-3)
         assert r.lam.imag == pytest.approx(-1.1193, abs=1e-3)
         assert not r.guarded
+
+
+def _alone(problem, n, lam0, tag, eps):
+    """newton_refine of one start: its Resonance or the error it raises."""
+    try:
+        return newton_refine(problem, n, lam0, eps, tag=tag)
+    except (NoConvergenceError, ScaledMagnitudeError, ValueError) as err:
+        return err
+
+
+def _same_outcome(got, want):
+    """Equal Resonances with the same residual, seed and certificate, or
+    errors of one type with one message (and one trace)."""
+    if isinstance(want, Resonance):
+        return (got == want and repr(got.residual) == repr(want.residual)
+                and repr(got.certificate) == repr(want.certificate))
+    return (type(got) is type(want) and str(got) == str(want)
+            and getattr(got, "trace", None) == getattr(want, "trace", None))
+
+
+class TestNewtonRows:
+    """_newton_rows refines many starts in lockstep, one AMOS array per
+    cylinder function per round, each row as it would be refined alone."""
+
+    @pytest.mark.parametrize("problem", [
+        TE_FAST, DeltaPotential(1.0, 5.0 / 6.0), BoundaryDamping(2.0),
+    ], ids=["transparent", "delta", "damping"])
+    def test_rows_match_each_row_alone(self, problem):
+        # every seed a default scan (Re 200..300, Im >= -3) refines for
+        # these modes, rows of several modes in one lockstep
+        rows = [(n, *seed)
+                for n in (0, 1, 40, 200, 359)
+                for seed in qsabine.disk._seed_points(problem, n, max(200.0, n / 1.2), 300.0)
+                if seed[0].imag >= -4.0]
+        outcomes = qsabine.disk._newton_rows(problem, rows)
+        assert len(outcomes) == len(rows) > 40
+        assert any(isinstance(o, Resonance) for o in outcomes)
+        for (n, lam0, tag, trust), got in zip(rows, outcomes):
+            assert _same_outcome(got, _alone(problem, n, lam0, tag, trust)), (n, lam0, tag)
+
+    def test_failing_rows_leave_the_converging_row_its_bits(self):
+        slow = TransparentObstacle(0.5, 1.0)
+        whispering = complex(0.5 * (40 + 2.338 * 40 ** (1 / 3) / 2 ** (1 / 3)), -0.05)
+        rows = [
+            (10, 100.0 - 60.0j, "continuation", 0.2),        # leaves the Bessel box
+            (0, seed_normal(slow, 0, 130), "normal", 0.2),   # converges
+            (2000, 300.0 - 1.0j, "continuation", 0.2),       # J_2000(600 - 2i) underflows
+            (40, whispering, "glancing", 1.0),               # converges past the tangent cap
+            (0, 150.0 - 0.5j, "continuation", 0.05),         # diverges
+        ]
+        outcomes = qsabine.disk._newton_rows(slow, rows)
+        assert [type(o) for o in outcomes] == [
+            ValueError, Resonance, ScaledMagnitudeError, ValueError, NoConvergenceError]
+        assert "Im z" in str(outcomes[0]) and "tangent frequency" in str(outcomes[3])
+        for row, got in zip(rows, outcomes):
+            assert _same_outcome(got, _alone(slow, *row))
+
+    def test_no_rows(self):
+        assert qsabine.disk._newton_rows(TE_FAST, []) == []
 
 
 def _refuse_guard(*args, **kwargs):
@@ -666,6 +739,26 @@ class TestScan:
         key = [(r.lam, r.n, r.residual, r.seed) for r in serial]
         assert len(key) > 15 and {190, 200} <= {r.n for r in serial}
         assert [(r.lam, r.n, r.residual, r.seed) for r in pooled] == key
+
+    @pytest.mark.parametrize("problem", [TE_FAST, BoundaryDamping(2.0),
+                                         DeltaPotential(1.0, 5.0 / 6.0)])
+    def test_blocks_with_gaps_scan_like_single_modes(self, inline_pool, problem):
+        # Modes 10..60 step 3, 17 of them: serial blocks of 4 modes and a
+        # last one of 1, on five workers blocks of 3 and a last one of 2;
+        # the modes of a block are not consecutive.
+        modes = range(10, 61, 3)
+        csv = [self.csv(scan(problem, (200.0, 215.0), -3.0, modes, workers=w)) for w in (0, 5)]
+        assert inline_pool == [5]
+        alone = sorted((r for n in modes for r in scan(problem, (200.0, 215.0), -3.0, [n])),
+                       key=lambda r: (r.lam.real, r.n))
+        assert csv == [self.csv(alone)] * 2
+        assert csv[0].count("\n") > 20
+
+    @staticmethod
+    def csv(roots):
+        out = io.StringIO()
+        write_resonance_csv(roots, out)
+        return out.getvalue()
 
     def test_window_validation(self):
         with pytest.raises(ValueError):

@@ -286,6 +286,50 @@ class TestBesselPairOracle:
                 assert (complex(c[k]), complex(cp[k])) == sf.bessel_pair(fn, n, complex(z))
 
 
+class TestBesselRows:
+    """bessel_rows against the point evaluation it batches: each row
+    through one-element AMOS arrays and Python guards."""
+
+    @staticmethod
+    def one_point(fn, n, z):
+        if not (n == int(n) and 0 <= n <= sf.BESSEL_ORDER_MAX
+                and 1.0 <= abs(z) <= sf.BESSEL_ARG_MAX and abs(z.imag) <= sf.BESSEL_IM_MAX):
+            return ValueError
+        a = np.array([z])
+        c = fn(n, a)
+        c, cp = complex(c[0]), complex((fn(n - 1, a) - (n / a) * c)[0])
+        if not (cmath.isfinite(c) and cmath.isfinite(cp)) or (c == 0 and n > abs(z)):
+            return sf.ScaledMagnitudeError
+        return c, cp
+
+    @pytest.mark.parametrize("fn", [jv, hankel1])
+    def test_rows_match_one_point_each_bitwise(self, fn):
+        # orders and points mixed across the box: the turning region,
+        # order-dominated rows that overflow (H) or underflow (J), and
+        # rows outside the box, which must not disturb their neighbours
+        rng = np.random.default_rng(11)
+        orders = rng.integers(0, 400, 300).tolist() + [2000, 2000, 3, 2.5, -1, 20001]
+        points = [complex(rng.uniform(100, 350), -rng.uniform(0, 3)) for _ in range(300)]
+        points += [600 - 2j, 1700 - 1j, 100 - 60j, 10.0, 10.0, 10.0]
+        rows = sf.bessel_rows(fn, orders, points)
+        kinds = set()
+        for n, z, got in zip(orders, points, rows):
+            want = self.one_point(fn, n, z)
+            if isinstance(want, tuple):
+                assert got == want, (n, z)
+            else:
+                assert type(got) is want, (n, z)
+                assert got.args == self.raised(fn, n, z).args
+            kinds.add(type(got))
+        assert kinds == {tuple, ValueError, sf.ScaledMagnitudeError}
+
+    @staticmethod
+    def raised(fn, n, z):
+        with pytest.raises((ValueError, sf.ScaledMagnitudeError)) as info:
+            sf.bessel_pair(fn, n, z)
+        return info.value
+
+
 class TestUniformZeta:
     def test_defining_identity_above_one(self):
         for z in np.concatenate([np.linspace(1.0005, 1.2, 25), np.linspace(1.2, 40.0, 25)]):
