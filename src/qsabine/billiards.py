@@ -382,13 +382,20 @@ def billiard_step(domain: ConvexDomain, q: PhasePoint):
     return PhasePoint(float(s1[0]), float(xi1[0])), float(chord[0])
 
 
-def _billiard_steps(domain: ConvexDomain, s, xi):
+def _billiard_steps(domain: ConvexDomain, s, xi, frame=None):
     """The billiard map on arrays of phase points, all rows in lockstep.
 
     Returns arrays (s1, xi1, chord) shaped like ``s``.  Row i is bit for
     bit what ``billiard_step`` gives for (s[i], xi[i]); a row with
     |xi| >= 1 - GLANCING_MARGIN (or NaN) comes back NaN instead of
     raising.  The next points are not validated as PhasePoints.
+
+    ``frame`` carries footpoint frames from one step of an orbit to the
+    next.  If it is a list, the call leaves in it the (position, tangent)
+    arrays of the exit points, shaped ``s.shape + (2,)`` and NaN on rows
+    not stepped; passed back with those exit points as (s, xi), they
+    stand in for the chart inversion at the start.  The chart reduces
+    its argument mod L itself, so the frames are the same bits.
     """
     s = np.asarray(s, dtype=float)
     xi = np.asarray(xi, dtype=float)
@@ -399,7 +406,7 @@ def _billiard_steps(domain: ConvexDomain, s, xi):
     L = domain.perimeter
     s0 = np.mod(s[ok], L)
     x0 = xi[ok]
-    p0, t0 = domain._frame(s0)
+    p0, t0 = (a[ok] for a in frame) if frame else domain._frame(s0)
     n0 = np.stack([-t0[:, 1], t0[:, 0]], axis=-1)
     d = x0[:, None] * t0 + np.sqrt(1.0 - x0 * x0)[:, None] * n0
     # d and the footpoint as rows (dx, dy, px, py): one take per evaluation.
@@ -417,6 +424,9 @@ def _billiard_steps(domain: ConvexDomain, s, xi):
     s1[ok] = exit_s
     chord[ok] = np.hypot(p1[:, 0] - p0[:, 0], p1[:, 1] - p0[:, 1])
     xi1[ok] = d[:, 0] * t1[:, 0] + d[:, 1] * t1[:, 1]
+    if frame is not None:
+        frame[:] = (np.full(s.shape + (2,), np.nan) for _ in range(2))
+        frame[0][ok], frame[1][ok] = p1, t1
     return s1, xi1, chord
 
 
@@ -528,9 +538,10 @@ def _orbits(domain: ConvexDomain, s, xi, n_steps: int):
     n = int(n_steps)
     if n < 1 or n != n_steps:
         raise ValueError("n_steps must be a positive integer")
-    steps = []
+    steps, frame = [], []
     for _ in range(n):
-        s, xi, chord = _billiard_steps(domain, s, xi)
+        # frame goes positionally, so stand-ins taking (domain, *args) fit
+        s, xi, chord = _billiard_steps(domain, s, xi, frame)
         # The rows PhasePoint would reject; the first one raises its error.
         bad = ~np.isnan(chord) & ~(np.isfinite(s) & (np.abs(xi) < 1.0))
         if bad.any():

@@ -34,6 +34,13 @@ log |r|**2 diverge; ``log_reflectivity`` signals them with the
 dedicated ``TOTAL_TRANSMISSION`` value instead of a silent infinity.
 Amplitude profiles v0(position) and a(position) serve the reflectivity
 only: the disk scan needs constants (see ``disk.check_scan_box``).
+
+Each law writes its coefficient once, for arrays of (xi, position)
+points: ``reflect`` and ``log_reflectivity`` are the one-point case.
+The complex arithmetic is CPython's, spelled out on float arrays
+(``_product``, ``_quotient``), because numpy's complex product,
+quotient and modulus differ from it in the last bit, and the band
+endpoints are pinned to the bit.
 """
 
 from __future__ import annotations
@@ -42,6 +49,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional, Union
+
+import numpy as np
 
 from .billiards import GLANCING_MARGIN
 
@@ -76,6 +85,33 @@ def _scalar_or_call(value, position):
     return float(value(position)) if callable(value) else float(value)
 
 
+def _at(value_of, profile, positions: np.ndarray):
+    """value_of(position) at each position: per position for a callable
+    profile, once (a scalar) for a constant one."""
+    if callable(profile):
+        return np.array([value_of(p) for p in positions.tolist()], dtype=float)
+    return value_of(0.0)
+
+
+def _product(a, b):
+    """CPython's complex product (``_Py_c_prod``) of (real, imag) pairs of
+    float arrays.  A float x enters as (x, 0.0), as CPython promotes it."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _quotient(a, b):
+    """CPython's complex quotient (``_Py_c_quot``, Smith's method) of
+    (real, imag) pairs, each element on its own branch.  b must not
+    vanish."""
+    (ar, ai), (br, bi) = a, b
+    by_real = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_real, bi / br, br / bi)
+        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+        return (np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom,
+                np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
 @dataclass(frozen=True)
 class TransparentObstacle:
     """Penetrable interface with interior speed c > 0 and coupling alpha > 0.
@@ -107,9 +143,14 @@ class TransparentObstacle:
         (for c = alpha = 1, everywhere)."""
         return not self.is_te
 
-    def _coefficient(self, xi: float, nu: float, position: float) -> complex:
-        w = branched_sqrt(complex(self.c * self.c - xi * xi))
-        return (nu - self.alpha * w) / (self.alpha * w + nu)
+    def _coefficients(self, xi, nu, positions):
+        x = self.c * self.c - xi * xi
+        # branched_sqrt(x) of a real x: sqrt(|x|) times its value at +-1
+        up = branched_sqrt(-1.0)
+        w = _product((np.sqrt(np.abs(x)), 0.0),
+                     (np.where(x < 0.0, up.real, 1.0), np.where(x < 0.0, up.imag, 0.0)))
+        aw = _product((self.alpha, 0.0), w)
+        return _quotient((nu - aw[0], 0.0 - aw[1]), (aw[0] + nu, aw[1] + 0.0))
 
 
 @dataclass(frozen=True)
@@ -154,9 +195,10 @@ class DeltaPotential:
             raise ValueError("delta coupling h * sigma must be finite")
         return coupling
 
-    def _coefficient(self, xi: float, nu: float, position: float) -> complex:
-        hw = self.coupling(position)
-        return hw / (2.0j * nu - hw)
+    def _coefficients(self, xi, nu, positions):
+        hw = _at(self.coupling, self.v0, positions)
+        two_i_nu = _product((0.0, 2.0), (nu, 0.0))
+        return _quotient((hw, 0.0), (two_i_nu[0] - hw, two_i_nu[1] - 0.0))
 
 
 @dataclass(frozen=True)
@@ -181,11 +223,11 @@ class BoundaryDamping:
             raise ValueError(f"damping profile must stay positive, got {val!r}")
         return val
 
-    def _coefficient(self, xi: float, nu: float, position: float) -> complex:
-        a = self.damping_at(position)
+    def _coefficients(self, xi, nu, positions):
+        a = _at(self.damping_at, self.a, positions)
         # a = nu is a genuine zero of r, not a pole: the denominator
         # a + nu stays positive
-        return complex((nu - a) / (a + nu))
+        return (nu - a) / (a + nu), np.zeros_like(nu)
 
 
 ReflectivityModel = Union[TransparentObstacle, DeltaPotential, BoundaryDamping]
@@ -207,11 +249,25 @@ def branched_sqrt(z: complex) -> complex:
     return math.sqrt(abs(z)) * cmath.exp(0.5j * theta)
 
 
-def _normal_component(xi: float) -> float:
-    xi = float(xi)
-    if abs(xi) > GLANCING_CUTOFF:
-        raise ValueError(f"|xi| = {abs(xi)!r} is too close to glancing")
-    return math.sqrt(1.0 - xi * xi)
+def _reflections(model: ReflectivityModel, xi, positions):
+    """(Re r, Im r) of the model at arrays of tangential frequencies and
+    boundary positions; each element is bit for bit ``reflect`` of it.
+
+    Raises what ``reflect`` raises at the first point that fails, taking
+    the points in order.
+    """
+    if not isinstance(model, (TransparentObstacle, DeltaPotential, BoundaryDamping)):
+        raise TypeError(f"not a reflectivity model: {model!r}")
+    xi = np.asarray(xi, dtype=float)
+    positions = np.asarray(positions, dtype=float)
+    glancing = np.flatnonzero(np.abs(xi) > GLANCING_CUTOFF)
+    if glancing.size:
+        k = glancing[0]
+        if k:
+            # a profile error before the first glancing point comes first
+            _reflections(model, xi[:k], positions[:k])
+        raise ValueError(f"|xi| = {abs(float(xi[k]))!r} is too close to glancing")
+    return model._coefficients(xi, np.sqrt(1.0 - xi * xi), positions)
 
 
 def reflect(model: ReflectivityModel, xi: float, position: float = 0.0) -> complex:
@@ -231,11 +287,8 @@ def reflect(model: ReflectivityModel, xi: float, position: float = 0.0) -> compl
         The reflection coefficient; |r| <= 1 always.  The transparent
         coefficient is real whenever c**2 >= xi**2.
     """
-    # a tuple, not ReflectivityModel: isinstance of a typing.Union costs
-    # about 7x more, and the Sabine band calls this once per orbit point
-    if not isinstance(model, (TransparentObstacle, DeltaPotential, BoundaryDamping)):
-        raise TypeError(f"not a reflectivity model: {model!r}")
-    return model._coefficient(xi, _normal_component(xi), position)
+    re, im = _reflections(model, [xi], [position])
+    return complex(re[0], im[0])
 
 
 def brewster(model: TransparentObstacle) -> Optional[float]:
@@ -264,10 +317,16 @@ def log_reflectivity(model: ReflectivityModel, xi: float, position: float = 0.0)
     and clamped at 0 to absorb roundoff at unit modulus (|r| <= 1
     exactly for all three models).
     """
-    magnitude = abs(reflect(model, xi, position))
-    if magnitude == 0.0:
-        return TOTAL_TRANSMISSION
-    return min(2.0 * math.log(magnitude), 0.0)
+    return float(_log_reflectivities(model, [xi], [position])[0])
+
+
+def _log_reflectivities(model: ReflectivityModel, xi, positions) -> np.ndarray:
+    """log |r|**2 at arrays of points, each bit for bit log_reflectivity."""
+    # hypot is CPython's complex abs; math.log per element, because
+    # np.log differs from it in the last bit on a fraction of inputs
+    magnitudes = np.hypot(*_reflections(model, xi, positions)).tolist()
+    logs = [2.0 * math.log(m) if m else TOTAL_TRANSMISSION for m in magnitudes]
+    return np.minimum(logs, 0.0)
 
 
 def is_total_transmission(value: float) -> bool:

@@ -32,8 +32,9 @@ from .reflectivity import (
     DeltaPotential,
     ReflectivityModel,
     TransparentObstacle,
+    _log_reflectivities,
     brewster,
-    log_reflectivity,
+    log_reflectivity,  # unused here; perfbench/tracing.py wraps it by name
 )
 from .specfun import _CBRT2, airy_zeros
 
@@ -74,24 +75,24 @@ def _prefix_quotients(
 ) -> np.ndarray:
     """Sabine quotients of the first N = 1..n_max steps of many orbits.
 
-    The orbits start at the rows of (s, xi) and are stepped together.
+    The orbits start at the rows of (s, xi) and are stepped together,
+    and the reflectivity of all their points is taken as one array.
     Returns an array of shape (rows, n_max); the row of an orbit that
-    meets the glancing guard is NaN and costs no reflectivity call.
-    Every computed point is validated as a PhasePoint.  A reflectivity
-    zero anywhere on an orbit makes every quotient from that bounce
-    onward -inf; -inf plus a finite float stays -inf under cumulative
-    summation, so no special casing is needed.
+    meets the glancing guard is NaN and its points are not reflected.
+    Every computed point is validated as a PhasePoint.  Each row is bit
+    for bit the row of a batch of that orbit alone, and a reflectivity
+    error is the one of the first failing point in row order.  A
+    reflectivity zero anywhere on an orbit makes every quotient from
+    that bounce onward -inf; -inf plus a finite float stays -inf under
+    cumulative summation, so no special casing is needed.
     """
     pts_s, pts_xi, chords = _orbits(domain, s, xi, n_max)
     out = np.full(chords.shape, np.nan)
-    speed = wave_speed(model)
-    for i in np.flatnonzero(~np.isnan(chords).any(axis=1)):
-        logs = np.array(
-            [log_reflectivity(model, x, t)
-             for t, x in zip(pts_s[i].tolist(), pts_xi[i].tolist())],
-            dtype=float,
-        )
-        out[i] = speed * np.cumsum(logs) / (2.0 * np.cumsum(chords[i]))
+    whole = ~np.isnan(chords).any(axis=1)
+    if whole.any():
+        logs = _log_reflectivities(model, pts_xi[whole].ravel(), pts_s[whole].ravel())
+        out[whole] = (wave_speed(model) * np.cumsum(logs.reshape(-1, chords.shape[1]), axis=1)
+                      / (2.0 * np.cumsum(chords[whole], axis=1)))
     return out
 
 
@@ -222,6 +223,12 @@ def sabine_bounds(
     endpoints are the extreme sampled quotients.  Raises RuntimeError if
     the band fails to stabilize within 6 doublings, and ValueError for a
     count that is not a whole number.
+
+    Orbits are stepped in one ``_prefix_quotients`` batch per grid level,
+    levels 0 and 1 together (level 0's points are level 1's); a finer
+    level steps only the points no coarser level had.  Rows are
+    independent, so the endpoints are those of stepping each level on
+    its own, and a failure raises what that order raises first.
     """
     if int(n_max) < 1 or int(n_max) != n_max:
         raise ValueError("n_max must be a positive integer")
@@ -262,6 +269,15 @@ def sabine_bounds(
             )
         s_vals = np.linspace(0.0, perim, _S_POINTS * 2**level, endpoint=False)
         return full[keep], s_vals
+
+    try:
+        # Convergence is first tested at level 1, and level 0's points
+        # are level 1's: one batch serves both.
+        evaluate(*masked_grid(1))
+    except Exception:
+        # The loop goes level by level and raises what that order raises
+        # first: a failure of level 0 before any of level 1.
+        pass
 
     lower = upper = math.nan
     xi_vals = s_vals = None

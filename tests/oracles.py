@@ -165,3 +165,42 @@ def damping_quotient(a: float, xi: float) -> float:
     if mod == 0.0:
         return -math.inf
     return 2.0 * math.log(mod) / (4.0 * nu)
+
+
+# ---------------------------------------------------------------------------
+# reflectivity, one point at a time in Python complex
+
+
+def _upper_sqrt(z: complex) -> complex:
+    """sqrt(|z|) e^{i Arg(z)/2}, Arg(z) in (-pi/2, 3pi/2]."""
+    if z == 0:
+        return 0.0 + 0.0j
+    theta = cmath.phase(z)
+    if theta <= -0.5 * math.pi:
+        theta += 2.0 * math.pi
+    return math.sqrt(abs(z)) * cmath.exp(0.5j * theta)
+
+
+def reflection_point(model, xi: float, position: float = 0.0) -> complex:
+    """Reflection coefficient of one of the three boundary laws at one
+    point, in CPython's complex arithmetic, formula by formula."""
+    xi = float(xi)
+    if abs(xi) > 1.0 - 1e-12:
+        raise ValueError(f"|xi| = {abs(xi)!r} is too close to glancing")
+    nu = math.sqrt(1.0 - xi * xi)
+    if model.tag == "transparent":
+        w = _upper_sqrt(complex(model.c * model.c - xi * xi))
+        return (nu - model.alpha * w) / (model.alpha * w + nu)
+    if model.tag == "delta":
+        hw = model.coupling(position)
+        return hw / (2.0j * nu - hw)
+    a = model.damping_at(position)
+    return complex((nu - a) / (a + nu))
+
+
+def log_reflection_point(model, xi: float, position: float = 0.0) -> float:
+    """log |r|**2 at one point, -inf at a zero, clamped at 0."""
+    magnitude = abs(reflection_point(model, xi, position))
+    if magnitude == 0.0:
+        return -math.inf
+    return min(2.0 * math.log(magnitude), 0.0)

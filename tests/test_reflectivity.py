@@ -3,7 +3,9 @@
 Closed-form plug-ins (normal incidence, Brewster zeros, total internal
 reflection) pin down each formula; property sweeps check the physical
 invariants |r| <= 1, realness below the critical angle, and the TE
-lower bound.
+lower bound.  The array path, which the scalar functions are the
+one-point case of, is held bit for bit to a per-point Python-complex
+reference (oracles.reflection_point).
 """
 
 import cmath
@@ -12,7 +14,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import log_reflection_point, reflection_point
 from qsabine.reflectivity import (
+    _log_reflectivities,
+    _reflections,
     BREWSTER_WINDOW,
     GLANCING_CUTOFF,
     TOTAL_TRANSMISSION,
@@ -239,3 +244,91 @@ class TestLogReflectivity:
 
     def test_brewster_window_constant(self):
         assert 0.0 < BREWSTER_WINDOW < 0.1
+
+
+def bits(z) -> tuple:
+    """The exact bits of a complex or float, signed zeros and NaN included."""
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+class TestArrayReflectivity:
+    # Every law on its branches: c < 1 (total internal reflection from
+    # xi = c on, with w = 0 at xi = c), c = 1, c > 1 with an exact Brewster
+    # zero, free space (r = 0 everywhere), a matched damping zero at
+    # xi = 0, a vanishing delta potential, and position profiles.
+    MODELS = (
+        TransparentObstacle(2.0, 1.0),
+        TransparentObstacle(2.0, 0.4),
+        TransparentObstacle(0.5, 1.3),
+        TransparentObstacle(0.5, 4.0),
+        TransparentObstacle(1.0, 3.0),
+        TransparentObstacle(1.0, 1.0),
+        TransparentObstacle(1.5, 0.3),
+        DeltaPotential(1.0, 5.0 / 6.0, 0.004),
+        DeltaPotential(0.3),
+        DeltaPotential(0.0),
+        DeltaPotential(lambda s: 1.0 + 0.5 * math.sin(s), 0.5, 0.01),
+        BoundaryDamping(2.0),
+        BoundaryDamping(0.5),
+        BoundaryDamping(1.0),
+        BoundaryDamping(lambda s: 1.0 + 0.9 * math.cos(3.0 * s)),
+    )
+
+    @staticmethod
+    def points(model):
+        xi = np.linspace(-GLANCING_CUTOFF, GLANCING_CUTOFF, 4001)
+        special = [0.0, -0.0, 0.5, 1.0 - 1e-6, GLANCING_CUTOFF, 1e-300, math.nan]
+        special += [1.0 - 10.0 ** -k for k in range(1, 12)]
+        if isinstance(model, TransparentObstacle) and brewster(model) is not None:
+            special.append(brewster(model))
+        xi = np.concatenate([xi, special, np.negative(special)])
+        positions = np.linspace(-7.0, 7.0, xi.size)
+        return xi, positions
+
+    @pytest.mark.parametrize("model", MODELS, ids=repr)
+    def test_array_path_matches_point_reference(self, model):
+        xi, positions = self.points(model)
+        re, im = _reflections(model, xi, positions)
+        logs = _log_reflectivities(model, xi, positions)
+        for k, (x, p) in enumerate(zip(xi.tolist(), positions.tolist())):
+            expected = reflection_point(model, x, p)
+            assert bits(complex(re[k], im[k])) == bits(expected), (x, p)
+            assert bits(reflect(model, x, p)) == bits(expected), (x, p)
+            expected_log = log_reflection_point(model, x, p)
+            assert logs[k].hex() == expected_log.hex(), (x, p)
+            assert log_reflectivity(model, x, p).hex() == expected_log.hex(), (x, p)
+
+    def test_the_zeros_are_total_transmission(self):
+        xi_b = brewster(TransparentObstacle(2.0, 0.4))
+        cases = ((TransparentObstacle(2.0, 0.4), xi_b), (TransparentObstacle(1.0, 1.0), 0.3),
+                 (BoundaryDamping(1.0), 0.0), (DeltaPotential(0.0), 0.7))
+        for model, xi in cases:
+            assert _log_reflectivities(model, [0.2, xi], [0.0, 0.0])[1] == TOTAL_TRANSMISSION
+
+    @pytest.mark.parametrize("model", MODELS, ids=repr)
+    def test_past_the_cutoff_is_the_point_error(self, model):
+        for xi in (1.0 - 1e-14, -1.0, 1.5, math.inf):
+            with pytest.raises(ValueError) as expected:
+                reflection_point(model, xi)
+            with pytest.raises(ValueError) as got:
+                _reflections(model, [0.1, xi, 1.0 - 1e-13], [0.0, 0.0, 0.0])
+            assert str(got.value) == str(expected.value)
+            with pytest.raises(ValueError) as got:
+                log_reflectivity(model, xi)
+            assert str(got.value) == str(expected.value)
+
+    def test_errors_come_in_point_order(self):
+        # A profile that fails at position 1 raises before a later
+        # glancing point, and after an earlier one, as one at a time.
+        model = BoundaryDamping(lambda s: 1.0 - s)
+        with pytest.raises(ValueError, match="damping profile must stay positive"):
+            _reflections(model, [0.2, 0.3, 1.0], [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="too close to glancing"):
+            _reflections(model, [0.2, 1.0, 0.3], [0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            _reflections(DeltaPotential(1e308, 1.0, 0.5), [0.2, 1.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="glancing"):
+            _reflections(DeltaPotential(1e308, 1.0, 0.5), [1.0, 0.2], [0.0, 0.0])
+        with pytest.raises(TypeError):
+            _reflections(object(), [1.0], [0.0])

@@ -14,6 +14,8 @@ Independent routes used here:
   * the benchmark's recorded band endpoints (perfbench/references.json),
     matched exactly, and the endpoints of disk, ellipse and support-
     function domains under four models, recorded once and matched exactly
+  * a level-by-level reference that steps each grid level in its own
+    batch, against sabine_bounds, which steps levels 0 and 1 together
 """
 
 import dataclasses
@@ -24,8 +26,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qsabine import sabine
 from qsabine.billiards import GLANCING_MARGIN, ConvexDomain, PhasePoint
 from qsabine.reflectivity import (
+    BREWSTER_WINDOW,
     BoundaryDamping,
     DeltaPotential,
     TransparentObstacle,
@@ -57,6 +61,32 @@ CBRT2 = 2.0 ** (1.0 / 3.0)
 
 def normal_anchor(c, alpha):
     return (c / 2.0) * math.log(abs((1.0 - alpha * c) / (1.0 + alpha * c)))
+
+
+def level_by_level(domain, model, n_max, xi_points):
+    """(lower, upper, refinements) of sabine_bounds with one
+    _prefix_quotients call per grid level, for the points no coarser
+    level had."""
+    collar = sabine._default_collar(model)
+    zeros = sabine._reflectivity_zeros(model)
+    fiat_lower = any(z <= 1.0 - collar for z in zeros)
+    seen = {}
+    lower = upper = math.nan
+    for level in range(sabine._MAX_REFINE + 1):
+        full = np.linspace(0.0, 1.0 - collar, (xi_points - 1) * 2**level + 1)
+        xi = [x for x in full.tolist() if all(abs(x - z) >= BREWSTER_WINDOW for z in zeros)]
+        s = np.linspace(0.0, domain.perimeter, sabine._S_POINTS * 2**level, endpoint=False)
+        keys = [(a, b) for a in s.tolist() for b in xi]
+        new = [key for key in keys if key not in seen]
+        seen.update(zip(new, sabine._prefix_quotients(domain, model, *np.array(new).T, n_max)))
+        infs, sups = sabine._reduce_columns(np.array([seen[key] for key in keys]))
+        prev_lower, prev_upper = lower, upper
+        lower = -math.inf if fiat_lower else float(np.max(infs))
+        upper = float(np.min(sups))
+        if level and sabine._endpoints_close(lower, prev_lower, sabine._TOL) \
+                and sabine._endpoints_close(upper, prev_upper, sabine._TOL):
+            return lower, upper, level
+    raise RuntimeError("no convergence")
 
 
 class TestSabineQuotient:
@@ -214,6 +244,57 @@ class TestSabineBounds:
     def test_recorded_endpoints_exact(self, domain, model, lower, upper):
         band = sabine_bounds(domain, model)
         assert (band.lower, band.upper) == (lower, upper)
+
+    def test_levels_0_and_1_are_one_batch(self, monkeypatch):
+        # The benchmark's bands converge at level 1: one batch of the 65 x 8
+        # level-1 points serves both levels.
+        batches = []
+        real = sabine._prefix_quotients
+
+        def counting(domain, model, s, xi, n_max):
+            batches.append(len(s))
+            return real(domain, model, s, xi, n_max)
+
+        monkeypatch.setattr(sabine, "_prefix_quotients", counting)
+        for domain in (DISK, ConvexDomain.ellipse(1.5, 1.0)):
+            batches.clear()
+            band = sabine_bounds(domain, TE_FAST)
+            assert band.refinements == 1 and batches == [65 * 8]
+
+    @pytest.mark.parametrize("domain, model, n_max, xi_points, tol, refinements", [
+        (DISK, TE_FAST, 2, 3, 5e-11, 2),
+        (DISK, BoundaryDamping(lambda s: 1.5 + math.sin(s)), 2, 3, 1e-3, 3),
+        (wavy_domain(), DeltaPotential(1.0, 0.5, 0.3), 2, 3, 0.018, 3),
+        (wavy_domain(), DeltaPotential(1.0, 0.5, 0.3), 2, 3, 0.015, 4),
+    ], ids=["disk-te-fast", "disk-damping-profile", "wavy-delta-3", "wavy-delta-4"])
+    def test_finer_levels_match_a_level_by_level_reference(
+            self, monkeypatch, domain, model, n_max, xi_points, tol, refinements):
+        monkeypatch.setattr(sabine, "_TOL", tol)
+        band = sabine_bounds(domain, model, n_max=n_max, xi_points=xi_points)
+        expected = level_by_level(domain, model, n_max, xi_points)
+        assert (band.lower, band.upper, band.refinements) == expected
+        assert band.refinements == refinements
+
+    @pytest.mark.parametrize("level_0, error, message", [
+        ("glancing", RuntimeError, "every phase-space sample hit the glancing guard"),
+        ("fine", ValueError, "a level-1 row fails"),
+    ])
+    def test_level_0_errors_come_first(self, monkeypatch, level_0, error, message):
+        # A failing level-1 row does not preempt level 0's all-glancing
+        # error, and still fails the band once level 0 has passed.
+        real = sabine._prefix_quotients
+        s_0 = np.linspace(0.0, DISK.perimeter, 4, endpoint=False)
+        xi_0 = np.linspace(0.0, 1.0 - 1e-6, 3)
+
+        def failing(domain, model, s, xi, n_max):
+            if not (np.isin(s, s_0).all() and np.isin(xi, xi_0).all()):
+                raise ValueError("a level-1 row fails")
+            out = real(domain, model, s, xi, n_max)
+            return np.full_like(out, np.nan) if level_0 == "glancing" else out
+
+        monkeypatch.setattr(sabine, "_prefix_quotients", failing)
+        with pytest.raises(error, match=message):
+            sabine_bounds(DISK, TE_FAST, n_max=2, xi_points=3)
 
     def test_determinism(self):
         a = sabine_bounds(DISK, TE_FAST, n_max=2, xi_points=17)
