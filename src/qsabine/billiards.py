@@ -390,12 +390,9 @@ def _billiard_steps(domain: ConvexDomain, s, xi, frame=None):
     |xi| >= 1 - GLANCING_MARGIN (or NaN) comes back NaN instead of
     raising.  The next points are not validated as PhasePoints.
 
-    ``frame`` carries footpoint frames from one step of an orbit to the
-    next.  If it is a list, the call leaves in it the (position, tangent)
-    arrays of the exit points, shaped ``s.shape + (2,)`` and NaN on rows
-    not stepped; passed back with those exit points as (s, xi), they
-    stand in for the chart inversion at the start.  The chart reduces
-    its argument mod L itself, so the frames are the same bits.
+    A list ``frame`` is left holding the (position, tangent) arrays of
+    the exit points (NaN where not stepped); passed back with them, it
+    stands in for the chart inversion at the start, bit for bit.
     """
     s = np.asarray(s, dtype=float)
     xi = np.asarray(xi, dtype=float)

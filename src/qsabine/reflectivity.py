@@ -35,12 +35,10 @@ dedicated ``TOTAL_TRANSMISSION`` value instead of a silent infinity.
 Amplitude profiles v0(position) and a(position) serve the reflectivity
 only: the disk scan needs constants (see ``disk.check_scan_box``).
 
-Each law writes its coefficient once, for arrays of (xi, position)
-points: ``reflect`` and ``log_reflectivity`` are the one-point case.
-The complex arithmetic is CPython's, spelled out on float arrays
-(``_product``, ``_quotient``), because numpy's complex product,
-quotient and modulus differ from it in the last bit, and the band
-endpoints are pinned to the bit.
+Each law writes its coefficient once, for arrays of points, in
+CPython's complex arithmetic spelled out on floats (numpy's complex
+ops differ from it in the last bit); ``reflect`` and
+``log_reflectivity`` are the one-point case.
 """
 
 from __future__ import annotations
@@ -86,8 +84,7 @@ def _scalar_or_call(value, position):
 
 
 def _at(value_of, profile, positions: np.ndarray):
-    """value_of(position) at each position: per position for a callable
-    profile, once (a scalar) for a constant one."""
+    """value_of at each position; once, as a scalar, for a constant profile."""
     if callable(profile):
         return np.array([value_of(p) for p in positions.tolist()], dtype=float)
     return value_of(0.0)
@@ -250,12 +247,8 @@ def branched_sqrt(z: complex) -> complex:
 
 
 def _reflections(model: ReflectivityModel, xi, positions):
-    """(Re r, Im r) of the model at arrays of tangential frequencies and
-    boundary positions; each element is bit for bit ``reflect`` of it.
-
-    Raises what ``reflect`` raises at the first point that fails, taking
-    the points in order.
-    """
+    """(Re r, Im r) at arrays of xi and positions, each element bit for
+    bit ``reflect``; raises what the first failing point raises alone."""
     if not isinstance(model, (TransparentObstacle, DeltaPotential, BoundaryDamping)):
         raise TypeError(f"not a reflectivity model: {model!r}")
     xi = np.asarray(xi, dtype=float)

@@ -76,15 +76,13 @@ def _prefix_quotients(
     """Sabine quotients of the first N = 1..n_max steps of many orbits.
 
     The orbits start at the rows of (s, xi) and are stepped together,
-    and the reflectivity of all their points is taken as one array.
-    Returns an array of shape (rows, n_max); the row of an orbit that
-    meets the glancing guard is NaN and its points are not reflected.
-    Every computed point is validated as a PhasePoint.  Each row is bit
-    for bit the row of a batch of that orbit alone, and a reflectivity
-    error is the one of the first failing point in row order.  A
-    reflectivity zero anywhere on an orbit makes every quotient from
-    that bounce onward -inf; -inf plus a finite float stays -inf under
-    cumulative summation, so no special casing is needed.
+    and their points' reflectivity is one array.  Returns an array of
+    shape (rows, n_max); the row of an orbit that meets the glancing
+    guard is NaN and its points are not reflected.  Every computed
+    point is validated as a PhasePoint.  A reflectivity zero anywhere
+    on an orbit makes every quotient from that bounce onward -inf; -inf
+    plus a finite float stays -inf under cumulative summation, so no
+    special casing is needed.
     """
     pts_s, pts_xi, chords = _orbits(domain, s, xi, n_max)
     out = np.full(chords.shape, np.nan)
@@ -224,11 +222,9 @@ def sabine_bounds(
     the band fails to stabilize within 6 doublings, and ValueError for a
     count that is not a whole number.
 
-    Orbits are stepped in one ``_prefix_quotients`` batch per grid level,
-    levels 0 and 1 together (level 0's points are level 1's); a finer
-    level steps only the points no coarser level had.  Rows are
-    independent, so the endpoints are those of stepping each level on
-    its own, and a failure raises what that order raises first.
+    Each level steps the orbits no coarser level had as one
+    ``_prefix_quotients`` batch, levels 0 and 1 as one; the endpoints
+    and errors are those of stepping level by level.
     """
     if int(n_max) < 1 or int(n_max) != n_max:
         raise ValueError("n_max must be a positive integer")
@@ -271,13 +267,10 @@ def sabine_bounds(
         return full[keep], s_vals
 
     try:
-        # Convergence is first tested at level 1, and level 0's points
-        # are level 1's: one batch serves both.
+        # Convergence is first tested at level 1, whose points hold level 0's.
         evaluate(*masked_grid(1))
     except Exception:
-        # The loop goes level by level and raises what that order raises
-        # first: a failure of level 0 before any of level 1.
-        pass
+        pass  # the loop repeats it level by level, raising what that order raises first
 
     lower = upper = math.nan
     xi_vals = s_vals = None
