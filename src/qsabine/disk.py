@@ -27,15 +27,17 @@ asymptotic seed families (normal-incidence and transverse phase
 conditions, Airy corrections for nearly glancing modes), many starts
 in lockstep: one guarded AMOS array per cylinder function and round,
 and each start's step in Python complex, bit for bit as alone.  The
-normal-incidence family sees the boundary only through
-r(0) = (1 - alpha c)/(1 + alpha c), so the damping problem's n = 0
-family is the transparent one at c = 1, alpha = a.  A scan builds the
-seeds of all its modes first, as one table: the chord phase conditions
-F(r) = target of every mode are inverted together by the row-wise Brent
-solver of the billiard map (Brent 1973), each row bit-identical to a
-scalar brentq.  The one-mode seed list and seed_transverse are one-row
-tables.  Modes are handed out in blocks of consecutive modes, one task
-per block, and a task refines all of its block's seeds in one lockstep.
+normal-incidence family rides the diameter chord, so it is seeded only
+inside the interior turning point c n < Re lambda.  It sees the
+boundary only through r(0) = (1 - alpha c)/(1 + alpha c), so the
+damping problem's n = 0 family is the transparent one at c = 1,
+alpha = a.  A scan builds the seeds of all its modes first, as one
+table: the chord phase conditions F(r) = target of every mode are
+inverted together by the row-wise Brent solver of the billiard map
+(Brent 1973), each row bit-identical to a scalar brentq.  The one-mode
+seed list and seed_transverse are one-row tables.  Modes are handed out
+in blocks of consecutive modes, one task per block, and a task refines
+all of its block's seeds in one lockstep.
 The result of a windowed scan is certified complete per mode by
 argument-principle counts over the scan rectangle, with subdivision and
 reseeding where the count disagrees with the roots in hand.  A count
@@ -635,7 +637,12 @@ def _normal_seeds(c, alpha, n, re_lo, re_hi):
     """Normal-incidence starts of mode n with Re lambda_0 in [re_lo, re_hi].
 
     The boundary enters only through r(0) = (1 - alpha c)/(1 + alpha c);
-    none exist at the matched impedance alpha c = 1.
+    none exist at the matched impedance alpha c = 1.  The family rides
+    the diameter chord, at interior tangent frequency c n / Re lambda
+    = 0, and a chord exists only inside the interior turning point
+    c n < Re lambda.  Past it J_n(lambda/c) no longer oscillates and is
+    exponentially small (DLMF 10.19(ii), 10.20), so the family has no
+    root there and the cut loses none; at n = 0 it is Re lambda_0 > 0.
     """
     if abs(alpha * c - 1.0) < 1e-14:
         return []
@@ -643,7 +650,7 @@ def _normal_seeds(c, alpha, n, re_lo, re_hi):
     k_lo = math.ceil((4.0 * re_lo / (c * pi) - base) / 4.0)
     k_hi = math.floor((4.0 * re_hi / (c * pi) - base) / 4.0)
     starts = (_normal_start(c, alpha, n, k) for k in range(k_lo, k_hi + 1))
-    return [(lam0, "normal", _SEED_TRUST) for lam0 in starts if lam0.real > 0.0]
+    return [(lam0, "normal", _SEED_TRUST) for lam0 in starts if lam0.real > c * n]
 
 
 def _transparent_table(problem, windows):
@@ -1277,9 +1284,9 @@ def _chunks(items, size):
 def _pool_map(pool, job, tasks, chunk):
     """pool.map over tasks in chunks of chunk tasks, in order.
 
-    The next chunk is queued before the last one is collected, so the
-    workers stay busy while only two chunks of tasks, lattice rows
-    included, are alive at once.
+    The next chunk is drawn and queued before the last one is collected,
+    so the workers stay busy while at most two chunks of tasks, lattice
+    rows included, are alive at once.
     """
     outcomes, pending = [], []
     for part in _chunks(tasks, chunk):
@@ -1303,9 +1310,11 @@ def scan(
     Every integer mode n in n_range is swept over the rectangle
     [re_window] x [im_floor, -1e-6], clipped per mode to tangent
     frequencies n / Re lambda <= 1.2.  Seeds of every
-    applicable asymptotic family are refined by guarded Newton (transverse
-    starts are tagged as such up to rotation denominator 12, and the
-    delta problem gets the first four glancing starts per mode); an
+    applicable asymptotic family are refined by trust-region Newton,
+    whose uniqueness guard runs only when Resonance.guarded is read
+    (normal-incidence starts only inside the interior turning point
+    c n < Re lambda, transverse starts tagged as such up to rotation
+    denominator 12, and the first four glancing starts per delta mode); an
     argument-principle count over the rectangle then certifies the root
     list, with binary subdivision and fresh Newton casts wherever the
     count disagrees.  The seeds of all modes are built first, as one
@@ -1324,10 +1333,12 @@ def scan(
     workers > 1 distributes the blocks over a process pool of
     pool_size(workers, modes) processes: never more than one per distinct
     mode, and none at all (a serial scan) when that leaves at most one.
-    There are at least as many blocks as processes, queued two per
-    process at a time.  Results are merged in a stable (Re lambda, n)
-    order either way, so the output is deterministic for a fixed
-    configuration.
+    There are at least as many blocks as processes.  They are queued in
+    chunks of two per process, each chunk drawn while the one before it
+    runs, so a worker seldom waits for the lattice rows of its next
+    block, and at most four blocks per process are alive at once.
+    Results are merged in a stable (Re lambda, n) order either way, so
+    the output is deterministic for a fixed configuration.
     """
     re_lo, re_hi, modes = check_scan_box(problem, re_window, im_floor, n_range)
     if not modes:
@@ -1338,7 +1349,7 @@ def scan(
     blocks = _chunks(tasks, min(_BLOCK_MODES, len(modes) // size) if size else _BLOCK_MODES)
     if size:
         with ProcessPoolExecutor(max_workers=size) as pool:
-            outcomes = _pool_map(pool, job, blocks, size)
+            outcomes = _pool_map(pool, job, blocks, 2 * size)
     else:
         outcomes = map(job, blocks)
     found: list = []

@@ -331,8 +331,11 @@ class TestSeedPoints:
 
     # Every start point, tag and trust radius of the scan seed families
     # over a 200..300 window, bit for bit: one sha256 over
-    # repr(_seed_points(p, n, 200, 300)) for n = 0..360.
-    PINNED = "943154ff2ef8e772cbbd9fb9d0f10fd9010639076a9eb74b049f042f1f452caf"
+    # repr(_seed_points(p, n, 200, 300)) for n = 0..360.  Re-recorded
+    # when normal-incidence starts past the interior turning point
+    # (Re lambda_0 <= c n) were dropped; only the transparent lists moved
+    # (TestTurningPointCut).
+    PINNED = "32b08e91bcd9929fdd05e586f490e7eada2d946e5f3f0bee4f5f0556f77bb09a"
 
     @staticmethod
     def digest(lists):
@@ -403,6 +406,61 @@ class TestSeedPoints:
         for p in self.PROBLEMS:
             table = qsabine.disk._seed_table(p, clipped)
             assert repr(table) == repr([qsabine.disk._seed_points(p, *w) for w in clipped])
+
+
+class TestTurningPointCut:
+    """Normal-incidence starts only inside the interior turning point:
+    past c n = Re lambda the diameter chord does not exist, and no start
+    the cut drops converges."""
+
+    # (c, alpha) and Re window of four default-floor scans
+    LAWS = [((2.0, 1.0), (200.0, 300.0)), ((2.0, 0.4), (200.0, 300.0)),
+            ((1.5, 1.0), (100.0, 160.0)), ((3.0, 2.0), (50.0, 120.0))]
+
+    @staticmethod
+    def uncut(c, alpha, n, re_lo, re_hi):
+        """Every normal start of mode n in the window, by the rule before
+        the cut: Re lambda_0 > 0 only."""
+        starts = (qsabine.disk._normal_start(c, alpha, n, k)
+                  for k in range(-n - 1, math.ceil(re_hi / (c * math.pi)) + 1))
+        return [s for s in starts if re_lo <= s.real <= re_hi and s.real > 0.0]
+
+    def test_dropped_starts_all_fail(self, monkeypatch):
+        # The seed table of each scan's mode windows, its _normal_seeds
+        # calls recorded: each is the uncut list without Re lambda_0 <= c n,
+        # entry for entry, and every dropped start fails in Newton.
+        calls = []
+        inner = qsabine.disk._normal_seeds
+
+        def recorded(*args):
+            seeds = inner(*args)
+            calls.append((args, list(seeds)))
+            return seeds
+
+        monkeypatch.setattr(qsabine.disk, "_normal_seeds", recorded)
+        dropped = 0
+        for (c, alpha), (re_lo, re_hi) in self.LAWS:
+            calls.clear()
+            windows = [(n, max(re_lo, n / 1.2), re_hi)
+                       for n in range(int(1.2 * re_hi) + 1) if n / 1.2 < re_hi]
+            qsabine.disk._seed_table(TransparentObstacle(c, alpha), windows)
+            assert len(calls) == len(windows)
+            rows = []
+            for (_, _, n, lo, hi), seeds in calls:
+                old = self.uncut(c, alpha, n, lo, hi)
+                assert seeds == [(s, "normal", 0.2) for s in old if s.real > c * n]
+                rows.extend((n, s, "normal", 0.2) for s in old if s.real <= c * n)
+            outcomes = qsabine.disk._newton_rows(TransparentObstacle(c, alpha), rows)
+            assert all(isinstance(o, NoConvergenceError) for o in outcomes), (c, alpha)
+            dropped += len(rows)
+        assert dropped == 7507
+
+    @pytest.mark.parametrize("problem", [TE_FAST, BoundaryDamping(2.0)])
+    def test_n0_family_is_uncut(self, problem):
+        c, alpha = (2.0, 1.0) if problem is TE_FAST else (1.0, 2.0)
+        seeds = [s for s in qsabine.disk._seed_points(problem, 0, 200.0, 300.0)
+                 if s[1] == "normal"]
+        assert [s for s, _, _ in seeds] == self.uncut(c, alpha, 0, 197.0, 303.0)
 
 
 class TestNewtonRefine:
@@ -517,6 +575,11 @@ class TestNewtonRows:
                 for n in (0, 1, 40, 200, 359)
                 for seed in qsabine.disk._seed_points(problem, n, max(200.0, n / 1.2), 300.0)
                 if seed[0].imag >= -4.0]
+        if problem is TE_FAST:
+            # the normal starts past the turning point that scans no
+            # longer refine, as failing rows
+            rows += [(n, s, "normal", 0.2) for n in (200, 359)
+                     for s in TestTurningPointCut.uncut(2.0, 1.0, n, max(197.0, n / 1.2 - 3.0), 303.0)]
         outcomes = qsabine.disk._newton_rows(problem, rows)
         assert len(outcomes) == len(rows) > 40
         assert any(isinstance(o, Resonance) for o in outcomes)
@@ -759,6 +822,71 @@ class TestScan:
         out = io.StringIO()
         write_resonance_csv(roots, out)
         return out.getvalue()
+
+    def test_pool_map_keeps_two_chunks_alive(self):
+        # A pool that runs each task when its result is collected, and a
+        # task generator that counts: the next chunk is drawn before the
+        # last is collected, and never more than two chunks are alive.
+        parts, drawn, collected, alive = [], [], [], []
+
+        class LazyPool:
+            def map(self, fn, items):
+                parts.append(len(items))
+                return map(fn, items)
+
+        def tasks():
+            for i in range(23):
+                drawn.append(i)
+                alive.append(len(drawn) - len(collected))
+                yield i
+
+        def job(i):
+            collected.append(i)
+            return -i
+
+        assert qsabine.disk._pool_map(LazyPool(), job, tasks(), 4) == [-i for i in range(23)]
+        assert parts == [4, 4, 4, 4, 4, 3]
+        assert max(alive) == 8 and alive[7] == 8
+
+    def test_pool_queues_two_blocks_per_process(self, monkeypatch):
+        # 40 modes on two workers: ten blocks of four, queued in chunks
+        # of four blocks, so the lattice rows of at most 32 modes are
+        # alive at once.
+        parts, counts = [], {"drawn": 0, "done": 0, "alive": 0}
+
+        class LazyPool:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                parts.append(len(items))
+                return map(fn, items)
+
+        lattice_rows, scan_block = qsabine.disk._lattice_rows, qsabine.disk._scan_block
+
+        def counted_rows(*args):
+            for row in lattice_rows(*args):
+                counts["drawn"] += 1
+                counts["alive"] = max(counts["alive"], counts["drawn"] - counts["done"])
+                yield row
+
+        def counted_block(problem, im_floor, block):
+            counts["done"] += len(block)
+            return scan_block(problem, im_floor, block)
+
+        monkeypatch.setattr(qsabine.disk, "ProcessPoolExecutor", LazyPool)
+        monkeypatch.setattr(qsabine.disk, "_lattice_rows", counted_rows)
+        monkeypatch.setattr(qsabine.disk, "_scan_block", counted_block)
+        pooled = scan(TE_FAST, (200.0, 215.0), -3.0, range(40), workers=2)
+        assert parts == [4, 4, 2]
+        assert counts == {"drawn": 40, "done": 40, "alive": 32}
+        assert self.csv(pooled) == self.csv(scan(TE_FAST, (200.0, 215.0), -3.0, range(40)))
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
