@@ -455,13 +455,6 @@ class TestTurningPointCut:
             dropped += len(rows)
         assert dropped == 7507
 
-    @pytest.mark.parametrize("problem", [TE_FAST, BoundaryDamping(2.0)])
-    def test_n0_family_is_uncut(self, problem):
-        c, alpha = (2.0, 1.0) if problem is TE_FAST else (1.0, 2.0)
-        seeds = [s for s in qsabine.disk._seed_points(problem, 0, 200.0, 300.0)
-                 if s[1] == "normal"]
-        assert [s for s, _, _ in seeds] == self.uncut(c, alpha, 0, 197.0, 303.0)
-
 
 class TestNewtonRefine:
     def test_transparent_normal_root(self):
@@ -577,9 +570,10 @@ class TestNewtonRows:
                 if seed[0].imag >= -4.0]
         if problem is TE_FAST:
             # the normal starts past the turning point that scans no
-            # longer refine, as failing rows
-            rows += [(n, s, "normal", 0.2) for n in (200, 359)
-                     for s in TestTurningPointCut.uncut(2.0, 1.0, n, max(197.0, n / 1.2 - 3.0), 303.0)]
+            # longer refine, as failing rows (windows padded by 3, as the
+            # seed table pads them)
+            rows += [(n, s, "normal", 0.2) for n in (200, 359) for s in
+                     TestTurningPointCut.uncut(2.0, 1.0, n, max(200.0, n / 1.2) - 3.0, 303.0)]
         outcomes = qsabine.disk._newton_rows(problem, rows)
         assert len(outcomes) == len(rows) > 40
         assert any(isinstance(o, Resonance) for o in outcomes)
@@ -848,45 +842,19 @@ class TestScan:
         assert parts == [4, 4, 4, 4, 4, 3]
         assert max(alive) == 8 and alive[7] == 8
 
-    def test_pool_queues_two_blocks_per_process(self, monkeypatch):
-        # 40 modes on two workers: ten blocks of four, queued in chunks
-        # of four blocks, so the lattice rows of at most 32 modes are
-        # alive at once.
-        parts, counts = [], {"drawn": 0, "done": 0, "alive": 0}
+    def test_pool_is_fed_two_blocks_per_process(self, inline_pool, monkeypatch):
+        # Chunks of two blocks per process, two chunks alive: at most
+        # four blocks per process hold their lattice rows at once.
+        chunks = []
+        pool_map = qsabine.disk._pool_map
 
-        class LazyPool:
-            def __init__(self, max_workers):
-                assert max_workers == 2
+        def recorded(pool, job, tasks, chunk):
+            chunks.append(chunk)
+            return pool_map(pool, job, tasks, chunk)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                parts.append(len(items))
-                return map(fn, items)
-
-        lattice_rows, scan_block = qsabine.disk._lattice_rows, qsabine.disk._scan_block
-
-        def counted_rows(*args):
-            for row in lattice_rows(*args):
-                counts["drawn"] += 1
-                counts["alive"] = max(counts["alive"], counts["drawn"] - counts["done"])
-                yield row
-
-        def counted_block(problem, im_floor, block):
-            counts["done"] += len(block)
-            return scan_block(problem, im_floor, block)
-
-        monkeypatch.setattr(qsabine.disk, "ProcessPoolExecutor", LazyPool)
-        monkeypatch.setattr(qsabine.disk, "_lattice_rows", counted_rows)
-        monkeypatch.setattr(qsabine.disk, "_scan_block", counted_block)
-        pooled = scan(TE_FAST, (200.0, 215.0), -3.0, range(40), workers=2)
-        assert parts == [4, 4, 2]
-        assert counts == {"drawn": 40, "done": 40, "alive": 32}
-        assert self.csv(pooled) == self.csv(scan(TE_FAST, (200.0, 215.0), -3.0, range(40)))
+        monkeypatch.setattr(qsabine.disk, "_pool_map", recorded)
+        scan(TE_FAST, (200.0, 215.0), -3.0, range(40), workers=2)
+        assert inline_pool == [2] and chunks == [4]
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
