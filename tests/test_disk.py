@@ -116,6 +116,15 @@ class TestProblemTypes:
         assert d.strength(4.0) == pytest.approx(6.0)
         assert DeltaPotential(3.0).strength(100.0) == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda p: secular(p, 3, 200.0 - 1.0j),
+        lambda p: newton_refine(p, 3, 200.0 - 1.0j, 0.2),
+        lambda p: mode_symmetry_defect(p, 3, 200.0 - 1.0j),
+    ], ids=["secular", "newton_refine", "mode_symmetry_defect"])
+    def test_non_law_refused(self, call):
+        with pytest.raises(TypeError, match="not a disk problem"):
+            call(object())
+
     def test_resonance_validation(self):
         ok = Resonance(complex(10.0, -1.0), 2, 1e-12, "normal", "transparent")
         assert ok.tangent_freq == pytest.approx(0.2)
@@ -1262,6 +1271,26 @@ class TestOneLawBothLayers:
         q = one_bounce_quotients(law, [r.tangent_freq for r in roots])
         assert len(roots) > 25 and {r.problem for r in roots} == {law.tag}
         assert max(abs(r.lam.imag - qr) for r, qr in zip(roots, q)) < tol
+
+
+class TestTracerContract:
+    """perfbench/tracing.py counts AMOS elements by wrapping disk.jv and
+    disk.hankel1 by name, so the secular formulas must look both up on
+    the module at call time, the lattice's J recurrence included."""
+
+    @pytest.mark.parametrize("law", [TE_FAST, DeltaPotential(3.0, 1.0), BoundaryDamping(2.0)],
+                             ids=["transparent", "delta", "damping"])
+    def test_wrapped_cylinders_are_called(self, monkeypatch, law):
+        # n 0..7 is one run on the count lattice
+        want = scan(law, (200.0, 215.0), -3.0, range(8))
+        calls = {}
+        for name, fn in (("jv", jv), ("hankel1", hankel1)):
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(qsabine.disk, name, counted)
+        assert scan(law, (200.0, 215.0), -3.0, range(8)) == want
+        assert set(calls) == ({"jv"} if law.tag == "damping" else {"jv", "hankel1"})
 
 
 class TestResonanceCsv:

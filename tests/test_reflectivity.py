@@ -9,6 +9,7 @@ reference (oracles.reflection_point).
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -30,6 +31,12 @@ from qsabine.reflectivity import (
     log_reflectivity,
     reflect,
 )
+from qsabine.sabine import _default_collar, _reflectivity_zeros, wave_speed
+
+
+def law_facts(model):
+    """(c, collar, zeros) of a law, as the Sabine band reads them."""
+    return wave_speed(model), _default_collar(model), _reflectivity_zeros(model)
 
 
 class TestBranchedSqrt:
@@ -216,6 +223,34 @@ class TestBrewster:
     def test_wrong_model_type(self):
         with pytest.raises(TypeError):
             brewster(BoundaryDamping(1.0))
+
+
+class TestLawFacts:
+    """The interior wave speed, the xi-grid collar and the analytic zeros
+    of r that each law states about itself; no fact is a constructor
+    parameter."""
+
+    @pytest.mark.parametrize("model, c, collar, zeros", [
+        (TransparentObstacle(2.0, 1.0), 2.0, 1e-6, ()),
+        (TransparentObstacle(1.5, 0.3), 1.5, 1e-6, (0.9361482929395462,)),
+        (TransparentObstacle(0.5, 1.3), 0.5, 1e-6, ()),
+        (BoundaryDamping(0.5), 1.0, 1e-6, (0.8660254037844386,)),
+        (BoundaryDamping(1.0), 1.0, 1e-6, (0.0,)),
+        (BoundaryDamping(2.0), 1.0, 1e-6, ()),
+        (BoundaryDamping(lambda s: 0.5), 1.0, 1e-6, ()),
+        (DeltaPotential(1.0, 0.5, 0.004), 1.0, 0.33144540173399867, ()),
+        (DeltaPotential(1.0, 0.5, 1.0), 1.0, 0.5, ()),
+        (DeltaPotential(1.0, 0.5, 1e-40), 1.0, 1e-6, ()),
+    ], ids=["transparent 2 1", "transparent 1.5 0.3", "transparent 0.5 1.3", "damping 0.5",
+            "damping 1", "damping 2", "damping profile", "delta h 0.004", "delta h 1",
+            "delta h 1e-40"])
+    def test_recorded_facts(self, model, c, collar, zeros):
+        assert law_facts(model) == (c, collar, zeros)
+
+    def test_constructors_unchanged(self):
+        assert [f.name for f in dataclasses.fields(TransparentObstacle)] == ["c", "alpha"]
+        assert [f.name for f in dataclasses.fields(DeltaPotential)] == ["v0", "v_exponent", "h"]
+        assert [f.name for f in dataclasses.fields(BoundaryDamping)] == ["a"]
 
 
 class TestLogReflectivity:

@@ -158,6 +158,16 @@ class TestOneBounceQuotients:
         assert np.isnan(got[-2:]).all() and not np.isnan(got[:-2]).any()
 
 
+@pytest.mark.parametrize("call", [
+    lambda m: sabine_bounds(DISK, m),
+    lambda m: one_bounce_quotients(m, np.array([0.1, 0.2])),
+    lambda m: sabine_quotient(DISK, m, PhasePoint(0.0, 0.3), 2),
+], ids=["sabine_bounds", "one_bounce_quotients", "sabine_quotient"])
+def test_non_law_refused(call):
+    with pytest.raises(TypeError, match="not a reflectivity model"):
+        call(object())
+
+
 class TestSabineBounds:
     def test_te_fast_band_matches_dense_oracle(self):
         band = sabine_bounds(DISK, TE_FAST, n_max=3)
