@@ -56,8 +56,7 @@ from .disk import (
     write_resonance_csv,
 )
 from .reflectivity import BoundaryDamping, DeltaPotential, TransparentObstacle
-from .sabine import (band_report, glancing_bands, one_bounce_quotients, sabine_bounds,
-                     wave_speed)
+from .sabine import band_report, glancing_bands, one_bounce_quotients, sabine_bounds
 from .specfun import BESSEL_ORDER_MAX
 
 __all__ = ["ConfigError", "RunConfig", "emit_figure", "run", "main"]
@@ -89,7 +88,7 @@ def _usable_cpus() -> int:
 
 def _decay_curve(model, tf_max: float):
     """(tangent frequency, quotient) samples of the one-bounce decay law."""
-    tfs = np.linspace(0.0, min(tf_max, 0.999 / wave_speed(model)), 160)
+    tfs = np.linspace(0.0, min(tf_max, 0.999 / model.c), 160)
     quotients = one_bounce_quotients(model, tfs)
     keep = np.isfinite(quotients)
     return tfs[keep], quotients[keep]

@@ -15,12 +15,13 @@ takes, with constant parameters:
   BoundaryDamping(a)              an absorbing boundary condition with
                 damping a:  f = Jn' - i a Jn
 
-Each secular function is written once, together with its derivative
-and the two terms whose moduli normalize the residual; the same formula
-serves point evaluation (Newton, with guarded Bessel factors) and array
-evaluation (argument-principle contours and the Newton guard).  The
-guard only tags roots, the counts certify them, so it runs when
-Resonance.guarded is first read rather than during a scan.
+Each law's formulas are one entry of a table keyed by its tag: its
+cylinder functions, f with its derivative and the two terms whose
+moduli normalize the residual, its seed table, and the amplitude a scan
+needs constant.  The same formula serves point evaluation (Newton, with
+guarded Bessel factors) and array evaluation (argument-principle
+contours and the Newton guard).  The guard only tags roots, the counts
+certify them, so it runs when Resonance.guarded is first read.
 
 Zeros are located by a trust-region Newton iteration started from
 asymptotic seed families (normal-incidence and transverse phase
@@ -60,6 +61,7 @@ import itertools
 import logging
 import math
 import warnings
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import pi
@@ -238,64 +240,45 @@ def _check_v0(problem: DeltaPotential):
         raise ValueError(f"the disk's delta problem needs v0 != 0, got {problem.v0!r}")
 
 
-def _cylinders(problem: ReflectivityModel, z):
-    """(fn, w) of each cylinder function f is built from, with its
-    argument at z, in the order _secular_terms asks for them."""
-    if isinstance(problem, TransparentObstacle):
-        return (jv, z / problem.c), (hankel1, z)
-    if isinstance(problem, DeltaPotential):
-        _check_v0(problem)
-        return (jv, z), (hankel1, z)
-    if isinstance(problem, BoundaryDamping):
-        return ((jv, z),)
-    raise TypeError(f"not a disk problem: {problem!r}")
+def _transparent_terms(problem: TransparentObstacle, n: int, z, pairs):
+    (j, jp), (h, hp) = pairs
+    c = problem.c
+    alpha = problem.alpha
+    w = z / c
+    jpp = _second_derivative(n, w, j, jp)
+    hpp = _second_derivative(n, z, h, hp)
+    inner = jp * h / c
+    outer = alpha * hp * j
+    fp = jpp * h / (c * c) + jp * hp / c - alpha * (hpp * j + hp * jp / c)
+    return inner - outer, fp, inner, outer
 
 
-def _secular_terms(problem: ReflectivityModel, n: int, z, pair=bessel_pair, pairs=None):
-    """f, f' and the two terms A, B of f whose moduli sum to its scale.
+def _delta_cylinders(problem: DeltaPotential, z):
+    _check_v0(problem)
+    return (jv, z), (hankel1, z)
 
-    One formula per problem, evaluated either at a Python complex (the
-    Newton path: guarded Bessel pairs, Python arithmetic) or elementwise
-    over an ndarray (contours and the Newton guard: unguarded, callers
-    keep z inside the box).  The point path must not go through arrays:
-    numpy's complex abs and division differ from Python's in the last
-    bit, which moves residuals and roots.  pair(fn, n, w) supplies each
-    Bessel pair (C_n, C_n') of the cylinder function fn at w: bessel_pair
-    at points and nodes, _LatticeRun.pair on the scan's count lattice;
-    pairs, when given, are those pairs already evaluated at
-    _cylinders(problem, z) (_secular_rows).
-    """
-    if pairs is None:
-        pairs = [pair(fn, n, w) for fn, w in _cylinders(problem, z)]
-    (j, jp), *hankel = pairs
-    if isinstance(problem, TransparentObstacle):
-        c = problem.c
-        alpha = problem.alpha
-        w = z / c
-        ((h, hp),) = hankel
-        jpp = _second_derivative(n, w, j, jp)
-        hpp = _second_derivative(n, z, h, hp)
-        inner = jp * h / c
-        outer = alpha * hp * j
-        fp = jpp * h / (c * c) + jp * hp / c - alpha * (hpp * j + hp * jp / c)
-        return inner - outer, fp, inner, outer
-    if isinstance(problem, DeltaPotential):
-        ((h, hp),) = hankel
-        v = problem.v0 * z ** problem.v_exponent
-        vp = problem.v0 * problem.v_exponent * z ** (problem.v_exponent - 1.0)
-        jh = j * h
-        f = jh - 2j / (pi * v)
-        fp = jp * h + j * hp + (2j / pi) * vp / (v * v)
-        return f, fp, jh, 2.0 / (pi * v)
+
+def _delta_terms(problem: DeltaPotential, n: int, z, pairs):
+    (j, jp), (h, hp) = pairs
+    v = problem.v0 * z ** problem.v_exponent
+    vp = problem.v0 * problem.v_exponent * z ** (problem.v_exponent - 1.0)
+    jh = j * h
+    f = jh - 2j / (pi * v)
+    fp = jp * h + j * hp + (2j / pi) * vp / (v * v)
+    return f, fp, jh, 2.0 / (pi * v)
+
+
+def _damping_terms(problem: BoundaryDamping, n: int, z, pairs):
+    ((j, jp),) = pairs
     jpp = _second_derivative(n, z, j, jp)
     f = jp - 1j * problem.a * j
     fp = jpp - 1j * problem.a * jp
     return f, fp, jp, problem.a * j
 
 
-def _secular_parts(problem: ReflectivityModel, n: int, lam: complex, pairs=None):
+def _secular_parts(law, problem: ReflectivityModel, n: int, lam: complex, pairs):
     """(f, f', scale) at one point, scale being the residual normalizer."""
-    f, fp, a, b = _secular_terms(problem, n, complex(lam), pairs=pairs)
+    f, fp, a, b = law.terms(problem, n, complex(lam), pairs)
     scale = abs(a) + abs(b)
     return f, fp, (scale if scale > 0.0 else 1.0)
 
@@ -304,11 +287,12 @@ def _secular_rows(problem: ReflectivityModel, points) -> list:
     """_secular_parts at many (n, lambda) points, or, unraised, the
     error of each point's first failing Bessel pair; one bessel_rows
     call per cylinder function."""
+    law = _law(problem)
     orders = [n for n, _ in points]
-    calls = zip(*(_cylinders(problem, complex(lam)) for _, lam in points))
+    calls = zip(*(law.cylinders(problem, complex(lam)) for _, lam in points))
     columns = [bessel_rows(col[0][0], orders, [w for _, w in col]) for col in calls]
     return [next((p for p in pairs if isinstance(p, Exception)), None)
-            or _secular_parts(problem, n, lam, pairs)
+            or _secular_parts(law, problem, n, lam, pairs)
             for (n, lam), pairs in zip(points, zip(*columns))]
 
 
@@ -318,13 +302,16 @@ def secular(problem: ReflectivityModel, n: int, lam: complex) -> tuple:
     The derivative is analytic, assembled from the Bessel derivative
     recurrence and the Bessel differential equation; no differencing.
     """
-    f, fp, _ = _secular_parts(problem, n, lam)
+    law, lam = _law(problem), complex(lam)
+    pairs = [bessel_pair(fn, n, w) for fn, w in law.cylinders(problem, lam)]
+    f, fp, _ = _secular_parts(law, problem, n, lam, pairs)
     return f, fp
 
 
 def _secular_array(problem: ReflectivityModel, n: int, z, pair=bessel_pair):
     """Vectorized (f, f') of the same formula, without Bessel guards."""
-    f, fp, _, _ = _secular_terms(problem, n, np.asarray(z, dtype=complex), pair)
+    law, z = _law(problem), np.asarray(z, dtype=complex)
+    f, fp, _, _ = law.terms(problem, n, z, [pair(fn, n, w) for fn, w in law.cylinders(problem, z)])
     return f, fp
 
 
@@ -856,11 +843,30 @@ def _delta_table(problem, windows):
     return out
 
 
-_SEED_TABLES = {
-    TransparentObstacle.tag: _transparent_table,
-    BoundaryDamping.tag: _damping_table,
-    DeltaPotential.tag: _delta_table,
+# A law's disk formulas.  cylinders(problem, z) gives (fn, w) of each
+# cylinder function of f, fn being this module's jv or hankel1 looked up
+# at the call, so that wrapping either by name sees every call.
+# terms(problem, n, z, pairs) gives f, f' and the two terms of f whose
+# moduli sum to its scale, from the cylinders' pairs (C_n, C_n') at z, at
+# a Python complex (the Newton path: guarded pairs and Python arithmetic,
+# as numpy's complex abs and division differ in the last bit) or over an
+# ndarray (contours and the Newton guard: unguarded, callers keep z inside
+# the box).  amplitude names the parameter a scan needs constant, if any.
+_Law = namedtuple("_Law", "cylinders terms seeds amplitude")
+_LAWS = {
+    TransparentObstacle.tag: _Law(lambda problem, z: ((jv, z / problem.c), (hankel1, z)),
+                                  _transparent_terms, _transparent_table, None),
+    DeltaPotential.tag: _Law(_delta_cylinders, _delta_terms, _delta_table, "v0"),
+    BoundaryDamping.tag: _Law(lambda problem, z: ((jv, z),), _damping_terms, _damping_table, "a"),
 }
+
+
+def _law(problem) -> _Law:
+    """The _LAWS entry of a boundary law; TypeError for anything else."""
+    law = _LAWS.get(getattr(problem, "tag", None))
+    if law is None:
+        raise TypeError(f"not a disk problem: {problem!r}")
+    return law
 
 
 def _seed_table(problem, windows):
@@ -872,7 +878,7 @@ def _seed_table(problem, windows):
     passes), and the Airy zeros are computed once per table.
     """
     pad = 3.0
-    table = _SEED_TABLES[problem.tag]
+    table = _law(problem).seeds
     return table(problem, [(n, re_lo - pad, re_hi + pad) for n, re_lo, re_hi in windows])
 
 
@@ -1038,7 +1044,7 @@ def _lattice_ring(problem, n, edges, rows):
 class _LatticeRun:
     """Bessel columns of a run of consecutive modes on the count lattice.
 
-    pair stands in for bessel_pair in _secular_terms, so the lattice
+    pair stands in for bessel_pair in a law's terms, so the lattice
     rows come from the one secular formula.  A cylinder function's first
     request, at the run's first mode and so at all of the run's nodes,
     sets up its recurrence: downward for J, upward for H^(1).  tops holds
@@ -1184,7 +1190,7 @@ def _complete_cell(problem, n, box, roots, scan_box, incomplete, depth=0, rows=N
 def _scan_block(problem, im_floor, block):
     """Each mode's resonances in its window and the cells it could not
     certify.  A task is a mode's (n, re_lo, re_hi) window, seed list and
-    lattice edge rows (or None, see _complete_cell); the seeds of all
+    lattice edge rows (or None, see _lattice_rows); the seeds of all
     modes, but those below im_floor - 1, are refined in one lockstep."""
     seeds = [[(n, *seed) for seed in mode_seeds if not seed[0].imag < im_floor - 1.0]
              for (n, _, _), mode_seeds, _ in block]
@@ -1219,19 +1225,19 @@ def check_scan_box(problem: ReflectivityModel, re_window, im_floor: float, n_ran
         raise ValueError("need 1 < re_window[0] < re_window[1]")
     if re_hi > BESSEL_ARG_MAX - 200.0:
         raise ValueError("window exceeds the guarded special-function box")
-    if not isinstance(problem, TransparentObstacle):
-        # the angular modes separate only for a constant amplitude, and a
-        # profile would not pickle for the pool
-        name = "v0" if isinstance(problem, DeltaPotential) else "a"
+    # the angular modes separate only for a constant amplitude, and a
+    # profile would not pickle for the pool
+    name = _law(problem).amplitude
+    if name is not None:
         amplitude = getattr(problem, name)
         if callable(amplitude) or not amplitude > 0.0:
             raise ValueError(f"a disk scan needs a positive constant {name}, got {amplitude!r}")
-    elif re_lo < problem.c:
+    if re_lo < problem.c:
         raise ValueError(
             "window must start at or above c: the interior argument "
             "lambda / c would leave the guarded special-function box"
         )
-    elif re_hi / problem.c > BESSEL_ARG_MAX - 200.0:
+    if re_hi / problem.c > BESSEL_ARG_MAX - 200.0:
         raise ValueError(
             f"window exceeds the guarded special-function box: the interior "
             f"argument re_window[1] / c = {re_hi / problem.c:.6g} is above "

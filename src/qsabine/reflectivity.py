@@ -35,6 +35,12 @@ dedicated ``TOTAL_TRANSMISSION`` value instead of a silent infinity.
 Amplitude profiles v0(position) and a(position) serve the reflectivity
 only: the disk scan needs constants (see ``disk.check_scan_box``).
 
+Each law also states three facts: ``c``, the interior wave speed (1 but
+for the obstacle); ``collar``, the Sabine grid's gap to glancing (1e-6,
+or h**0.2 clamped to [1e-6, 0.5] for the delta potential, uniform only
+up to |xi| <= 1 - h**eps); and ``zeros()``, the known xi in [0, 1) where
+r = 0 (the Brewster angle, sqrt(1 - a**2) for a constant damping a <= 1).
+
 Each law writes its coefficient once, for arrays of points, in
 CPython's complex arithmetic spelled out on floats (numpy's complex
 ops differ from it in the last bit); ``reflect`` and
@@ -46,7 +52,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional, Union
+from typing import Callable, ClassVar, Optional, Tuple, Union
 
 import numpy as np
 
@@ -121,6 +127,7 @@ class TransparentObstacle:
     c: float
     alpha: float
     tag: ClassVar[str] = "transparent"
+    collar: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if not (math.isfinite(self.c) and self.c > 0.0):
@@ -139,6 +146,10 @@ class TransparentObstacle:
         """Transverse magnetic regime: r vanishes at the Brewster angle
         (for c = alpha = 1, everywhere)."""
         return not self.is_te
+
+    def zeros(self) -> Tuple[float, ...]:
+        xi_b = brewster(self)
+        return () if xi_b is None else (xi_b,)
 
     def _coefficients(self, xi, nu, positions):
         x = self.c * self.c - xi * xi
@@ -165,6 +176,7 @@ class DeltaPotential:
     v_exponent: float = 0.0
     h: float = 1.0
     tag: ClassVar[str] = "delta"
+    c: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if not callable(self.v0) and not (math.isfinite(self.v0) and self.v0 >= 0.0):
@@ -173,6 +185,13 @@ class DeltaPotential:
             raise ValueError("v_exponent must lie in [0, 1]")
         if not self.h > 0.0:
             raise ValueError("semiclassical parameter h must be positive")
+
+    @property
+    def collar(self) -> float:
+        return min(max(self.h**0.2, 1e-6), 0.5)
+
+    def zeros(self) -> Tuple[float, ...]:
+        return ()
 
     def strength(self, lam: complex) -> complex:
         """V(lambda) = v0 lambda**v_exponent of a constant amplitude."""
@@ -209,10 +228,15 @@ class BoundaryDamping:
 
     a: Union[float, Callable]
     tag: ClassVar[str] = "damping"
+    c: ClassVar[float] = 1.0
+    collar: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if not callable(self.a) and not (math.isfinite(self.a) and self.a > 0.0):
             raise ValueError("damping a must be finite and positive")
+
+    def zeros(self) -> Tuple[float, ...]:
+        return () if callable(self.a) or self.a > 1.0 else (math.sqrt(1.0 - self.a * self.a),)
 
     def damping_at(self, position: float = 0.0) -> float:
         val = _scalar_or_call(self.a, position)
@@ -246,11 +270,17 @@ def branched_sqrt(z: complex) -> complex:
     return math.sqrt(abs(z)) * cmath.exp(0.5j * theta)
 
 
+def _law(model) -> ReflectivityModel:
+    """model itself, or TypeError unless it is one of the three laws."""
+    if not isinstance(model, (TransparentObstacle, DeltaPotential, BoundaryDamping)):
+        raise TypeError(f"not a reflectivity model: {model!r}")
+    return model
+
+
 def _reflections(model: ReflectivityModel, xi, positions):
     """(Re r, Im r) at arrays of xi and positions, each element bit for
     bit ``reflect``; raises what the first failing point raises alone."""
-    if not isinstance(model, (TransparentObstacle, DeltaPotential, BoundaryDamping)):
-        raise TypeError(f"not a reflectivity model: {model!r}")
+    _law(model)
     xi = np.asarray(xi, dtype=float)
     positions = np.asarray(positions, dtype=float)
     glancing = np.flatnonzero(np.abs(xi) > GLANCING_CUTOFF)

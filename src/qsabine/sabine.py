@@ -28,12 +28,11 @@ from .billiards import (
 from .reflectivity import (
     BREWSTER_WINDOW,
     TOTAL_TRANSMISSION,
-    BoundaryDamping,
     DeltaPotential,
     ReflectivityModel,
     TransparentObstacle,
+    _law,
     _log_reflectivities,
-    brewster,
     log_reflectivity,  # unused here; perfbench/tracing.py wraps it by name
 )
 from .specfun import _CBRT2, airy_zeros
@@ -47,7 +46,6 @@ __all__ = [
     "one_bounce_quotients",
     "sabine_bounds",
     "sabine_quotient",
-    "wave_speed",
 ]
 
 # Fixed band-extremizer settings: footpoints on the coarsest grid, the
@@ -57,13 +55,6 @@ __all__ = [
 _S_POINTS = 4
 _TOL = 1e-3
 _MAX_REFINE = 6
-
-
-def wave_speed(model: ReflectivityModel) -> float:
-    """Interior wave speed of a reflectivity model (1 except for obstacles)."""
-    if isinstance(model, TransparentObstacle):
-        return model.c
-    return 1.0
 
 
 def _prefix_quotients(
@@ -89,7 +80,7 @@ def _prefix_quotients(
     whole = ~np.isnan(chords).any(axis=1)
     if whole.any():
         logs = _log_reflectivities(model, pts_xi[whole].ravel(), pts_s[whole].ravel())
-        out[whole] = (wave_speed(model) * np.cumsum(logs.reshape(-1, chords.shape[1]), axis=1)
+        out[whole] = (model.c * np.cumsum(logs.reshape(-1, chords.shape[1]), axis=1)
                       / (2.0 * np.cumsum(chords[whole], axis=1)))
     return out
 
@@ -120,38 +111,8 @@ def one_bounce_quotients(model: ReflectivityModel, tangent_freq) -> np.ndarray:
     A resonance of mode n sits near q(c n / Re lambda), c the wave speed
     of ``model``.  Takes a 1-d array; NaN where xi meets the glancing guard.
     """
-    xi = wave_speed(model) * np.asarray(tangent_freq, dtype=float)
+    xi = _law(model).c * np.asarray(tangent_freq, dtype=float)
     return _prefix_quotients(ConvexDomain.disk(), model, np.zeros_like(xi), xi, 1)[:, 0]
-
-
-def _reflectivity_zeros(model: ReflectivityModel) -> Tuple[float, ...]:
-    """Angles 0 <= xi < 1 where |r| vanishes, when they can be located.
-
-    Transparent obstacles have at most the Brewster angle; constant
-    damping a < 1 vanishes at xi = sqrt(1 - a^2) and matched damping
-    a = 1 at normal incidence.  Zeros of position-dependent profiles are
-    not searched for analytically; exact grid hits still propagate -inf.
-    """
-    if isinstance(model, TransparentObstacle):
-        xi_b = brewster(model)
-        return () if xi_b is None else (xi_b,)
-    if isinstance(model, BoundaryDamping) and not callable(model.a):
-        a = float(model.a)
-        if a < 1.0:
-            return (math.sqrt(1.0 - a * a),)
-        if a == 1.0:
-            return (0.0,)
-    return ()
-
-
-def _default_collar(model: ReflectivityModel) -> float:
-    # The delta reflectivity is uniform only up to |xi| <= 1 - h^eps, so
-    # its grid stays a soft power of h away from glancing; the other
-    # models admit a hard collar.  Clamped so that h of order 1 still
-    # yields a usable grid.
-    if isinstance(model, DeltaPotential):
-        return min(max(model.h**0.2, 1e-6), 0.5)
-    return 1e-6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -213,14 +174,13 @@ def sabine_bounds(
 ) -> SabineBand:
     """Extremize the Sabine quotient over a refining (footpoint, xi) grid.
 
-    The xi grid is uniform on [0, 1 - collar], the collar being 1e-6
-    (h^0.2 clamped to [1e-6, 0.5] for a delta potential), with any
-    analytically known reflectivity zeros excised by a window of
-    half-width 1e-3; 4 footpoints are uniform on the boundary.  Both
-    grids double until the band endpoints move by less than 1e-3.  The
-    endpoints are the extreme sampled quotients.  Raises RuntimeError if
-    the band fails to stabilize within 6 doublings, and ValueError for a
-    count that is not a whole number.
+    The xi grid is uniform on [0, 1 - model.collar], with the zeros in
+    model.zeros() excised by a window of half-width 1e-3; 4 footpoints
+    are uniform on the boundary.  Both grids double until the band
+    endpoints move by less than 1e-3.  The endpoints are the extreme
+    sampled quotients.  Raises RuntimeError if the band fails to
+    stabilize within 6 doublings, ValueError for a count that is not a
+    whole number, and TypeError for a model that is no boundary law.
 
     Each level steps the orbits no coarser level had as one
     ``_prefix_quotients`` batch, levels 0 and 1 as one; the endpoints
@@ -231,9 +191,8 @@ def sabine_bounds(
     if int(xi_points) < 3 or int(xi_points) != xi_points:
         raise ValueError("grid needs a whole number of at least 3 xi points")
     n_max, xi_points = int(n_max), int(xi_points)
-    collar = _default_collar(model)
-
-    zeros = _reflectivity_zeros(model)
+    collar = _law(model).collar
+    zeros = model.zeros()
     # A zero reachable inside the grid range makes the true inf -inf no
     # matter how the excision window is chosen.
     fiat_lower = any(z <= 1.0 - collar for z in zeros)

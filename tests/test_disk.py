@@ -1078,7 +1078,7 @@ class TestCountLattice:
 
     @staticmethod
     def record_pairs(monkeypatch):
-        """Every (run, fn, n, w, pair) the lattice hands to _secular_terms."""
+        """Every (run, fn, n, w, pair) the lattice hands to a law's terms."""
         seen = []
         pair = qsabine.disk._LatticeRun.pair
 

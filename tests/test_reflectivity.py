@@ -31,12 +31,6 @@ from qsabine.reflectivity import (
     log_reflectivity,
     reflect,
 )
-from qsabine.sabine import _default_collar, _reflectivity_zeros, wave_speed
-
-
-def law_facts(model):
-    """(c, collar, zeros) of a law, as the Sabine band reads them."""
-    return wave_speed(model), _default_collar(model), _reflectivity_zeros(model)
 
 
 class TestBranchedSqrt:
@@ -245,7 +239,7 @@ class TestLawFacts:
             "damping 1", "damping 2", "damping profile", "delta h 0.004", "delta h 1",
             "delta h 1e-40"])
     def test_recorded_facts(self, model, c, collar, zeros):
-        assert law_facts(model) == (c, collar, zeros)
+        assert (model.c, model.collar, model.zeros()) == (c, collar, zeros)
 
     def test_constructors_unchanged(self):
         assert [f.name for f in dataclasses.fields(TransparentObstacle)] == ["c", "alpha"]

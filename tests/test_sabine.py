@@ -44,7 +44,6 @@ from qsabine.sabine import (
     one_bounce_quotients,
     sabine_bounds,
     sabine_quotient,
-    wave_speed,
 )
 from qsabine.specfun import airy_zeros
 
@@ -67,8 +66,8 @@ def level_by_level(domain, model, n_max, xi_points):
     """(lower, upper, refinements) of sabine_bounds with one
     _prefix_quotients call per grid level, for the points no coarser
     level had."""
-    collar = sabine._default_collar(model)
-    zeros = sabine._reflectivity_zeros(model)
+    collar = model.collar
+    zeros = model.zeros()
     fiat_lower = any(z <= 1.0 - collar for z in zeros)
     seen = {}
     lower = upper = math.nan
@@ -119,7 +118,7 @@ class TestSabineQuotient:
     def test_damping_diameter_value(self):
         q = sabine_quotient(DISK, BoundaryDamping(2.0), PhasePoint(0.0, 0.0), 1)
         assert q == pytest.approx(-math.log(3.0) / 2.0, abs=1e-13)
-        assert wave_speed(BoundaryDamping(2.0)) == 1.0
+        assert BoundaryDamping(2.0).c == 1.0
 
     def test_total_internal_reflection_orbit_has_zero_quotient(self):
         # xi = 0.9 > c = 0.5 on every bounce of the disk orbit.
@@ -144,7 +143,7 @@ class TestOneBounceQuotients:
         # The decay law at tangent frequency tf is the one-bounce quotient
         # of the disk orbit from xi = c tf, bit for bit, and NaN where xi
         # reaches the glancing guard.
-        c = wave_speed(model)
+        c = model.c
         tf = np.linspace(0.0, 1.0 / c, 200)
         tf[-3:-1] = (1.0 - 2.0 * GLANCING_MARGIN) / c, (1.0 - 0.5 * GLANCING_MARGIN) / c
         got = one_bounce_quotients(model, tf)
