@@ -30,7 +30,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import hankel1, jv, jvp, h1vp
 
@@ -230,6 +230,35 @@ class TestSecular:
         with pytest.raises(ValueError, match="v0 != 0"):
             secular(DeltaPotential(0.0), 3, 10.0 - 1.0j)
 
+    LAWS = [TE_FAST, DeltaPotential(2.0, 0.5), BoundaryDamping(2.0)]
+
+    @pytest.mark.parametrize("law", LAWS, ids=["transparent", "delta", "damping"])
+    def test_point_is_the_one_row_case(self, law):
+        # Newton evaluates rows of points; secular is one row, bit for bit
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            lam = complex(rng.uniform(5, 300), -rng.uniform(0.05, 3.0))
+            n = int(rng.integers(0, 30))
+            (row,) = qsabine.disk._secular_rows(law, [(n, lam)])
+            assert secular(law, n, lam) == row[:2]
+
+    @pytest.mark.parametrize("law, n, lam", [
+        (TE_FAST, 10, 100.0 - 60.0j),
+        (BoundaryDamping(2.0), 10, 0.5 - 0.1j),
+        (TE_FAST, 2000, 1700.0 - 1.0j),
+        (DeltaPotential(0.0), 3, 10.0 - 1.0j),
+    ], ids=["out-of-box", "small-argument", "overflowing-mode", "zero-v0"])
+    def test_point_raises_the_error_of_its_row(self, law, n, lam):
+        # a row holds its Bessel error unraised; a law error may raise
+        try:
+            (want,) = qsabine.disk._secular_rows(law, [(n, lam)])
+        except ValueError as err:
+            want = err
+        assert isinstance(want, Exception)
+        with pytest.raises(Exception) as got:
+            secular(law, n, lam)
+        assert type(got.value) is type(want) and str(got.value) == str(want)
+
     def test_mode_symmetry(self):
         rng = np.random.default_rng(7)
         problems = (TE_FAST, TE_SLOW, BoundaryDamping(2.0), DeltaPotential(1.0, 0.5))
@@ -415,6 +444,26 @@ class TestSeedPoints:
         for p in self.PROBLEMS:
             table = qsabine.disk._seed_table(p, clipped)
             assert repr(table) == repr([qsabine.disk._seed_points(p, *w) for w in clipped])
+
+
+class TestDampingPhaseCondition:
+    """The damping bulk's starts: e^{2 i theta} = (t + a r)/(t - a r)
+    with t = sqrt(r^2 - 1), at the radii r the phase inversion gives."""
+
+    @given(st.floats(1.0 + 1e-13, 1e4), st.floats(1e-3, 1e3))
+    def test_ratio_is_finite_and_decays(self, r, a):
+        # off the excised |t - a r| < 1e-12 a r, each start lies below
+        # the real axis
+        t = math.sqrt(r * r - 1.0)
+        assume(abs(t - a * r) >= 1e-12 * a * r)
+        ratio = (t + a * r) / (t - a * r)
+        assert math.isfinite(ratio) and ratio != 0.0
+        assert -r / (2.0 * t) * math.log(abs(ratio)) < 0.0
+
+    @given(st.lists(st.floats(0.0, 1e3, exclude_min=True), min_size=1, max_size=20))
+    def test_positive_targets_invert_above_one(self, targets):
+        radii = qsabine.disk._invert_phases(1.0, targets)
+        assert np.all(np.isfinite(radii)) and np.all(radii > 1.0)
 
 
 class TestTurningPointCut:
