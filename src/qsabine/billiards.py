@@ -310,13 +310,11 @@ class ConvexDomain:
 
     def position(self, s):
         """Boundary point gamma(s), shape (2,) or (n, 2)."""
-        th = self._theta_of_arc(np.atleast_1d(s))
-        return self._match(np.stack(self._pos(th), axis=-1), s)
+        return self._frame(s)[0]
 
     def tangent(self, s):
         """Unit tangent gamma'(s)."""
-        th = self._theta_of_arc(np.atleast_1d(s))
-        return self._match(np.stack(self._unit_tangent(th), axis=-1), s)
+        return self._frame(s)[1]
 
     def _frame(self, s):
         """(position(s), tangent(s)) from one chart inversion."""

@@ -49,6 +49,7 @@ from .disk import (
     IncompleteScanWarning,
     NoConvergenceError,
     RESONANCE_CSV_HEADER,
+    Resonance,
     TANGENT_CAP,
     check_scan_box,
     pool_size,
@@ -134,10 +135,10 @@ _LAYOUTS = {"circle": _circle_panels, "bands": _bands_panels}
 def emit_figure(table: Sequence, config: RunConfig) -> str:
     """Render a resonance table to a stacked-panel SVG document.
 
-    ``table`` rows need ``n`` and ``lam`` attributes (scan results or
-    rows loaded back from a dumped CSV).  The panels are those of the
-    layout ``config.fig``; their overlays are computed from the same
-    resolved configuration, so a figure can never mix parameter sets.
+    ``table`` holds Resonance rows of the problem ``config.problem``
+    (scan results or rows loaded back from a dumped CSV).  The panels
+    are those of the layout ``config.fig``; their overlays are computed
+    from the same resolved configuration.
     """
     rows = list(table)
     if not rows:
@@ -192,7 +193,7 @@ class RunConfig:
     """
 
     command: str
-    problem: str = _setting("transparent", str, choices=tuple(_PROBLEM_TABLE))
+    problem: str = _setting("transparent", str, "boundary law", choices=tuple(_PROBLEM_TABLE))
     c: float = _setting(2.0, float, "interior wave speed")
     alpha: float = _setting(1.0, float, "transmission coupling")
     a: float = _setting(2.0, float, "damping strength")
@@ -201,7 +202,7 @@ class RunConfig:
                                  "delta strength grows like v0 (Re lambda)^exponent")
     re_window: Tuple[float, float] = _setting((200.0, 300.0), _parse_window,
                                               "Re lambda window", flag="re", metavar="A:B")
-    im_floor: float = _setting(-3.0, float)
+    im_floor: float = _setting(-3.0, float, "Im lambda of the scan rectangle's floor")
     n_range: Optional[Tuple[int, ...]] = _setting(None, _parse_mode_range,
                                                   "mode range, inclusive", flag="n",
                                                   metavar="A:B[:S]")
@@ -356,18 +357,13 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 # command bodies
 
 
-class _Row:
-    __slots__ = ("n", "lam")
-
-    def __init__(self, n: int, lam: complex):
-        self.n = n
-        self.lam = lam
-
-
-def _read_resonance_csv(path: str):
+def _read_resonance_csv(config: RunConfig) -> list:
+    """The rows of the CSV ``config.data`` as Resonance, each of the
+    problem ``config.problem``; ConfigError names the first line that
+    is not."""
     import csv
 
-    rows = []
+    path, rows = config.data, []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = set(RESONANCE_CSV_HEADER) - set(reader.fieldnames or ())
@@ -375,10 +371,15 @@ def _read_resonance_csv(path: str):
             raise ConfigError(f"{path}: missing columns {sorted(missing)}")
         for rec in reader:
             try:
-                rows.append(_Row(int(rec["n"]),
-                                 complex(float(rec["re_lambda"]), float(rec["im_lambda"]))))
+                row = Resonance(complex(float(rec["re_lambda"]), float(rec["im_lambda"])),
+                                int(rec["n"]), float(rec["residual"]), rec["seed"],
+                                rec["problem"])
+                if row.problem != config.problem:
+                    raise ValueError(f"a {row.problem!r} row, but --problem is "
+                                     f"{config.problem!r}")
             except (TypeError, ValueError) as err:
                 raise ConfigError(f"{path}:{reader.line_num}: {err}") from None
+            rows.append(row)
     return rows
 
 
@@ -406,15 +407,17 @@ def _write_manifest(config: RunConfig, elapsed: float) -> None:
             fh.write(line + "\n")
 
 
-def _scan_with_completeness(config: RunConfig):
-    problem = config.law(config.re_window)
+def _scan(config: RunConfig):
+    """Scan the configured law, print each incomplete cell to stderr, and
+    return the roots with the exit status: 3 if a cell is incomplete."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IncompleteScanWarning)
-        results = scan(problem, config.re_window, config.im_floor, config.modes(),
-                       workers=config.workers)
-    incomplete = [w.message for w in caught
-                  if isinstance(w.message, IncompleteScanWarning)]
-    return results, incomplete
+        roots = scan(config.law(config.re_window), config.re_window, config.im_floor,
+                     config.modes(), workers=config.workers)
+    incomplete = [w.message for w in caught if isinstance(w.message, IncompleteScanWarning)]
+    for warning in incomplete:
+        print(f"incomplete: {warning}", file=sys.stderr)
+    return roots, 3 if incomplete else 0
 
 
 def _cmd_bounds(config: RunConfig) -> int:
@@ -429,27 +432,19 @@ def _cmd_bounds(config: RunConfig) -> int:
 
 
 def _cmd_resonances(config: RunConfig) -> int:
-    results, incomplete = _scan_with_completeness(config)
+    roots, status = _scan(config)
     import io
 
     buf = io.StringIO()
-    write_resonance_csv(results, buf)
+    write_resonance_csv(roots, buf)
     _write_text(config.out, buf.getvalue())
-    for warning in incomplete:
-        print(f"incomplete: {warning}", file=sys.stderr)
-    return 3 if incomplete else 0
+    return status
 
 
 def _cmd_plot(config: RunConfig) -> int:
-    if config.data is not None:
-        rows, incomplete = _read_resonance_csv(config.data), []
-    else:
-        rows, incomplete = _scan_with_completeness(config)
-    text = emit_figure(rows, config)
-    _write_text(config.out, text)
-    for warning in incomplete:
-        print(f"incomplete: {warning}", file=sys.stderr)
-    return 3 if incomplete else 0
+    rows, status = (_read_resonance_csv(config), 0) if config.data is not None else _scan(config)
+    _write_text(config.out, emit_figure(rows, config))
+    return status
 
 
 def _cmd_verify(config: RunConfig) -> int:

@@ -253,12 +253,8 @@ def _transparent_terms(problem: TransparentObstacle, n: int, z, pairs):
     return inner - outer, fp, inner, outer
 
 
-def _delta_cylinders(problem: DeltaPotential, z):
-    _check_v0(problem)
-    return (jv, z), (hankel1, z)
-
-
 def _delta_terms(problem: DeltaPotential, n: int, z, pairs):
+    _check_v0(problem)
     (j, jp), (h, hp) = pairs
     v = problem.v0 * z ** problem.v_exponent
     vp = problem.v0 * problem.v_exponent * z ** (problem.v_exponent - 1.0)
@@ -276,24 +272,24 @@ def _damping_terms(problem: BoundaryDamping, n: int, z, pairs):
     return f, fp, jp, problem.a * j
 
 
-def _secular_parts(law, problem: ReflectivityModel, n: int, lam: complex, pairs):
-    """(f, f', scale) at one point, scale being the residual normalizer."""
-    f, fp, a, b = law.terms(problem, n, complex(lam), pairs)
-    scale = abs(a) + abs(b)
-    return f, fp, (scale if scale > 0.0 else 1.0)
-
-
 def _secular_rows(problem: ReflectivityModel, points) -> list:
-    """_secular_parts at many (n, lambda) points, or, unraised, the
-    error of each point's first failing Bessel pair; one bessel_rows
-    call per cylinder function."""
+    """(f, f', scale) at many (n, lambda) points, scale being the
+    residual normalizer, or, unraised, the error of each point's first
+    failing Bessel pair; one bessel_rows call per cylinder function."""
     law = _law(problem)
     orders = [n for n, _ in points]
     calls = zip(*(law.cylinders(problem, complex(lam)) for _, lam in points))
     columns = [bessel_rows(col[0][0], orders, [w for _, w in col]) for col in calls]
-    return [next((p for p in pairs if isinstance(p, Exception)), None)
-            or _secular_parts(law, problem, n, lam, pairs)
-            for (n, lam), pairs in zip(points, zip(*columns))]
+    rows = []
+    for (n, lam), pairs in zip(points, zip(*columns)):
+        error = next((p for p in pairs if isinstance(p, Exception)), None)
+        if error is not None:
+            rows.append(error)
+            continue
+        f, fp, a, b = law.terms(problem, n, complex(lam), pairs)
+        scale = abs(a) + abs(b)
+        rows.append((f, fp, scale if scale > 0.0 else 1.0))
+    return rows
 
 
 def secular(problem: ReflectivityModel, n: int, lam: complex) -> tuple:
@@ -301,11 +297,12 @@ def secular(problem: ReflectivityModel, n: int, lam: complex) -> tuple:
 
     The derivative is analytic, assembled from the Bessel derivative
     recurrence and the Bessel differential equation; no differencing.
+    The one-row case of _secular_rows.
     """
-    law, lam = _law(problem), complex(lam)
-    pairs = [bessel_pair(fn, n, w) for fn, w in law.cylinders(problem, lam)]
-    f, fp, _ = _secular_parts(law, problem, n, lam, pairs)
-    return f, fp
+    (row,) = _secular_rows(problem, [(n, lam)])
+    if isinstance(row, Exception):
+        raise row
+    return row[:2]
 
 
 def _secular_array(problem: ReflectivityModel, n: int, z, pair=bessel_pair):
@@ -647,14 +644,12 @@ def _transparent_table(problem, windows):
     zetas = _airy_magnitudes()
     out = []
     for (n, re_lo, re_hi), sweep in zip(windows, sweeps):
-        seeds = _normal_seeds(c, alpha, n, re_lo, re_hi)
-        if n >= 1:
-            seeds.extend(sweep)
-            if c > 1.0:
-                # the interior ray grazes the circle; the exterior Hankel
-                # factor's Debye phase sets the leak (only meaningful for c > 1)
-                leak = c / (alpha * math.sqrt(c * c - 1.0))
-                seeds.extend(_airy_cluster(n, c, -leak, re_lo, re_hi, zetas))
+        seeds = _normal_seeds(c, alpha, n, re_lo, re_hi) + sweep
+        if c > 1.0:
+            # the interior ray grazes the circle; the exterior Hankel
+            # factor's Debye phase sets the leak (only meaningful for c > 1)
+            leak = c / (alpha * math.sqrt(c * c - 1.0))
+            seeds.extend(_airy_cluster(n, c, -leak, re_lo, re_hi, zetas))
         out.append(seeds)
     return out
 
@@ -750,6 +745,8 @@ def _damping_table(problem, windows):
     radii = _invert_phases(1.0, [row[-1] for row in rows]).tolist()
     out = [[] for _ in windows]
     for (i, n, extra, _), r in zip(rows, radii):
+        # r > 1, so t > 0 and |ratio| > 1: off the excised zero of
+        # t - a r, ratio is finite and the start lies below the axis
         t = math.sqrt(r * r - 1.0)
         if abs(t - a * r) < 1e-12 * a * r:
             continue
@@ -758,12 +755,7 @@ def _damping_table(problem, windows):
         # phase, ratio < 0 with the half-integer shift
         if (ratio > 0.0) != (extra == 0.0):
             continue
-        if ratio == 0.0 or not math.isfinite(ratio):
-            continue
-        im = -r / (2.0 * t) * math.log(abs(ratio))
-        if im >= 0.0:
-            continue
-        lam0 = complex(n * r, im)
+        lam0 = complex(n * r, -r / (2.0 * t) * math.log(abs(ratio)))
         if windows[i][1] <= lam0.real <= windows[i][2]:
             out[i].append((lam0, "normal", _SEED_TRUST))
     zetas = _airy_magnitudes()
@@ -856,7 +848,8 @@ _Law = namedtuple("_Law", "cylinders terms seeds amplitude")
 _LAWS = {
     TransparentObstacle.tag: _Law(lambda problem, z: ((jv, z / problem.c), (hankel1, z)),
                                   _transparent_terms, _transparent_table, None),
-    DeltaPotential.tag: _Law(_delta_cylinders, _delta_terms, _delta_table, "v0"),
+    DeltaPotential.tag: _Law(lambda problem, z: ((jv, z), (hankel1, z)),
+                             _delta_terms, _delta_table, "v0"),
     BoundaryDamping.tag: _Law(lambda problem, z: ((jv, z),), _damping_terms, _damping_table, "a"),
 }
 

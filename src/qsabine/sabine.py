@@ -143,27 +143,24 @@ class SabineBand:
 
 
 def _reduce_columns(vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-N inf and sup over the grid axis, ignoring glancing failures."""
-    n_max = vals.shape[1]
-    infs = np.empty(n_max)
-    sups = np.empty(n_max)
-    for k in range(n_max):
-        col = vals[:, k]
-        col = col[~np.isnan(col)]
-        if col.size == 0:
-            raise RuntimeError(
-                "every phase-space sample hit the glancing guard within "
-                f"{n_max} bounces"
-            )
-        infs[k] = col.min()
-        finite = col[np.isfinite(col)]
-        if finite.size == 0:
-            raise ValueError(
-                "reflectivity vanishes on the whole sample grid "
-                "(degenerate model); the sup side is undefined"
-            )
-        sups[k] = finite.max()
-    return infs, sups
+    """Per-N inf and sup over the grid axis, ignoring glancing failures.
+
+    A row of _prefix_quotients is NaN throughout or nowhere, and a -inf
+    quotient stays -inf at every longer prefix, so each error below
+    holds on every column or on none.
+    """
+    if np.isnan(vals).all(axis=0).any():
+        raise RuntimeError(
+            "every phase-space sample hit the glancing guard within "
+            f"{vals.shape[1]} bounces"
+        )
+    finite = np.isfinite(vals)
+    if not finite.any(axis=0).all():
+        raise ValueError(
+            "reflectivity vanishes on the whole sample grid "
+            "(degenerate model); the sup side is undefined"
+        )
+    return np.nanmin(vals, axis=0), np.where(finite, vals, -np.inf).max(axis=0)
 
 
 def sabine_bounds(
@@ -269,11 +266,7 @@ def sabine_bounds(
 
 
 def _endpoints_close(a: float, b: float, tol: float) -> bool:
-    if math.isinf(a) and math.isinf(b):
-        return True
-    if math.isinf(a) or math.isinf(b):
-        return False
-    return abs(a - b) < tol
+    return a == b or abs(a - b) < tol
 
 
 def glancing_limit(
@@ -351,13 +344,12 @@ def glancing_bands(model: DeltaPotential, m_bands: int = 3) -> Tuple[GlancingBan
     v0 = float(model.v0)
     if v0 <= 0.0:
         raise ValueError("glancing bands of a vanishing potential are undefined")
-    h_val = model.h
     m = int(m_bands)
     if not 1 <= m <= 100 or m != m_bands:
         raise ValueError("m_bands must be a whole number in 1..100")
 
     table = airy_zeros(m)
-    sigma_v = v0 * h_val**-model.v_exponent
+    sigma_v = model.sigma()
     bands = []
     for j in range(1, m + 1):
         im_phi = table.im_phi_minus[j - 1]
@@ -365,7 +357,7 @@ def glancing_bands(model: DeltaPotential, m_bands: int = 3) -> Tuple[GlancingBan
             j=j,
             im_phi_j=float(im_phi),
             scale=_CBRT2 / sigma_v**2,
-            im_lambda=float(_band_value(v0, model.v_exponent, h_val, im_phi)),
+            im_lambda=float(_band_value(v0, model.v_exponent, model.h, im_phi)),
             v0=v0,
             v_exponent=model.v_exponent,
         )

@@ -93,7 +93,8 @@ class Panel:
         lo, hi = min(vals), max(vals)
         scale = self.x_scale if axis == "x" else self.y_scale
         if scale == "log":
-            if lo == hi:
+            # values an ulp apart can share a logarithm: no axis width
+            if math.log10(lo) == math.log10(hi):
                 lo, hi = lo / 2.0, hi * 2.0
             pad = (hi / lo) ** 0.05
             return lo / pad, hi * pad

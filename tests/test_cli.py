@@ -7,6 +7,7 @@ configuration, SVG differing only in its timestamp comment) are checked
 literally on the produced files.
 """
 import argparse
+import csv
 import io
 import json
 import os
@@ -171,6 +172,16 @@ class TestCommandLineSurface:
             cli.main(["bounds", "--grid", "9", "--nmax", "2"])
         assert ok.value.code == 0
         json.loads(capsys.readouterr().out)
+
+    def test_every_setting_has_a_help_line(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            cli.main(["resonances", "--help"])
+        assert done.value.code == 0
+        printed = " ".join(capsys.readouterr().out.split())
+        actions = self.subparsers()["resonances"]._option_string_actions
+        for flag in SETTINGS:
+            help_text = actions[flag].help
+            assert help_text and " ".join(help_text.split()) in printed, flag
 
     def test_import_leaves_scipy_optimize_out(self):
         # Every run pays for what the package imports; scipy.optimize
@@ -438,6 +449,45 @@ class TestPlotCommand:
         status, _, err = run_argv(["plot", "--data", str(bad)] + TINY, capsys)
         assert status == 2
         assert f"{bad}:3:" in err
+
+    @pytest.mark.parametrize("fig, flags, row", [
+        ("circle", TINY, Resonance(205.0 - 1.1j, 3, 0.0, "normal", "transparent")),
+        ("bands", ["--problem", "delta", "--v0", "1", "--v-exponent", "0.5"],
+         Resonance(1010.0 - 1.0j, 1000, 0.0, "glancing", "delta")),
+    ], ids=["circle", "bands"])
+    def test_one_row_figure_from_data(self, tmp_path, capsys, fig, flags, row):
+        # a lone root spans no Re lambda range: the circle figure's
+        # linear axis and the bands figure's log axis widen it themselves
+        data, out = tmp_path / "one.csv", tmp_path / "fig.svg"
+        buf = io.StringIO()
+        write_resonance_csv([row], buf)
+        data.write_text(buf.getvalue())
+        status, _, _ = run_argv(["plot", "--fig", fig, "--data", str(data),
+                                 "--out", str(out)] + flags, capsys)
+        assert status == 0
+        text = out.read_text()
+        ET.fromstring(text)
+        assert "nan" not in text and "inf" not in text
+
+    @pytest.mark.parametrize("column, value", [
+        ("residual", "1e-06"), ("seed", "bogus"), ("problem", "damping"),
+    ])
+    def test_row_that_is_no_resonance_of_the_problem_exits_2(self, tmp_path, capsys,
+                                                              column, value):
+        # each row is a Resonance of --problem: a figure of damping roots
+        # under the transparent law's decay curve and band is refused
+        data = tmp_path / "rows.csv"
+        buf = io.StringIO()
+        write_resonance_csv([Resonance(205.0 - 1.0j, 1, 0.0, "normal", "transparent")] * 3, buf)
+        records = list(csv.DictReader(io.StringIO(buf.getvalue())))
+        records[1][column] = value
+        with open(data, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, RESONANCE_CSV_HEADER, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(records)
+        status, out, err = run_argv(["plot", "--data", str(data)] + TINY, capsys)
+        assert status == 2 and out == ""
+        assert err.startswith("config error: ") and f"{data}:3:" in err
 
 
 class TestEmitFigure:
