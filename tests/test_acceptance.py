@@ -31,6 +31,11 @@ def _assert_criterion(name, capsys):
     assert r.passed, f"{name}: {r.measured}"
 
 
+def test_unknown_criterion_refused():
+    with pytest.raises(KeyError, match="bogus"):
+        run_one("bogus")
+
+
 def test_01_airy_bessel_identities(capsys):
     _assert_criterion("airy-bessel-identities", capsys)
 

@@ -179,6 +179,17 @@ class TestConvexDomain:
             assert np.array_equal(dom.second_derivative(s), expected)
             assert np.array_equal(dom.second_derivative(float(s[0])), expected[0])
 
+    @pytest.mark.parametrize("dom", [ConvexDomain.disk(), ConvexDomain.ellipse(1.5, 1.0),
+                                     wavy_domain()], ids=lambda d: d.name)
+    def test_second_derivative_is_curvature_times_normal(self, dom):
+        # the Frenet relation gamma'' = kappa N, bit for bit, at a scalar
+        # arclength and at an array of them
+        for s in (1.3, np.linspace(-1.0, 2.0 * dom.perimeter, 23)):
+            expected = np.asarray(dom.curvature(s))[..., None] * dom.inward_normal(s)
+            got = dom.second_derivative(s)
+            assert got.shape == expected.shape == np.shape(dom.position(s))
+            assert got.tobytes() == expected.tobytes()
+
     def test_newton_rows_converging_apart_match_alone(self, monkeypatch):
         # On an eccentric ellipse the rows of one inversion leave the
         # Newton loop after different numbers of steps; each row still

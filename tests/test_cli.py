@@ -21,8 +21,8 @@ import pytest
 
 from qsabine import cli, svg
 from qsabine.cli import ConfigError, RunConfig, emit_figure, parse_config, run
-from qsabine.disk import (RESONANCE_CSV_HEADER, IncompleteScanWarning, Resonance, scan,
-                          write_resonance_csv)
+from qsabine.disk import (RESONANCE_CSV_HEADER, IncompleteScanWarning, NoConvergenceError,
+                          Resonance, scan, write_resonance_csv)
 from qsabine.sabine import sabine_bounds
 from qsabine.billiards import ConvexDomain
 from qsabine.reflectivity import TransparentObstacle
@@ -112,6 +112,59 @@ class TestConfigResolution:
     def test_missing_config_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(["bounds", "--config", "/nonexistent/run.cfg"])
+
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys):
+        # a directory cannot be read as a config file
+        with pytest.raises(SystemExit) as done:
+            cli.main(["bounds", "--config", str(tmp_path)])
+        assert done.value.code == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read config file")
+
+    @pytest.mark.parametrize("line, message", [
+        ("problem = bogus", "unknown problem 'bogus'"),
+        ("fig = bogus", "unknown figure layout 'bogus'"),
+        ("grid = 2", "grid must be at least 3 points"),
+        ("nmax = 0", "nmax must be a positive orbit length"),
+        ("workers = -1", "workers must be nonnegative"),
+        ("n = 5:3", "mode range must be 0 <= A <= B"),
+    ])
+    def test_config_file_value_refused_exits_2(self, tmp_path, capsys, line, message):
+        # a file value skips the flag's choices; validation still refuses it
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(SystemExit) as done:
+            cli.main(["bounds", "--config", str(path)])
+        assert done.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"config error: {message}")
+
+    def test_config_line_without_equals_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("c = 2\nalpha 3\n")
+        with pytest.raises(SystemExit) as done:
+            cli.main(["bounds", "--config", str(path)])
+        assert done.value.code == 2
+        assert f"{path}:2: expected KEY=VALUE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--re", "1:x"], ["--n", "1"], ["--n", "1:2:x"]],
+                             ids=" ".join)
+    def test_unparsable_flag_exits_2(self, capsys, flags):
+        with pytest.raises(SystemExit) as done:
+            cli.main(["resonances"] + flags)
+        assert done.value.code == 2
+        assert f"argument {flags[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem, want", [
+        ("transparent", [("c", 0.5), ("alpha", 3.0)]),
+        ("delta", [("v0", 2.0), ("v_exponent", 0.5)]),
+        ("damping", [("a", 0.7)]),
+    ])
+    def test_params_are_the_law_parameters(self, problem, want):
+        # the settings that are the law's parameters, in its field order;
+        # the delta law's h is no setting
+        config = RunConfig("bounds", problem=problem, c=0.5, alpha=3.0, a=0.7, v0=2.0,
+                           v_exponent=0.5)
+        assert list(config.params().items()) == want
 
     def test_window_validation(self, capsys):
         status, _, err = run_argv(["bounds", "--re", "300:200"], capsys)
@@ -222,6 +275,15 @@ class TestBoundsCommand:
         run_argv(["bounds", "--grid", "9", "--nmax", "2", "--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_unwritable_manifest_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "band.json"
+        (tmp_path / "band.json.manifest.json").mkdir()
+        status, _, err = run_argv(["bounds", "--grid", "9", "--nmax", "2", "--out", str(out)],
+                                  capsys)
+        assert status == 4
+        assert err.startswith("i/o error: ")
+        json.loads(out.read_text())
+
 
 class TestBandsCommand:
     def test_delta_report(self, capsys):
@@ -296,6 +358,17 @@ class TestResonancesCommand:
             ["resonances", "--out", "/nonexistent-dir/res.csv"] + TINY, capsys)
         assert status == 4
         assert "i/o error" in err
+
+    def test_no_convergence_exits_3(self, tmp_path, capsys, monkeypatch):
+        def stub_scan(problem, re_window, im_floor, modes, **kw):
+            raise NoConvergenceError("stub refinement diverged", [205.0 - 1.0j])
+
+        monkeypatch.setattr(cli, "scan", stub_scan)
+        out = tmp_path / "res.csv"
+        status, _, err = run_argv(["resonances", "--out", str(out)] + TINY, capsys)
+        assert status == 3
+        assert err == "numerical error: stub refinement diverged\n"
+        assert not out.exists()
 
 
 # Settings that pass every flag check but leave the scan's guarded box.
@@ -489,6 +562,17 @@ class TestPlotCommand:
         assert status == 2 and out == ""
         assert err.startswith("config error: ") and f"{data}:3:" in err
 
+    def test_negative_mode_row_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "rows.csv"
+        buf = io.StringIO()
+        write_resonance_csv([Resonance(205.0 - 1.0j, 1, 0.0, "normal", "transparent")] * 2, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        lines[2] = lines[2].replace("transparent,1,", "transparent,-1,", 1)
+        data.write_text("".join(lines))
+        status, out, err = run_argv(["plot", "--data", str(data)] + TINY, capsys)
+        assert status == 2 and out == ""
+        assert err == f"config error: {data}:3: mode index must be >= 0\n"
+
 
 class TestEmitFigure:
     def rows(self):
@@ -565,3 +649,15 @@ class TestVerifyCommand:
         payload = json.loads(report.read_text())
         assert [row["passed"] for row in payload] == [True, False]
         assert all({"name", "passed", "measured", "elapsed"} <= set(row) for row in payload)
+
+    def test_report_bytes(self, tmp_path, capsys, monkeypatch):
+        import dataclasses
+
+        import qsabine.verify
+
+        results = self.fake_results([True, False])
+        monkeypatch.setattr(qsabine.verify, "run_all", lambda workers=0: results)
+        report = tmp_path / "verify.json"
+        run_argv(["verify", "--out", str(report)], capsys)
+        payload = [dataclasses.asdict(r) for r in results]
+        assert report.read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"

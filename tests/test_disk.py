@@ -95,6 +95,14 @@ def residual(problem, n, lam):
     return abs(f)
 
 
+class LookAlike:
+    """The transparent law's tag and parameters on an object that is no law."""
+
+    tag = "transparent"
+    c = 2.0
+    alpha = 1.0
+
+
 class TestProblemTypes:
     def test_field_validation(self):
         with pytest.raises(ValueError):
@@ -124,6 +132,12 @@ class TestProblemTypes:
     def test_non_law_refused(self, call):
         with pytest.raises(TypeError, match="not a disk problem"):
             call(object())
+
+    @pytest.mark.parametrize("problem", [object(), LookAlike()], ids=["object", "look-alike"])
+    def test_scan_box_refuses_a_non_law_first(self, problem):
+        # every other setting is out of the box too: the law is checked first
+        with pytest.raises(TypeError, match="not a disk problem"):
+            check_scan_box(problem, (0.5, 0.1), 1.0, [-1])
 
     def test_resonance_validation(self):
         ok = Resonance(complex(10.0, -1.0), 2, 1e-12, "normal", "transparent")
@@ -298,6 +312,10 @@ class TestSeedNormal:
         with pytest.raises(ValueError):
             seed_normal(TransparentObstacle(2.0, 0.5), 0, 0)
 
+    def test_wrong_problem_rejected(self):
+        with pytest.raises(TypeError, match="transparent problem only"):
+            seed_normal(BoundaryDamping(2.0), 3, 1)
+
 
 class TestSeedTransverse:
     def test_height_matches_one_bounce_quotient(self):
@@ -333,6 +351,16 @@ class TestSeedTransverse:
         with pytest.raises(TypeError):
             seed_transverse(BoundaryDamping(2.0), -1, 4, 1)
 
+    def test_empty_polygon_rejected(self):
+        with pytest.raises(ValueError, match="q >= 1"):
+            seed_transverse(TE_FAST, -1, 0, 1)
+
+    def test_brewster_tangent_rejected(self):
+        # c = alpha = 1: nu = ww on every chord, so the branch of
+        # reflection sign +1 matches and its coefficient vanishes
+        with pytest.raises(ValueError, match="Brewster-tangent"):
+            seed_transverse(TransparentObstacle(1.0, 1.0), -1, 4, 1)
+
 
 class TestSeedGlancing:
     def test_frozen_start_point(self):
@@ -353,6 +381,10 @@ class TestSeedGlancing:
     def test_wrong_problem_rejected(self):
         with pytest.raises(TypeError):
             seed_glancing(BoundaryDamping(2.0), 100, 1)
+
+    def test_mode_zero_rejected(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            seed_glancing(DeltaPotential(1.0), 0, 1)
 
     def test_zero_v0_is_a_value_error(self):
         # delta1 = 2^(1/3) n^(2/3) / V divides by V = 0
@@ -464,6 +496,28 @@ class TestDampingPhaseCondition:
     def test_positive_targets_invert_above_one(self, targets):
         radii = qsabine.disk._invert_phases(1.0, targets)
         assert np.all(np.isfinite(radii)) and np.all(radii > 1.0)
+
+
+class TestDeltaPhaseCondition:
+    """The delta bulk's starts: e^{2 i theta} = rhs = 2 i t / V - 1 with
+    V = V(Re lambda) and t in (0, Re lambda]."""
+
+    @given(st.floats(1e-3, 1e12), st.floats(0.0, 1.0), st.floats(1.0, 2e4),
+           st.floats(0.0, 1.0, exclude_min=True))
+    def test_rhs_has_real_part_minus_one(self, v0, p, lam, frac):
+        # CPython's complex pow of a positive real keeps its imaginary
+        # part 0.0, so V is a positive real and rhs is never 0
+        t = frac * lam
+        rhs = 2j * t / DeltaPotential(v0, p).strength(lam) - 1.0
+        assert rhs.real == -1.0
+
+    def test_start_on_the_axis_is_dropped(self):
+        # once 2 t / V is below ~1e-8, |rhs| rounds to 1 and the start
+        # height -log|rhs| / (2 t / Re lambda) is 0: no start below the axis
+        lam = t = 200.0
+        rhs = 2j * t / DeltaPotential(1e12).strength(lam) - 1.0
+        assert abs(rhs) == 1.0
+        assert -0.5 * math.log(abs(rhs)) / (t / lam) >= 0.0
 
 
 class TestTurningPointCut:
@@ -584,6 +638,10 @@ class TestNewtonRefine:
     def test_zero_v0_is_a_value_error(self):
         with pytest.raises(ValueError, match="v0 != 0"):
             newton_refine(DeltaPotential(0.0), 3, 10.0 - 1.0j, 0.2)
+
+    def test_nonpositive_trust_radius_refused(self):
+        with pytest.raises(ValueError, match="trust radius must be positive"):
+            newton_refine(TE_FAST, 0, seed_normal(TE_FAST, 0, 32), 0.0)
 
     def test_glancing_seed_converges_unguarded(self):
         prob = DeltaPotential(1.0, 5.0 / 6.0)
@@ -842,6 +900,16 @@ class TestScan:
         assert pool_size(workers, len(set(modes))) == (expected[0] if expected else 0)
         serial = scan(TE_FAST, (200.0, 215.0), -3.0, modes)
         assert [(r.lam, r.n) for r in pooled] == [(r.lam, r.n) for r in serial]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("problem", [TE_FAST, DeltaPotential(1.0, 5.0 / 6.0),
+                                         BoundaryDamping(2.0)], ids=lambda p: p.tag)
+    def test_no_modes_no_pool(self, monkeypatch, problem, workers):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scan of no modes started a pool")
+
+        monkeypatch.setattr(qsabine.disk, "ProcessPoolExecutor", refuse)
+        assert scan(problem, (200.0, 215.0), -3.0, [], workers=workers) == []
 
     @pytest.mark.parametrize("problem", [BoundaryDamping(2.0), DeltaPotential(1.0, 5.0 / 6.0)])
     def test_pooled_scan_matches_serial(self, inline_pool, problem):

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from qsabine import sabine
-from qsabine.billiards import GLANCING_MARGIN, ConvexDomain, PhasePoint
+from qsabine.billiards import GLANCING_MARGIN, ConvexDomain, GlancingError, PhasePoint
 from qsabine.reflectivity import (
     BREWSTER_WINDOW,
     BoundaryDamping,
@@ -134,6 +134,11 @@ class TestSabineQuotient:
             sabine_quotient(DISK, TE_FAST, PhasePoint(0.0, 0.0), 0)
         with pytest.raises(ValueError, match="integer"):
             sabine_quotient(DISK, TE_FAST, PhasePoint(0.0, 0.0), 2.5)
+
+    @pytest.mark.parametrize("xi", [1.0 - GLANCING_MARGIN, -(1.0 - GLANCING_MARGIN)])
+    def test_glancing_start_refused(self, xi):
+        with pytest.raises(GlancingError, match="glancing guard"):
+            sabine_quotient(DISK, TE_FAST, PhasePoint(0.0, xi), 1)
 
 
 class TestOneBounceQuotients:
@@ -304,6 +309,19 @@ class TestSabineBounds:
         monkeypatch.setattr(sabine, "_prefix_quotients", failing)
         with pytest.raises(error, match=message):
             sabine_bounds(DISK, TE_FAST, n_max=2, xi_points=3)
+
+    def test_unstable_band_refused(self, monkeypatch):
+        # with no grid doubling allowed, no level can confirm level 0
+        monkeypatch.setattr(sabine, "_MAX_REFINE", 0)
+        with pytest.raises(RuntimeError, match="did not stabilize"):
+            sabine_bounds(DISK, TE_FAST, n_max=2, xi_points=9)
+
+    def test_excision_of_the_whole_grid_refused(self, monkeypatch):
+        # a = 0.5 has its zero at xi = sqrt(0.75); a window of half-width
+        # 2 leaves no point of [0, 1 - collar]
+        monkeypatch.setattr(sabine, "BREWSTER_WINDOW", 2.0)
+        with pytest.raises(ValueError, match="covers the whole xi grid"):
+            sabine_bounds(DISK, BoundaryDamping(0.5), n_max=2, xi_points=9)
 
     def test_determinism(self):
         a = sabine_bounds(DISK, TE_FAST, n_max=2, xi_points=17)

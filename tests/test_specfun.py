@@ -86,6 +86,12 @@ class TestAiry:
         # log magnitude ~ (2/3) 110^{3/2} = 769
         assert 700 < info.value.log_magnitude < 800
 
+    def test_ai_overflow_is_flagged(self):
+        # Ai grows like e^{-(2/3) z^{3/2}} off the positive axis: at
+        # 200 e^{2 pi i/3} that is e^{1886}
+        with pytest.raises(sf.ScaledMagnitudeError, match="Ai overflows"):
+            sf.airy(200.0 * cmath.exp(2j * math.pi / 3.0))
+
     def test_argument_guard(self):
         with pytest.raises(ValueError):
             sf.airy(2e4)

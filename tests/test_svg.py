@@ -1,0 +1,44 @@
+"""SVG writer refusals: a series or layout that cannot be drawn is named
+and refused, and a refused series leaves its panel as it was."""
+import math
+
+import pytest
+
+from qsabine import svg
+
+
+def test_unknown_axis_scale():
+    with pytest.raises(ValueError, match="unknown axis scale 'symlog'"):
+        svg.Panel("x", "y", "linear", "symlog")
+
+
+@pytest.mark.parametrize("scales, xs, ys, message", [
+    (("linear", "linear"), (1.0, 2.0), (1.0,), "x and y lengths differ"),
+    (("linear", "linear"), (1.0, 2.0), (1.0, math.nan), "non-finite value on the y axis"),
+    (("linear", "linear"), (math.inf, 2.0), (1.0, 2.0), "non-finite value on the x axis"),
+    (("log", "linear"), (0.0, 2.0), (1.0, 2.0), "log x axis requires positive values"),
+    (("linear", "log"), (1.0, 2.0), (1.0, -2.0), "log y axis requires positive values"),
+], ids=["lengths", "nan", "inf", "log-x", "log-y"])
+def test_bad_series_refused(scales, xs, ys, message):
+    panel = svg.Panel("x", "y", *scales)
+    for draw in (panel.scatter, panel.line):
+        with pytest.raises(ValueError, match=message):
+            draw(xs, ys)
+    assert panel.series == []
+
+
+def test_one_point_polyline_refused():
+    panel = svg.Panel("x", "y")
+    with pytest.raises(ValueError, match="at least two points"):
+        panel.line((1.0,), (2.0,))
+    assert panel.series == []
+
+
+def test_panel_without_data_refused():
+    with pytest.raises(ValueError, match="panel has no data"):
+        svg.render([svg.Panel("x", "y")])
+
+
+def test_no_panels_refused():
+    with pytest.raises(ValueError, match="no panels"):
+        svg.render([])
