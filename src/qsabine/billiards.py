@@ -334,10 +334,7 @@ class ConvexDomain:
 
     def second_derivative(self, s):
         """gamma''(s) = kappa(s) * inward normal, by the Frenet relation."""
-        th = self._theta_of_arc(np.atleast_1d(s))
-        k = np.asarray(self._kap(th), dtype=float)
-        tx, ty = self._unit_tangent(th)
-        return self._match(k[:, None] * np.stack([-ty, tx], axis=-1), s)
+        return np.asarray(self.curvature(s))[..., None] * self.inward_normal(s)
 
     def ray(self, q: PhasePoint):
         """Footpoint and inward unit direction of the lift of q."""

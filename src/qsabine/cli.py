@@ -63,12 +63,9 @@ from .specfun import BESSEL_ORDER_MAX
 __all__ = ["ConfigError", "RunConfig", "emit_figure", "run", "main"]
 
 
-# Each problem's boundary law and the settings that are its parameters.
-_PROBLEM_TABLE = {
-    "transparent": (TransparentObstacle, ("c", "alpha")),
-    "delta": (DeltaPotential, ("v0", "v_exponent")),
-    "damping": (BoundaryDamping, ("a",)),
-}
+# Each problem's boundary law, by its tag; the law's fields that are
+# settings are its parameters.
+_PROBLEM_TABLE = {law.tag: law for law in (TransparentObstacle, DeltaPotential, BoundaryDamping)}
 
 
 class ConfigError(ValueError):
@@ -254,7 +251,7 @@ class RunConfig:
         """The configured boundary law.  The delta law's semiclassical
         parameter h is the inverse mid-window frequency of ``window``; a
         scan does not read it."""
-        cls, _ = _PROBLEM_TABLE[self.problem]
+        cls = _PROBLEM_TABLE[self.problem]
         if self.problem == "delta":
             if not sum(window) > 0.0:
                 raise ValueError("the delta law's h = 2 / (A + B) needs a re window "
@@ -274,7 +271,8 @@ class RunConfig:
         return range(0, cap + 1)
 
     def params(self) -> dict:
-        return {name: getattr(self, name) for name in _PROBLEM_TABLE[self.problem][1]}
+        fields = dataclasses.fields(_PROBLEM_TABLE[self.problem])
+        return {f.name: getattr(self, f.name) for f in fields if f.name in _SETTING_NAMES}
 
     def config_hash(self) -> str:
         # Only computation-relevant fields: output path and worker count
@@ -292,6 +290,7 @@ def _flag(setting: dataclasses.Field) -> str:
 
 
 _SETTINGS = tuple(f for f in dataclasses.fields(RunConfig) if f.metadata)
+_SETTING_NAMES = {f.name for f in _SETTINGS}
 # a config-file key is a setting's field or flag name, '-' read as '_'
 _FILE_KEYS = {key: f for f in _SETTINGS for key in (f.name, _flag(f).replace("-", "_"))}
 
@@ -459,9 +458,7 @@ def _cmd_verify(config: RunConfig) -> int:
     sys.stdout.write(text)
     if config.out is not None:
         payload = [dataclasses.asdict(r) for r in results]
-        with open(config.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_text(config.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -58,7 +58,6 @@ import cmath
 import csv
 import functools
 import itertools
-import logging
 import math
 import warnings
 from collections import namedtuple
@@ -95,8 +94,6 @@ __all__ = [
     "RESONANCE_CSV_HEADER",
     "write_resonance_csv",
 ]
-
-_log = logging.getLogger(__name__)
 
 # Newton tolerances: a start point already this converged is a fixed
 # point; iteration stops at the looser value; kept roots must beat the
@@ -401,21 +398,17 @@ def _invert_phases(c: float, targets) -> np.ndarray:
     return radii
 
 
-def _branch_sign(c: float, alpha: float, r: float) -> float:
-    nu = math.sqrt(r * r / (c * c) - 1.0)
-    return 1.0 if nu >= alpha * math.sqrt(r * r - 1.0) else -1.0
-
-
-def _transverse_value(problem: TransparentObstacle, n: int, r: float) -> complex:
-    """Seed at radius ratio r = Re lambda / n > 1 on the transverse family."""
+def _transverse_start(problem: TransparentObstacle, n: int, r: float):
+    """(sgn, lambda_0) at radius ratio r = Re lambda / n > 1 on the
+    transverse family: the sign of its reflection coefficient
+    (nu - ww)/(nu + ww), and the start, None at the Brewster tangent
+    nu = ww where the coefficient vanishes."""
     nu = math.sqrt(r * r / (problem.c * problem.c) - 1.0)
     ww = problem.alpha * math.sqrt(r * r - 1.0)
+    sign = 1.0 if nu >= ww else -1.0
     if nu == ww:
-        raise ValueError(
-            "Brewster-tangent direction: the transverse reflection coefficient vanishes"
-        )
-    im = r / (2.0 * nu) * math.log(abs((nu - ww) / (nu + ww)))
-    return complex(n * r, im)
+        return sign, None
+    return sign, complex(n * r, r / (2.0 * nu) * math.log(abs((nu - ww) / (nu + ww))))
 
 
 def seed_transverse(problem: TransparentObstacle, p: int, q: int, m: int) -> complex:
@@ -444,8 +437,13 @@ def seed_transverse(problem: TransparentObstacle, p: int, q: int, m: int) -> com
                 "totally reflecting rotation number: the chord parameter "
                 f"r = {r:.6g} <= 1 leaves no transmission loss to seed from"
             )
-        if _branch_sign(problem.c, problem.alpha, r) == sigma:
-            return _transverse_value(problem, n, r)
+        sign, lam0 = _transverse_start(problem, n, r)
+        if sign == sigma:
+            if lam0 is None:
+                raise ValueError(
+                    "Brewster-tangent direction: the transverse reflection coefficient vanishes"
+                )
+            return lam0
     raise ValueError(
         f"no transverse seed for p={p}, q={q}: the phase target is not "
         "reachable (the winding part p must be negative)"
@@ -498,15 +496,9 @@ def _newton_guard(problem, n, lam0, eps, a, b, scale0) -> bool:
     h = 1e-3 * eps
     _, fps = _secular_array(problem, n, np.concatenate([ring + h, ring - h]))
     if not np.all(np.isfinite(fps)):
-        _log.debug("newton guard fail at n=%d, %s: f' not finite on the ring", n, lam0)
         return False
     d = 1.5 * float(np.max(np.abs(fps[:8] - fps[8:]))) / (2.0 * h) / scale0
-    ok = bool(a + d * eps * eps < eps * b < 1.0)
-    _log.debug(
-        "newton guard %s at n=%d, %s: a=%.3e b=%.3e d=%.3e eps=%.3e",
-        "pass" if ok else "fail", n, lam0, a, b, d, eps,
-    )
-    return ok
+    return bool(a + d * eps * eps < eps * b < 1.0)
 
 
 def newton_refine(
@@ -661,7 +653,7 @@ def _transverse_sweeps(problem, windows):
     transverse family proper; the rest of the integer sweep reuses the
     same phase condition as plain continuation starts.
     """
-    c, alpha = problem.c, problem.alpha
+    c = problem.c
     rows = []
     for i, (n, re_lo, re_hi) in enumerate(windows):
         if n < 1 or re_hi / n <= c * (1.0 + 1e-9):
@@ -681,13 +673,8 @@ def _transverse_sweeps(problem, windows):
             # Totally reflecting chord: the root hugs the real axis,
             # above any admissible scan ceiling.
             continue
-        if _branch_sign(c, alpha, r) != sigma:
-            continue
-        try:
-            lam0 = _transverse_value(problem, n, r)
-        except ValueError:
-            continue
-        if lam0.real < windows[i][1]:
+        sign, lam0 = _transverse_start(problem, n, r)
+        if sign != sigma or lam0 is None or lam0.real < windows[i][1]:
             continue
         q = n // math.gcd(n, -k)
         out[i].append((lam0, "transverse" if q <= _Q_MAX else "continuation", _SEED_TRUST))
@@ -816,8 +803,6 @@ def _delta_table(problem, windows):
                 continue
             t = math.sqrt(max(lam_re * lam_re - n * n, 0.0)) or lam_re
             rhs = 2j * t / problem.strength(lam_re) - 1.0
-            if rhs == 0.0:
-                continue
             fixed[j] = (lam_re, t, rhs)
             theta[j] = pi * k + 0.5 * cmath.phase(rhs)
             kept.append(j)
@@ -856,10 +841,9 @@ _LAWS = {
 
 def _law(problem) -> _Law:
     """The _LAWS entry of a boundary law; TypeError for anything else."""
-    law = _LAWS.get(getattr(problem, "tag", None))
-    if law is None:
+    if not isinstance(problem, ReflectivityModel):
         raise TypeError(f"not a disk problem: {problem!r}")
-    return law
+    return _LAWS[problem.tag]
 
 
 def _seed_table(problem, windows):
@@ -1211,8 +1195,7 @@ def check_scan_box(problem: ReflectivityModel, re_window, im_floor: float, n_ran
     bound a setting violates, and TypeError for an object that is not a
     boundary law.
     """
-    if not isinstance(problem, ReflectivityModel):
-        raise TypeError(f"not a disk problem: {problem!r}")
+    law = _law(problem)
     re_lo, re_hi = float(re_window[0]), float(re_window[1])
     if not 1.0 < re_lo < re_hi:
         raise ValueError("need 1 < re_window[0] < re_window[1]")
@@ -1220,7 +1203,7 @@ def check_scan_box(problem: ReflectivityModel, re_window, im_floor: float, n_ran
         raise ValueError("window exceeds the guarded special-function box")
     # the angular modes separate only for a constant amplitude, and a
     # profile would not pickle for the pool
-    name = _law(problem).amplitude
+    name = law.amplitude
     if name is not None:
         amplitude = getattr(problem, name)
         if callable(amplitude) or not amplitude > 0.0:
@@ -1340,8 +1323,6 @@ def scan(
     the output is deterministic for a fixed configuration.
     """
     re_lo, re_hi, modes = check_scan_box(problem, re_window, im_floor, n_range)
-    if not modes:
-        return []
     tasks = _scan_tasks(problem, (re_lo, re_hi), float(im_floor), modes)
     job = functools.partial(_scan_block, problem, float(im_floor))
     size = pool_size(workers, len(modes))

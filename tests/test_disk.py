@@ -139,6 +139,16 @@ class TestProblemTypes:
         with pytest.raises(TypeError, match="not a disk problem"):
             check_scan_box(problem, (0.5, 0.1), 1.0, [-1])
 
+    @pytest.mark.parametrize("call", [
+        lambda p: secular(p, 3, 200.0 - 1.0j),
+        lambda p: newton_refine(p, 3, 200.0 - 1.0j, 0.2),
+        lambda p: scan(p, (200.0, 215.0), -3.0, [3]),
+    ], ids=["secular", "newton_refine", "scan"])
+    def test_look_alike_refused(self, call):
+        # a law is one of the three classes, not whatever carries a law's tag
+        with pytest.raises(TypeError, match="not a disk problem"):
+            call(LookAlike())
+
     def test_resonance_validation(self):
         ok = Resonance(complex(10.0, -1.0), 2, 1e-12, "normal", "transparent")
         assert ok.tangent_freq == pytest.approx(0.2)
