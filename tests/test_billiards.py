@@ -63,6 +63,9 @@ def wavy_domain():
 
 
 class TestConvexDomain:
+    def test_repr_names_the_constructor(self):
+        assert repr(ConvexDomain.disk()) == "ConvexDomain(disk(radius=1.0))"
+
     def test_disk_geometry(self):
         for r in (1.0, 2.5):
             dom = ConvexDomain.disk(r)
@@ -420,6 +423,14 @@ class TestOrbit:
     def test_mean_chord_bounds(self):
         seg = orbit(ConvexDomain.ellipse(1.5, 1.0), PhasePoint(0.3, 0.45), 12)
         assert min(seg.chords) <= mean_chord(seg) <= max(seg.chords)
+
+    def test_length_counts_steps(self):
+        seg = orbit(ConvexDomain.disk(), PhasePoint(0.0, 0.3), 4)
+        assert len(seg) == 4 and len(seg.points) == 5
+
+    def test_mean_chord_of_one_point_refused(self):
+        with pytest.raises(ValueError, match="no chords"):
+            mean_chord(OrbitSegment((PhasePoint(0.0, 0.3),), ()))
 
     def test_orbit_validation(self):
         dom = ConvexDomain.disk()

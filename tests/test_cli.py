@@ -226,6 +226,10 @@ class TestCommandLineSurface:
         assert ok.value.code == 0
         json.loads(capsys.readouterr().out)
 
+    def test_unknown_command_exits_2(self, capsys):
+        assert run(RunConfig(command="bogus")) == 2
+        assert "unknown command 'bogus'" in capsys.readouterr().err
+
     def test_every_setting_has_a_help_line(self, capsys):
         with pytest.raises(SystemExit) as done:
             cli.main(["resonances", "--help"])

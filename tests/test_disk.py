@@ -529,6 +529,15 @@ class TestDeltaPhaseCondition:
         assert abs(rhs) == 1.0
         assert -0.5 * math.log(abs(rhs)) / (t / lam) >= 0.0
 
+    def test_table_drops_every_start_on_the_axis(self):
+        # at v0 = 1e12 every bulk start of the mode has Im = -0.0, and
+        # mode 100 has no glancing start in the window; at v0 = 1 the
+        # same mode keeps its continuation starts
+        seeds = qsabine.disk._seed_points(DeltaPotential(1e12), 100, 200.0, 300.0)
+        assert seeds == []
+        seeds = qsabine.disk._seed_points(DeltaPotential(1.0), 100, 200.0, 300.0)
+        assert len(seeds) == 31 and {tag for _, tag, _ in seeds} == {"continuation"}
+
 
 class TestTurningPointCut:
     """Normal-incidence starts only inside the interior turning point:
@@ -587,6 +596,13 @@ class TestNewtonRefine:
         assert r.residual < 1e-10
         assert r.guarded
         assert r.seed == "normal"
+
+    def test_root_outside_the_quadrant_refused(self):
+        # from the mirror image -conj(lambda) of a root, Newton converges
+        # to the left half plane, near -202.86 - 1.24i
+        (r, *_) = scan(TE_FAST, (200.0, 203.0), -3.0, [5])
+        with pytest.raises(NoConvergenceError, match="outside the lower right quadrant"):
+            newton_refine(TE_FAST, 5, -r.lam.conjugate(), 0.2)
 
     def test_refining_a_root_is_stationary(self):
         s = seed_normal(TE_FAST, 0, 32)

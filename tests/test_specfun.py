@@ -100,6 +100,9 @@ class TestAiry:
 
 
 class TestAiryZeros:
+    def test_length_is_the_count(self):
+        assert len(sf.airy_zeros(5)) == 5
+
     def test_zeros_against_bisection(self):
         table = sf.airy_zeros(5)
         for j in range(1, 4):

@@ -42,3 +42,11 @@ def test_panel_without_data_refused():
 def test_no_panels_refused():
     with pytest.raises(ValueError, match="no panels"):
         svg.render([])
+
+
+def test_oversized_document_refused():
+    # about 100 bytes a point: 25,000 points pass MAX_BYTES
+    panel = svg.Panel("x", "y")
+    panel.scatter(range(25_000), range(25_000))
+    with pytest.raises(ValueError, match="exceeds"):
+        svg.render([panel])
