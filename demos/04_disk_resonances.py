@@ -36,5 +36,6 @@ preds = one_bounce_quotients(law, [r.n / r.lam.real for r in res[:10]])
 for r, pred in zip(res[:10], preds):
     print(f"  {r.n:3d}  {r.lam.real:10.4f}  {r.lam.imag:+.8f}   {pred:+.8f}")
 
-write_resonance_csv(res, sys.stdout if "--dump" in sys.argv else open("/dev/null", "w"))
+if "--dump" in sys.argv:
+    write_resonance_csv(res, sys.stdout)
 print("\n(rerun with --dump to print the full CSV table)")

@@ -96,7 +96,7 @@ def _circle_panels(rows, config) -> list:
     """Im lambda against n / Re lambda with the one-bounce decay curve,
     above Im lambda against Re lambda with the Sabine band edges, both
     from the law of the rows' Re lambda window."""
-    tangent = [r.n / r.lam.real for r in rows]
+    tangent = [r.tangent_freq for r in rows]
     re_vals = [r.lam.real for r in rows]
     im_vals = [r.lam.imag for r in rows]
     law = config.law((min(re_vals), max(re_vals)))
@@ -147,24 +147,22 @@ def emit_figure(table: Sequence, config: RunConfig) -> str:
 # settings: one declaration feeds the flags, the config file and RunConfig
 
 
-def _parse_window(text: str) -> Tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected A:B, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+def _colon_parser(convert: Callable, counts: Tuple[int, ...], form: str) -> Callable:
+    """A flag converter of colon-separated values, ``form`` naming the
+    accepted shapes; each value goes through ``convert``."""
+    def parse(text: str) -> tuple:
+        parts = text.split(":")
+        if len(parts) not in counts:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+        try:
+            return tuple(convert(p) for p in parts)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return parse
 
 
-def _parse_mode_range(text: str) -> Tuple[int, ...]:
-    parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise argparse.ArgumentTypeError(f"expected A:B or A:B:S, got {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+_parse_window = _colon_parser(float, (2,), "A:B")
+_parse_mode_range = _colon_parser(int, (2, 3), "A:B or A:B:S")
 
 
 def _setting(default, convert: Callable, help=None, flag=None, metavar=None, choices=None):

@@ -634,14 +634,13 @@ def _transparent_table(problem, windows):
     c, alpha = problem.c, problem.alpha
     sweeps = _transverse_sweeps(problem, windows)
     zetas = _airy_magnitudes()
+    # the interior ray grazes the circle only for c > 1
+    height = problem.glancing() if c > 1.0 else None
     out = []
     for (n, re_lo, re_hi), sweep in zip(windows, sweeps):
         seeds = _normal_seeds(c, alpha, n, re_lo, re_hi) + sweep
-        if c > 1.0:
-            # the interior ray grazes the circle; the exterior Hankel
-            # factor's Debye phase sets the leak (only meaningful for c > 1)
-            leak = c / (alpha * math.sqrt(c * c - 1.0))
-            seeds.extend(_airy_cluster(n, c, -leak, re_lo, re_hi, zetas))
+        if height is not None:
+            seeds.extend(_airy_cluster(n, c, height, re_lo, re_hi, zetas))
         out.append(seeds)
     return out
 
@@ -692,9 +691,9 @@ def _airy_cluster(n, c, im, re_lo, re_hi, zetas):
     Near lambda = c n the order-n factor of argument lambda / c
     degenerates to an Airy function; its first zeros sit at lambda / c =
     n + |a_j| n^(1/3) / 2^(1/3), for the magnitudes |a_j| in zetas.  im
-    is the start height, set by the leak through the boundary.  Each start
-    is tested against the window on its own: the sixth sits at
-    7.16 n^(1/3), beyond any fixed cut-off below it.
+    is the start height, the law's glancing rate (the circle's curvature
+    is 1).  Each start is tested against the window on its own: the sixth
+    sits at 7.16 n^(1/3), beyond any fixed cut-off below it.
     """
     if n < 4:
         return []
@@ -745,12 +744,12 @@ def _damping_table(problem, windows):
         lam0 = complex(n * r, -r / (2.0 * t) * math.log(abs(ratio)))
         if windows[i][1] <= lam0.real <= windows[i][2]:
             out[i].append((lam0, "normal", _SEED_TRUST))
-    zetas = _airy_magnitudes()
+    zetas, height = _airy_magnitudes(), problem.glancing()
     for (n, re_lo, re_hi), seeds in zip(windows, out):
         if n == 0:
             seeds.extend(_normal_seeds(1.0, a, 0, re_lo, re_hi))
         else:
-            seeds.extend(_airy_cluster(n, 1.0, -1.0 / a, re_lo, re_hi, zetas))
+            seeds.extend(_airy_cluster(n, 1.0, height, re_lo, re_hi, zetas))
     return out
 
 
@@ -1181,7 +1180,6 @@ def _scan_block(problem, im_floor, block):
                 _absorb(roots, cand, box)
         incomplete: list = []
         _complete_cell(problem, n, box, roots, box, incomplete, rows=rows)
-        roots.sort(key=lambda r: r.lam.real)
         out.append((roots, incomplete))
     return out
 

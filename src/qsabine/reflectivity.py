@@ -35,11 +35,15 @@ dedicated ``TOTAL_TRANSMISSION`` value instead of a silent infinity.
 Amplitude profiles v0(position) and a(position) serve the reflectivity
 only: the disk scan needs constants (see ``disk.check_scan_box``).
 
-Each law also states three facts: ``c``, the interior wave speed (1 but
+Each law also states four facts: ``c``, the interior wave speed (1 but
 for the obstacle); ``collar``, the Sabine grid's gap to glancing (1e-6,
 or h**0.2 clamped to [1e-6, 0.5] for the delta potential, uniform only
-up to |xi| <= 1 - h**eps); and ``zeros()``, the known xi in [0, 1) where
-r = 0 (the Brewster angle, sqrt(1 - a**2) for a constant damping a <= 1).
+up to |xi| <= 1 - h**eps); ``zeros()``, the known xi in [0, 1) where
+r = 0 (the Brewster angle, sqrt(1 - a**2) for a constant damping a <= 1);
+and ``glancing(position)``, the rate g with which the Sabine quotient of
+a grazing ray tends to g kappa, kappa the curvature: for an obstacle,
+-c / (alpha sqrt(c**2 - 1)) if c > 1, 0 if c < 1 and none at c = 1; 0
+for the delta potential; -1/a(position) for damping.
 
 Each law writes its coefficient once, for arrays of points, in
 CPython's complex arithmetic spelled out on floats (numpy's complex
@@ -151,6 +155,13 @@ class TransparentObstacle:
         xi_b = brewster(self)
         return () if xi_b is None else (xi_b,)
 
+    def glancing(self, position: float = 0.0) -> float:
+        c = self.c
+        if c == 1.0:
+            raise ValueError("no finite glancing limit at c = 1: the per-bounce loss "
+                             "does not vanish with the chord")
+        return -c / (self.alpha * math.sqrt(c * c - 1.0)) if c > 1.0 else 0.0
+
     def _coefficients(self, xi, nu, positions):
         x = self.c * self.c - xi * xi
         # branched_sqrt(x) of a real x: sqrt(|x|) times its value at +-1
@@ -192,6 +203,9 @@ class DeltaPotential:
 
     def zeros(self) -> Tuple[float, ...]:
         return ()
+
+    def glancing(self, position: float = 0.0) -> float:
+        return 0.0
 
     def strength(self, lam: complex) -> complex:
         """V(lambda) = v0 lambda**v_exponent of a constant amplitude."""
@@ -237,6 +251,9 @@ class BoundaryDamping:
 
     def zeros(self) -> Tuple[float, ...]:
         return () if callable(self.a) or self.a > 1.0 else (math.sqrt(1.0 - self.a * self.a),)
+
+    def glancing(self, position: float = 0.0) -> float:
+        return -1.0 / self.damping_at(position)
 
     def damping_at(self, position: float = 0.0) -> float:
         val = _scalar_or_call(self.a, position)

@@ -30,7 +30,6 @@ from .reflectivity import (
     TOTAL_TRANSMISSION,
     DeltaPotential,
     ReflectivityModel,
-    TransparentObstacle,
     _law,
     _log_reflectivities,
     log_reflectivity,  # unused here; perfbench/tracing.py wraps it by name
@@ -252,7 +251,6 @@ def sabine_bounds(
             f"{_MAX_REFINE} grid doublings"
         )
 
-    brewster_excluded = fiat_lower or math.isinf(lower)
     return SabineBand(
         lower=lower,
         upper=upper,
@@ -260,7 +258,7 @@ def sabine_bounds(
         xi_points=len(xi_vals),
         s_points=len(s_vals),
         collar=collar,
-        brewster_excluded=brewster_excluded,
+        brewster_excluded=math.isinf(lower),
         refinements=level,
     )
 
@@ -269,27 +267,13 @@ def _endpoints_close(a: float, b: float, tol: float) -> bool:
     return a == b or abs(a - b) < tol
 
 
-def glancing_limit(
-    domain: ConvexDomain, model: TransparentObstacle, s: float
-) -> float:
-    """Limit of the Sabine quotient along orbits from s as xi -> 1.
-
-    For a slow obstacle (c < 1) grazing rays are totally reflected and
-    the limit is 0.  For c > 1 the per-bounce loss log|r|^2 and the
-    chord length both vanish linearly in sqrt(1 - xi^2) and the quotient
-    tends to -c kappa(s) / (alpha sqrt(c^2 - 1)), proportional to the
-    boundary curvature at the footpoint.  For c = 1 the loss does not
-    vanish with the chord, so there is no finite limit: ValueError.
+def glancing_limit(domain: ConvexDomain, model: ReflectivityModel, s: float) -> float:
+    """Limit of the Sabine quotient along orbits from s as xi -> 1: the
+    law's glancing rate times the boundary curvature at the footpoint.
+    ValueError for an obstacle with c = 1, whose per-bounce loss does
+    not vanish with the chord.
     """
-    if not isinstance(model, TransparentObstacle):
-        raise TypeError("the glancing limit is defined for transparent obstacles")
-    if model.c == 1.0:
-        raise ValueError("no finite glancing limit at c = 1: the per-bounce loss "
-                         "does not vanish with the chord")
-    if model.c < 1.0:
-        return 0.0
-    kappa = float(domain.curvature(float(s)))
-    return -model.c * kappa / (model.alpha * math.sqrt(model.c**2 - 1.0))
+    return _law(model).glancing(float(s)) * float(domain.curvature(float(s)))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -116,6 +116,13 @@ def _fmt(v: float) -> str:
     return "0" if s == "-0" else s
 
 
+def _axis(lo: float, hi: float, scale: str, a: float, b: float):
+    """The map of an axis's [lo, hi] on ``scale`` onto pixels [a, b]."""
+    warp = math.log10 if scale == "log" else float
+    lo, hi = warp(lo), warp(hi)
+    return lambda v: a + (warp(v) - lo) / (hi - lo) * (b - a)
+
+
 def render(panels: Sequence[Panel]) -> str:
     """Lay the panels out in one column and return the SVG text."""
     panels = list(panels)
@@ -136,20 +143,8 @@ def render(panels: Sequence[Panel]) -> str:
         py0, py1 = top + _MARGIN_T, top + _PANEL_HEIGHT - _MARGIN_B
         x_lo, x_hi = panel._extent("x")
         y_lo, y_hi = panel._extent("y")
-
-        def tx(v, lo=x_lo, hi=x_hi, scale=panel.x_scale, a=px0, b=px1):
-            if scale == "log":
-                f = (math.log10(v) - math.log10(lo)) / (math.log10(hi) - math.log10(lo))
-            else:
-                f = (v - lo) / (hi - lo)
-            return a + f * (b - a)
-
-        def ty(v, lo=y_lo, hi=y_hi, scale=panel.y_scale, a=py1, b=py0):
-            if scale == "log":
-                f = (math.log10(v) - math.log10(lo)) / (math.log10(hi) - math.log10(lo))
-            else:
-                f = (v - lo) / (hi - lo)
-            return a + f * (b - a)
+        tx = _axis(x_lo, x_hi, panel.x_scale, px0, px1)
+        ty = _axis(y_lo, y_hi, panel.y_scale, py1, py0)
 
         out.append(f'<rect x="{px0:.2f}" y="{py0:.2f}" width="{px1 - px0:.2f}" '
                    f'height="{py1 - py0:.2f}" fill="none" stroke="#444" stroke-width="1"/>')

@@ -190,7 +190,7 @@ def _check_transparent_band(workers: int) -> tuple:
     model = TransparentObstacle(2.0, 1.0)
     results, _, _, inside = _band_membership(model, workers)
     # One-bounce decay curve through the low-angle cloud.
-    tf = np.array([r.n / r.lam.real for r in results])
+    tf = np.array([r.tangent_freq for r in results])
     cloud = tf <= 0.4
     pred = one_bounce_quotients(model, tf[cloud])
     im = np.array([r.lam.imag for r in results])
@@ -237,7 +237,7 @@ def _check_delta_glancing(workers: int) -> tuple:
         delta1.append(sf._CBRT2 * n ** (-1.0 / 6.0) / v0)
         bands = glancing_bands(law, m_bands)
         seeds = [seed_glancing(law, n, b.j) for b in bands]
-        roots = sorted((r for r in res if 0.95 <= r.n / r.lam.real <= 1.0),
+        roots = sorted((r for r in res if 0.95 <= r.tangent_freq <= 1.0),
                        key=lambda r: r.lam.real)
         for k, r in enumerate(roots):
             if k >= m_bands:

@@ -87,6 +87,11 @@ class TestModelValidation:
         assert DeltaPotential(2.0, 0.5, 0.25).coupling() == 2.0 * 0.25 ** 0.5
         assert DeltaPotential(3.0, 0.5).strength(4.0) == 6.0
 
+    def test_negative_delta_profile_refused_where_evaluated(self):
+        model = DeltaPotential(lambda p: -1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            model.sigma()
+
     def test_damping_positive(self):
         with pytest.raises(ValueError):
             BoundaryDamping(0.0)
@@ -214,32 +219,45 @@ class TestBrewster:
         assert brewster(TransparentObstacle(2.0, 1.0)) is None
         assert brewster(TransparentObstacle(0.5, 1.0)) is None
 
+    def test_angle_that_rounds_to_glancing_is_none(self):
+        # a TM law whose xi_B**2 = (1 - alpha**2 c**2) / (1 - alpha**2)
+        # rounds to 1: no zero of r in [0, 1)
+        model = TransparentObstacle(2.0, 1e-9)
+        assert model.is_tm and brewster(model) is None and model.zeros() == ()
+
     def test_wrong_model_type(self):
         with pytest.raises(TypeError):
             brewster(BoundaryDamping(1.0))
 
 
 class TestLawFacts:
-    """The interior wave speed, the xi-grid collar and the analytic zeros
-    of r that each law states about itself; no fact is a constructor
-    parameter."""
+    """The interior wave speed, the xi-grid collar, the analytic zeros of
+    r and the glancing rate that each law states about itself; no fact
+    is a constructor parameter."""
 
-    @pytest.mark.parametrize("model, c, collar, zeros", [
-        (TransparentObstacle(2.0, 1.0), 2.0, 1e-6, ()),
-        (TransparentObstacle(1.5, 0.3), 1.5, 1e-6, (0.9361482929395462,)),
-        (TransparentObstacle(0.5, 1.3), 0.5, 1e-6, ()),
-        (BoundaryDamping(0.5), 1.0, 1e-6, (0.8660254037844386,)),
-        (BoundaryDamping(1.0), 1.0, 1e-6, (0.0,)),
-        (BoundaryDamping(2.0), 1.0, 1e-6, ()),
-        (BoundaryDamping(lambda s: 0.5), 1.0, 1e-6, ()),
-        (DeltaPotential(1.0, 0.5, 0.004), 1.0, 0.33144540173399867, ()),
-        (DeltaPotential(1.0, 0.5, 1.0), 1.0, 0.5, ()),
-        (DeltaPotential(1.0, 0.5, 1e-40), 1.0, 1e-6, ()),
+    @pytest.mark.parametrize("model, c, collar, zeros, glancing", [
+        (TransparentObstacle(2.0, 1.0), 2.0, 1e-6, (), -1.1547005383792517),
+        (TransparentObstacle(1.5, 0.3), 1.5, 1e-6, (0.9361482929395462,), -4.47213595499958),
+        (TransparentObstacle(0.5, 1.3), 0.5, 1e-6, (), 0.0),
+        (BoundaryDamping(0.5), 1.0, 1e-6, (0.8660254037844386,), -2.0),
+        (BoundaryDamping(1.0), 1.0, 1e-6, (0.0,), -1.0),
+        (BoundaryDamping(2.0), 1.0, 1e-6, (), -0.5),
+        (BoundaryDamping(lambda s: 0.5), 1.0, 1e-6, (), -2.0),
+        (DeltaPotential(1.0, 0.5, 0.004), 1.0, 0.33144540173399867, (), 0.0),
+        (DeltaPotential(1.0, 0.5, 1.0), 1.0, 0.5, (), 0.0),
+        (DeltaPotential(1.0, 0.5, 1e-40), 1.0, 1e-6, (), 0.0),
     ], ids=["transparent 2 1", "transparent 1.5 0.3", "transparent 0.5 1.3", "damping 0.5",
             "damping 1", "damping 2", "damping profile", "delta h 0.004", "delta h 1",
             "delta h 1e-40"])
-    def test_recorded_facts(self, model, c, collar, zeros):
+    def test_recorded_facts(self, model, c, collar, zeros, glancing):
         assert (model.c, model.collar, model.zeros()) == (c, collar, zeros)
+        assert model.glancing() == glancing
+
+    def test_damping_glancing_rate_follows_its_profile(self):
+        model = BoundaryDamping(lambda s: 2.0 + s)
+        assert (model.glancing(0.0), model.glancing(2.0)) == (-0.5, -0.25)
+        with pytest.raises(ValueError, match="positive"):
+            BoundaryDamping(lambda s: -1.0).glancing(0.3)
 
     def test_constructors_unchanged(self):
         assert [f.name for f in dataclasses.fields(TransparentObstacle)] == ["c", "alpha"]

@@ -166,7 +166,8 @@ class TestOneBounceQuotients:
     lambda m: sabine_bounds(DISK, m),
     lambda m: one_bounce_quotients(m, np.array([0.1, 0.2])),
     lambda m: sabine_quotient(DISK, m, PhasePoint(0.0, 0.3), 2),
-], ids=["sabine_bounds", "one_bounce_quotients", "sabine_quotient"])
+    lambda m: glancing_limit(DISK, m, 0.0),
+], ids=["sabine_bounds", "one_bounce_quotients", "sabine_quotient", "glancing_limit"])
 def test_non_law_refused(call):
     with pytest.raises(TypeError, match="not a reflectivity model"):
         call(object())
@@ -357,6 +358,12 @@ class TestGlancingLimit:
         lim = glancing_limit(DISK, TE_FAST, 0.0)
         assert lim == pytest.approx(-2.0 / math.sqrt(3.0), abs=1e-15)
 
+    def test_disk_fast_obstacle_bits(self):
+        # the closed form -c kappa / (alpha sqrt(c**2 - 1)) at kappa = 1
+        c, alpha, kappa = 2.0, 1.0, 1.0
+        want = -c * kappa / (alpha * math.sqrt(c**2 - 1.0))
+        assert glancing_limit(DISK, TE_FAST, 0.0).hex() == want.hex()
+
     def test_slow_obstacle_limit_vanishes(self):
         assert glancing_limit(DISK, TE_SLOW, 1.0) == 0.0
 
@@ -382,15 +389,34 @@ class TestGlancingLimit:
         richardson = vals[-1] + (vals[-1] - vals[-2]) / 9.0
         assert richardson == pytest.approx(lim, abs=1e-9)
 
-    def test_rejects_other_models(self):
-        with pytest.raises(TypeError, match="transparent"):
-            glancing_limit(DISK, DeltaPotential(1.0), 0.0)
-        with pytest.raises(TypeError, match="transparent"):
-            glancing_limit(DISK, BoundaryDamping(2.0), 0.0)
+    def test_other_laws_and_unit_speed(self):
+        assert glancing_limit(DISK, DeltaPotential(1.0), 0.0) == 0.0
+        assert glancing_limit(DISK, BoundaryDamping(2.0), 0.0) == -0.5
         # c = 1: the loss per bounce does not vanish with the chord
         for alpha in (1.0, 3.0):
             with pytest.raises(ValueError, match="c = 1"):
                 glancing_limit(DISK, TransparentObstacle(1.0, alpha), 0.0)
+
+    def test_damping_agrees_with_quotient_extrapolation(self):
+        model = BoundaryDamping(2.0)
+        # -kappa / a: the loss -4 nu / a over twice the chord 2 nu / kappa
+        lim = glancing_limit(DISK, model, 0.0)
+        vals = [sabine_quotient(DISK, model, PhasePoint(0.0, 1.0 - 10.0**-k), 1)
+                for k in (5, 6)]
+        richardson = vals[-1] + (vals[-1] - vals[-2]) / 9.0
+        assert lim == -0.5
+        assert richardson == pytest.approx(lim, abs=1e-9)
+
+    @pytest.mark.parametrize("model, mean", [
+        (TE_FAST, -0.91459), (BoundaryDamping(2.0), -0.39603),
+    ], ids=["transparent 2 1", "damping 2"])
+    def test_ellipse_long_orbit_value(self, model, mean):
+        # the curvature integrates to 2 pi, so the rate g averages to
+        # g 2 pi / L along near-glancing orbits of the 1.5 x 1 ellipse
+        ell = ConvexDomain.ellipse(1.5, 1.0)
+        assert model.glancing() * 2.0 * math.pi / ell.perimeter == pytest.approx(mean, abs=5e-6)
+        kappa = float(ell.curvature(0.0))
+        assert glancing_limit(ell, model, 0.0) == model.glancing() * kappa
 
 
 class TestGlancingBands:
