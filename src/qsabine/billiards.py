@@ -38,7 +38,6 @@ the quadrature nodes.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -56,8 +55,6 @@ __all__ = [
     "mean_chord",
     "GlancingReport",
     "glancing_expansion_check",
-    "ORBIT_CSV_HEADER",
-    "write_orbit_csv",
 ]
 
 # The map degenerates on the glancing set |xi| = 1; reject anything closer
@@ -618,19 +615,3 @@ def glancing_expansion_check(domain: ConvexDomain,
 
     return GlancingReport(eps, ndef, cdef, slope(ndef), slope(cdef))
 
-
-ORBIT_CSV_HEADER = ("k", "s", "xi", "chord")
-
-
-def write_orbit_csv(segment: OrbitSegment, stream) -> None:
-    """Dump an orbit as CSV rows (k, s, xi, chord).
-
-    The chord on row k connects points k - 1 and k; row 0 has an empty
-    chord field.  Floats are written with repr so the dump round-trips
-    exactly and is byte-identical across runs.
-    """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(ORBIT_CSV_HEADER)
-    for k, q in enumerate(segment.points):
-        chord = "" if k == 0 else repr(segment.chords[k - 1])
-        writer.writerow([k, repr(q.s), repr(q.xi), chord])

@@ -21,8 +21,9 @@ Every run writes deterministic artifacts for a fixed configuration:
 CSV/JSON bytes depend only on the configuration, never on the worker
 count, and each file is accompanied by a manifest recording the package
 version, a hash of the resolved configuration, and the wall time, plus
-for a scan the pool size it used (0 when serial).  SVG output differs
-between runs only in its timestamp comment.
+for a scan the pool size it used (0 when serial) and the law's
+parameters, which ``plot --data`` checks when the CSV's manifest is
+there.  SVG output differs between runs only in its timestamp comment.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid configuration,
 3 numerical trouble (no convergence or an incomplete scan cell),
@@ -357,10 +358,16 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 def _read_resonance_csv(config: RunConfig) -> list:
     """The rows of the CSV ``config.data`` as Resonance, each of the
     problem ``config.problem``; ConfigError names the first line that
-    is not."""
+    is not, or the law's parameters when the CSV's manifest records
+    others."""
     import csv
 
     path, rows = config.data, []
+    if os.path.exists(path + ".manifest.json"):
+        with open(path + ".manifest.json", encoding="utf-8") as fh:
+            scanned = json.load(fh).get("params")
+        if scanned is not None and scanned != config.params():
+            raise ConfigError(f"{path}: scanned with {scanned}, not {config.params()}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = set(RESONANCE_CSV_HEADER) - set(reader.fieldnames or ())
@@ -396,6 +403,7 @@ def _write_manifest(config: RunConfig, elapsed: float) -> None:
     }
     if config.scans():
         manifest["workers"] = pool_size(config.workers, len(config.modes()))
+        manifest["params"] = config.params()
     line = json.dumps(manifest, sort_keys=True)
     if config.out is None:
         print(line, file=sys.stderr)
@@ -507,3 +515,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         print(f"config error: {err}", file=sys.stderr)
         raise SystemExit(2)
     raise SystemExit(run(config))
+
+
+if __name__ == "__main__":
+    main()

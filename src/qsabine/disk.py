@@ -36,20 +36,23 @@ alpha = a.  A scan builds the seeds of all its modes first, as one
 table: the chord phase conditions F(r) = target of every mode are
 inverted together by the row-wise Brent solver of the billiard map
 (Brent 1973), each row bit-identical to a scalar brentq.  The one-mode
-seed list and seed_transverse are one-row tables.  Modes are handed out
-in blocks of consecutive modes, one task per block, and a task refines
-all of its block's seeds in one lockstep.
+seed list is the one-row table; seed_transverse solves one phase row
+per sign branch.  Modes are handed out in blocks of consecutive modes,
+one task per block, and a task refines all of its block's seeds in one
+lockstep.
 The result of a windowed scan is certified complete per mode by
 argument-principle counts over the scan rectangle, with subdivision and
 reseeding where the count disagrees with the roots in hand.  A count
 tracks arg f node to node around the rectangle and bisects each boundary
 segment until the phase is resolved on it (Delves & Lyness, Math.
 Comp. 21, 1967), so it is an integer by construction or no count at
-all.  Every mode's box shares the scan's two horizontal edges, so a
-scan fills their starting nodes once, on one lattice: the Bessel columns of each run of
-consecutive modes come from the three-term order recurrence, downward
-for J and upward for H^(1), seeded by AMOS (Gautschi, SIAM Review 9,
-1967), and each task carries its modes' edge rows of f and f'/f.
+all.  The counter sees only a callable z -> (f, f'/f) on arrays, so it
+counts any analytic f; a mode passes its secular function's.  Every
+mode's box shares the scan's two horizontal edges, so a scan fills
+their starting nodes once, on one lattice: the Bessel columns of each
+run of consecutive modes come from the three-term order recurrence,
+downward for J and upward for H^(1), seeded by AMOS (Gautschi, SIAM
+Review 9, 1967), and each task carries its modes' edge rows of f, f'/f.
 """
 
 from __future__ import annotations
@@ -90,7 +93,6 @@ __all__ = [
     "check_scan_box",
     "pool_size",
     "scan",
-    "mode_symmetry_defect",
     "RESONANCE_CSV_HEADER",
     "write_resonance_csv",
 ]
@@ -307,22 +309,6 @@ def _secular_array(problem: ReflectivityModel, n: int, z, pair=bessel_pair):
     law, z = _law(problem), np.asarray(z, dtype=complex)
     f, fp, _, _ = law.terms(problem, n, z, [pair(fn, n, w) for fn, w in law.cylinders(problem, z)])
     return f, fp
-
-
-def mode_symmetry_defect(problem: ReflectivityModel, n: int, lam: complex) -> float:
-    """Relative mismatch of |f| between modes n and -n.
-
-    Bessel reflection sends every order-n factor to (-1)^n times itself,
-    so the secular functions of n and -n share zero sets (single-factor
-    conditions flip sign at odd n, product conditions are unchanged) and
-    scans may restrict to n >= 0.  Magnitudes are compared so that the
-    unimodular prefactor drops out.
-    """
-    z = np.array([complex(lam)])
-    f_pos, _ = _secular_array(problem, n, z)
-    f_neg, _ = _secular_array(problem, -n, z)
-    denom = abs(f_pos[0]) or 1.0
-    return abs(abs(f_neg[0]) - abs(f_pos[0])) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -897,28 +883,30 @@ _BLOCK_MODES = 4
 
 
 class _Unrepresentable(ArithmeticError):
-    """f or f' is not finite, or f is exactly 0, at a contour node.
+    """A count's f or f' is not finite, or f is exactly 0, at a node.
 
-    Far outside the turning region the unscaled array Bessel factors
-    underflow or overflow, so no subdivision of the cell can help.
+    Far outside the turning region the disk's unscaled array Bessel
+    factors underflow or overflow, so no subdivision of the cell helps.
     """
 
 
-def _winding_number(problem, n, box, rows=None):
-    """Zero count of f inside the box by the argument principle, or None.
+def _winding_number(log_derivative, box, rows=None):
+    """Zeros minus poles of f inside the box by the argument principle,
+    or None.
 
-    arg f is tracked node to node around the boundary: each edge starts
-    at spacing _COUNT_SPACING and every unresolved segment is bisected
-    (one batched evaluation of f, f'/f per round) until it is resolved.
-    rows, the box's edge rows on the scan's count lattice (see
-    _lattice_rows), replace the starting nodes inside the two horizontal
-    edges; corners, vertical edges and midpoints are evaluated here.
+    log_derivative maps an array of nodes to (f, f'/f) there, f analytic
+    near the box but for poles, and raises _Unrepresentable where it
+    cannot represent them.  arg f is tracked node to node around the
+    boundary: each edge starts at spacing _COUNT_SPACING and every
+    unresolved segment is bisected (one batched call per round) until it
+    is resolved.  rows, (x, f, f'/f) at Re nodes x inside the two
+    horizontal edges (see _lattice_rows), replace the starting nodes
+    there; corners, vertical edges and midpoints are evaluated here.
     The count is the sum of the principal increments of arg f over the
     resolved segments divided by 2 pi, an integer by construction.  None
     when a segment is still unresolved after _COUNT_ROUNDS bisections or
     _COUNT_NODES bisection nodes (e.g. a zero on the edge), or the total
-    is negative.  Raises _Unrepresentable when f is not finite or
-    vanishes at a node evaluated here.
+    is negative.
     """
     re_lo, re_hi, im_lo, im_hi = box
     corners = [
@@ -931,9 +919,9 @@ def _winding_number(problem, n, box, rows=None):
         edges.append(start + (stop - start) * (np.arange(m) / m))
     if rows is None:
         za = np.concatenate(edges)
-        fa, ga = _log_derivative(problem, n, za)
+        fa, ga = log_derivative(za)
     else:
-        za, fa, ga = _lattice_ring(problem, n, edges, rows)
+        za, fa, ga = _lattice_ring(log_derivative, edges, rows)
     zb = np.roll(za, -1)
     fb, gb = np.roll(fa, -1), np.roll(ga, -1)
     nodes = 0
@@ -956,33 +944,22 @@ def _winding_number(problem, n, box, rows=None):
         if bisections == _COUNT_ROUNDS or nodes > _COUNT_NODES:
             return None
         zm = 0.5 * (za + zb)
-        fm, gm = _log_derivative(problem, n, zm)
+        fm, gm = log_derivative(zm)
         za, zb = np.concatenate([za, zm]), np.concatenate([zm, zb])
         fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
         ga, gb = np.concatenate([ga, gm]), np.concatenate([gm, gb])
 
 
-def _log_derivative(problem, n, z, pair=bessel_pair):
-    """(f, f'/f) at the nodes z; _Unrepresentable unless f and f' are
-    finite and f is nonzero at every node."""
-    f, fp = _secular_array(problem, n, z, pair)
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(fp))):
-        raise _Unrepresentable(f"f or f' of mode {n} is not finite at a contour node")
-    if not np.all(f != 0.0):
-        raise _Unrepresentable(f"f of mode {n} underflows to 0 at a contour node")
-    return f, fp / f
-
-
-def _count_zeros(problem, n, box, rows=None):
+def _count_zeros(log_derivative, box, rows=None):
     """The box's count, retried once on a contour a hair larger.
 
-    rows, the box's lattice edge rows, serve the first contour only.
-    None when unresolved; raises _Unrepresentable when both contours
-    meet a node where f cannot be represented.
+    rows serve the first contour only.  None when unresolved; raises
+    _Unrepresentable when both contours meet a node where f cannot be
+    represented.
     """
     unrepresentable = False
     try:
-        count = _winding_number(problem, n, box, rows)
+        count = _winding_number(log_derivative, box, rows)
     except _Unrepresentable:
         count, unrepresentable = None, True
     if count is None:
@@ -993,14 +970,14 @@ def _count_zeros(problem, n, box, rows=None):
         di = 1e-9 * (im_hi - im_lo)
         try:
             count = _winding_number(
-                problem, n, (re_lo - dr, re_hi + dr, im_lo - di, im_hi + di))
+                log_derivative, (re_lo - dr, re_hi + dr, im_lo - di, im_hi + di))
         except _Unrepresentable:
             if unrepresentable:
                 raise
     return count
 
 
-def _lattice_ring(problem, n, edges, rows):
+def _lattice_ring(log_derivative, edges, rows):
     """(z, f, f'/f) of a box's starting ring whose horizontal edges are
     lattice rows: each edge's first node (a corner) and the vertical
     edges are evaluated here, the rest comes from rows."""
@@ -1014,7 +991,18 @@ def _lattice_ring(problem, n, edges, rows):
         a, b, c, d = np.split(own_values, cuts)
         return np.concatenate([a, lattice[0], b, c, lattice[1, ::-1], d])
 
-    return (ring(z_own, z),) + tuple(map(ring, _log_derivative(problem, n, z_own), (f, g)))
+    return (ring(z_own, z),) + tuple(map(ring, log_derivative(z_own), (f, g)))
+
+
+def _log_derivative(problem, n, z, pair=bessel_pair):
+    """(f, f'/f) at the nodes z; _Unrepresentable unless f and f' are
+    finite and f is nonzero at every node."""
+    f, fp = _secular_array(problem, n, z, pair)
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(fp))):
+        raise _Unrepresentable(f"f or f' of mode {n} is not finite at a contour node")
+    if not np.all(f != 0.0):
+        raise _Unrepresentable(f"f of mode {n} underflows to 0 at a contour node")
+    return f, fp / f
 
 
 class _LatticeRun:
@@ -1143,7 +1131,7 @@ def _hunt(problem, n, box, roots, scan_box):
 def _complete_cell(problem, n, box, roots, scan_box, incomplete, depth=0, rows=None):
     inside = sum(1 for r in roots if _in_box(r.lam, box))
     try:
-        count = _count_zeros(problem, n, box, rows)
+        count = _count_zeros(functools.partial(_log_derivative, problem, n), box, rows)
     except _Unrepresentable as err:
         # splitting cannot cure it: report the cell at once
         incomplete.append((n, box, None, inside, str(err)))

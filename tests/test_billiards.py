@@ -15,10 +15,8 @@ Independent routes used here:
     glancing check, all bit for bit
 """
 
-import csv
 import dataclasses
 import hashlib
-import io
 import math
 
 import numpy as np
@@ -39,7 +37,6 @@ from qsabine.billiards import (
     glancing_expansion_check,
     mean_chord,
     orbit,
-    write_orbit_csv,
 )
 from qsabine.billiards import _GL_WEIGHTS, _billiard_steps, _brentq_rows, _orbits
 
@@ -445,21 +442,6 @@ class TestOrbit:
         b = orbit(dom, PhasePoint(0.3, 0.45), 9)
         assert a.points == b.points
         assert a.chords == b.chords
-
-    def test_orbit_csv_roundtrip(self):
-        seg = orbit(ConvexDomain.ellipse(1.5, 1.0), PhasePoint(0.3, 0.45), 5)
-        buf = io.StringIO()
-        write_orbit_csv(seg, buf)
-        rows = list(csv.reader(io.StringIO(buf.getvalue())))
-        assert rows[0] == ["k", "s", "xi", "chord"]
-        assert len(rows) == 7
-        assert rows[1][3] == ""
-        for k, row in enumerate(rows[1:]):
-            assert int(row[0]) == k
-            assert float(row[1]) == seg.points[k].s
-            assert float(row[2]) == seg.points[k].xi
-            if k > 0:
-                assert float(row[3]) == seg.chords[k - 1]
 
 
 def crossing_rows(dom, s, xi):

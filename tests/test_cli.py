@@ -240,17 +240,28 @@ class TestCommandLineSurface:
             help_text = actions[flag].help
             assert help_text and " ".join(help_text.split()) in printed, flag
 
+    @staticmethod
+    def python(*args):
+        """A fresh interpreter that imports this package, run on args."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, check=True)
+
     def test_import_leaves_scipy_optimize_out(self):
         # Every run pays for what the package imports; scipy.optimize
         # alone added ~0.2 s and ~20 MB.  A fresh interpreter is needed,
         # since the test suite itself imports it.
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         probe = ("import sys, qsabine, qsabine.cli; "
                  "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
-        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path}, check=True)
-        assert done.stdout.strip() == "[]"
+        assert self.python("-c", probe).stdout.strip() == "[]"
+
+    def test_python_m_runs_the_cli(self, capsys):
+        # with no console script installed, `python -m qsabine.cli` is the CLI
+        argv = ["bounds", "--grid", "9", "--nmax", "2"]
+        done = self.python("-m", "qsabine.cli", *argv)
+        assert done.stdout == run_argv(argv, capsys)[1]
+        assert json.loads(done.stdout)["problem"] == "transparent"
 
 
 class TestBoundsCommand:
@@ -338,6 +349,7 @@ class TestResonancesCommand:
         assert status == 0
         manifest = json.loads((tmp_path / "res.csv.manifest.json").read_text())
         assert manifest["workers"] == (pool if pool > 1 else 0)
+        assert manifest["params"] == {"c": 2.0, "alpha": 1.0}
         assert manifest["config_hash"] == parse_config(["resonances"] + TINY).config_hash()
 
     def test_incomplete_cell_exits_3(self, tmp_path, capsys, monkeypatch):
@@ -465,6 +477,26 @@ class TestPlotCommand:
         # two stacked panels with labeled axes
         assert text.count("Im lambda") == 2
         assert "n / Re lambda" in text and "Re lambda" in text
+
+    @pytest.mark.parametrize("flags, manifest, status", [
+        (["--c", "0.5", "--alpha", "1.3"], True, 2),
+        ([], True, 0),
+        (["--c", "0.5", "--alpha", "1.3"], False, 0),
+    ], ids=["other-law", "same-law", "no-manifest"])
+    def test_law_recorded_in_the_manifest(self, tmp_path, capsys, flags, manifest, status):
+        # A CSV names its problem but not the law's parameters; its manifest
+        # does, and overlays of another law are refused.  A CSV without a
+        # manifest is plotted under the configured law.
+        data = self.make_csv(tmp_path, capsys)
+        if not manifest:
+            (tmp_path / "res.csv.manifest.json").unlink()
+        got, out, err = run_argv(["plot", "--data", str(data)] + flags + TINY, capsys)
+        assert got == status
+        if status:
+            assert out == "" and err == (f"config error: {data}: scanned with "
+                                         "{'alpha': 1.0, 'c': 2.0}, not {'c': 0.5, 'alpha': 1.3}\n")
+        else:
+            ET.fromstring(out)
 
     def test_svg_differs_only_in_timestamp(self, tmp_path, capsys):
         data = self.make_csv(tmp_path, capsys)

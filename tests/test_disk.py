@@ -12,6 +12,8 @@ Independent routes used here:
     through the public warning machinery, and directly against counts
     confirmed by scans and mpmath, and hypothesis properties: additive
     under cell splits, unchanged under n -> -n)
+  * the same counter on random polynomials, sin and a rational function,
+    whose zeros and poles are known in closed form
   * the count lattice: its recurrence columns against AMOS at the same
     nodes and against mpmath, and every mode's count from it against
     the per-node count
@@ -22,6 +24,7 @@ Independent routes used here:
 
 import cmath
 import dataclasses
+import functools
 import hashlib
 import io
 import math
@@ -42,7 +45,6 @@ from qsabine.disk import (
     RESONANCE_CSV_HEADER,
     Resonance,
     check_scan_box,
-    mode_symmetry_defect,
     newton_refine,
     pool_size,
     scan,
@@ -95,6 +97,12 @@ def residual(problem, n, lam):
     return abs(f)
 
 
+def winding_number(problem, n, box, rows=None):
+    """The count of mode n's zeros in the box, as a scan asks for it."""
+    log_derivative = functools.partial(qsabine.disk._log_derivative, problem, n)
+    return qsabine.disk._winding_number(log_derivative, box, rows)
+
+
 class LookAlike:
     """The transparent law's tag and parameters on an object that is no law."""
 
@@ -127,8 +135,8 @@ class TestProblemTypes:
     @pytest.mark.parametrize("call", [
         lambda p: secular(p, 3, 200.0 - 1.0j),
         lambda p: newton_refine(p, 3, 200.0 - 1.0j, 0.2),
-        lambda p: mode_symmetry_defect(p, 3, 200.0 - 1.0j),
-    ], ids=["secular", "newton_refine", "mode_symmetry_defect"])
+        lambda p: qsabine.disk._secular_array(p, 3, [200.0 - 1.0j]),
+    ], ids=["secular", "newton_refine", "_secular_array"])
     def test_non_law_refused(self, call):
         with pytest.raises(TypeError, match="not a disk problem"):
             call(object())
@@ -284,13 +292,18 @@ class TestSecular:
         assert type(got.value) is type(want) and str(got.value) == str(want)
 
     def test_mode_symmetry(self):
+        # Bessel reflection sends every order-n factor to (-1)^n times
+        # itself, so modes n and -n share zero sets and scans may keep to
+        # n >= 0; comparing |f| drops the unimodular prefactor.
         rng = np.random.default_rng(7)
         problems = (TE_FAST, TE_SLOW, BoundaryDamping(2.0), DeltaPotential(1.0, 0.5))
         for _ in range(10):
             lam = complex(rng.uniform(50, 300), -rng.uniform(0.1, 3.0))
             n = int(rng.integers(1, 40))
             for prob in problems:
-                assert mode_symmetry_defect(prob, n, lam) < 1e-12
+                (f_pos,), _ = qsabine.disk._secular_array(prob, n, [lam])
+                (f_neg,), _ = qsabine.disk._secular_array(prob, -n, [lam])
+                assert abs(abs(f_neg) - abs(f_pos)) < 1e-12 * abs(f_pos)
 
 
 class TestSeedNormal:
@@ -1109,14 +1122,14 @@ class TestWindingNumber:
         # A fixed Gauss-Legendre sum rounded within 0.2 of an integer
         # gave 26, 26, 26 and 16 here; these counts agree with a
         # 4096-node-per-edge sum and with the roots a scan returns.
-        assert qsabine.disk._winding_number(BoundaryDamping(2.0), n, self.FULL_BOX) == zeros
+        assert winding_number(BoundaryDamping(2.0), n, self.FULL_BOX) == zeros
 
     def test_close_pair_under_the_ceiling(self):
         # Two zeros ~0.003 below the top edge share one starting
         # segment; their 2 pi of phase aliases away unless segments are
         # cut to the Newton distance |f/f'|.
         slow = TransparentObstacle(0.5, 1.3)
-        count = qsabine.disk._winding_number(slow, 217, self.SLOW_BOX)
+        count = winding_number(slow, 217, self.SLOW_BOX)
         roots = scan(slow, self.SLOW_BOX[:2], -3.0, [217])
         assert count == len(roots) == 6
         want = complex(207.8772368734961, -0.0031251338707)  # mpmath, 30 digits
@@ -1150,8 +1163,8 @@ class TestWindingNumber:
     @given(problem=PROBLEMS, mode_cell=mode_cells(), depth=st.integers(0, 20))
     def test_count_is_additive_under_split(self, problem, mode_cell, depth):
         n, cell = mode_cell
-        whole = qsabine.disk._winding_number(problem, n, cell)
-        parts = [qsabine.disk._winding_number(problem, n, half)
+        whole = winding_number(problem, n, cell)
+        parts = [winding_number(problem, n, half)
                  for half in qsabine.disk._split(cell, n, depth)]
         if whole is not None and None not in parts:
             assert whole == sum(parts)
@@ -1160,8 +1173,99 @@ class TestWindingNumber:
     @given(problem=PROBLEMS, mode_cell=mode_cells())
     def test_count_is_symmetric_in_the_mode_sign(self, problem, mode_cell):
         n, cell = mode_cell
-        assert (qsabine.disk._winding_number(problem, -n, cell)
-                == qsabine.disk._winding_number(problem, n, cell))
+        assert (winding_number(problem, -n, cell)
+                == winding_number(problem, n, cell))
+
+
+class TestCountOracle:
+    """The counter on functions whose zeros and poles are known: no
+    Bessel function, so its answer rests on nothing it shares with the
+    scan."""
+
+    BOX = (200.0, 300.0, -3.0, -1e-6)
+
+    @staticmethod
+    def log_derivative(f, g):
+        """z -> (f(z), f'/f = g(z)), refusing a node where f is 0 or not
+        finite, as the disk's log derivative does."""
+        def call(z):
+            fz = f(z)
+            if not np.all(np.isfinite(fz) & (fz != 0.0)):
+                raise qsabine.disk._Unrepresentable("f is 0 or not finite at a node")
+            return fz, np.broadcast_to(g(z), fz.shape)
+        return call
+
+    @classmethod
+    def rational(cls, zeros, poles=()):
+        """prod(z - zeros) / prod(z - poles)."""
+        zeros, poles = np.asarray(zeros, dtype=complex), np.asarray(poles, dtype=complex)
+        return cls.log_derivative(
+            lambda z: np.prod(z[:, None] - zeros, axis=1) / np.prod(z[:, None] - poles, axis=1),
+            lambda z: (np.sum(1.0 / (z[:, None] - zeros), axis=1)
+                       - np.sum(1.0 / (z[:, None] - poles), axis=1)))
+
+    def test_random_polynomials(self):
+        # up to 39 zeros around and inside the box, some above the ceiling
+        rng = np.random.default_rng(0)
+        re_lo, re_hi, im_lo, im_hi = self.BOX
+        for _ in range(200):
+            k = int(rng.integers(0, 40))
+            zeros = rng.uniform(190.0, 310.0, k) + 1j * rng.uniform(-4.0, 0.5, k)
+            inside = np.sum((re_lo < zeros.real) & (zeros.real < re_hi)
+                            & (im_lo < zeros.imag) & (zeros.imag < im_hi))
+            assert qsabine.disk._winding_number(self.rational(zeros), self.BOX) == inside
+
+    def test_close_pair(self):
+        pair = self.rational([250.0 - 0.003j, 250.001 - 0.003j])
+        assert qsabine.disk._winding_number(pair, self.BOX) == 2
+
+    def test_sine(self):
+        # the zeros k pi - i, 64 <= k <= 95, lie above a floor at -0.5
+        sine = self.log_derivative(lambda z: np.sin(z + 1j), lambda z: 1.0 / np.tan(z + 1j))
+        assert qsabine.disk._winding_number(sine, self.BOX) == 32
+        assert qsabine.disk._winding_number(sine, (200.0, 300.0, -0.5, -1e-6)) == 0
+
+    def test_zeros_minus_poles(self):
+        f = self.rational([240.0 - 1.0j, 260.0 - 2.0j], [250.0 - 1.0j])
+        assert qsabine.disk._winding_number(f, self.BOX) == 1
+        # a negative total is no count of zeros
+        assert qsabine.disk._winding_number(self.rational([], [250.0 - 1.0j]), self.BOX) is None
+
+    def test_node_budget(self, monkeypatch):
+        # |f'/f| = 20 needs segments of 0.05: 4,000 on the horizontal edges
+        # of width 100, more than the _COUNT_NODES a count may add
+        calls = []
+
+        def exp(z):
+            calls.append(z.size)
+            return np.exp(20j * z)
+
+        wave = self.log_derivative(exp, lambda z: 20j)
+        assert qsabine.disk._winding_number(wave, self.BOX) is None
+        assert sum(calls) == 3328 and len(calls) == 6
+        assert qsabine.disk._winding_number(wave, (200.0, 210.0, -3.0, -1e-6)) == 0
+        monkeypatch.setattr(qsabine.disk, "_COUNT_NODES", 10 ** 5)
+        assert qsabine.disk._winding_number(wave, self.BOX) == 0
+
+    def test_zero_on_an_edge(self):
+        # no node meets it, so bisection never resolves the segment; the
+        # retry on a contour a hair larger counts it
+        f = self.rational([200.0 - 1.5j])
+        assert qsabine.disk._winding_number(f, self.BOX) is None
+        assert qsabine.disk._count_zeros(f, self.BOX) == 1
+
+    def test_zero_on_a_node(self):
+        f = self.rational([250.0 - 3.0j])
+        with pytest.raises(qsabine.disk._Unrepresentable):
+            qsabine.disk._winding_number(f, self.BOX)
+        assert qsabine.disk._count_zeros(f, self.BOX) == 1
+
+    def test_unrepresentable_on_both_contours(self):
+        def never(z):
+            raise qsabine.disk._Unrepresentable("never")
+
+        with pytest.raises(qsabine.disk._Unrepresentable, match="never"):
+            qsabine.disk._count_zeros(never, self.BOX)
 
 
 class TestModeCounts:
@@ -1194,7 +1298,7 @@ class TestModeCounts:
 
     @pytest.mark.parametrize("problem, re_hi, roots, pinned", CONFIGS)
     def test_per_node_counts_are_pinned(self, problem, re_hi, roots, pinned):
-        counts = [qsabine.disk._winding_number(problem, n, box) for n, box in self.boxes(re_hi)]
+        counts = [winding_number(problem, n, box) for n, box in self.boxes(re_hi)]
         assert sum(counts) == roots
         assert self.digest(counts) == pinned
 
@@ -1207,7 +1311,7 @@ class TestModeCounts:
         boxes = self.boxes(re_hi)
         assert [(n, box[:2]) for n, box in boxes] == [(n, (lo, hi)) for (n, lo, hi), _, _ in tasks]
         assert all(rows is not None for _, _, rows in tasks)
-        counts = [qsabine.disk._winding_number(problem, n, box, rows)
+        counts = [winding_number(problem, n, box, rows)
                   for (n, box), (_, _, rows) in zip(boxes, tasks)]
         assert sum(counts) == roots
         assert self.digest(counts) == pinned
@@ -1273,8 +1377,8 @@ class TestCountLattice:
                 assert np.all(np.abs(cp - want_p) <= 1e-9 * scale), (fn, n)
         for (n, lo, hi), _, rows in tasks[::8]:
             box = (lo, hi, floor, self.CEILING)
-            assert (qsabine.disk._winding_number(TE_FAST, n, box, rows)
-                    == qsabine.disk._winding_number(TE_FAST, n, box)), n
+            assert (winding_number(TE_FAST, n, box, rows)
+                    == winding_number(TE_FAST, n, box)), n
 
     # TestBesselPairOracle's points in the lower half plane with n <= 500.
     ORACLE_POINTS = (
@@ -1341,8 +1445,8 @@ class TestCountLattice:
         assert [rows is None for *_, rows in tasks] == [n == 300 for n in modes]
         for (n, lo, hi), _, rows in tasks:
             box = (lo, hi, -3.0, self.CEILING)
-            assert (qsabine.disk._winding_number(TE_FAST, n, box, rows)
-                    == qsabine.disk._winding_number(TE_FAST, n, box)), n
+            assert (winding_number(TE_FAST, n, box, rows)
+                    == winding_number(TE_FAST, n, box)), n
         with_lattice = scan(TE_FAST, (200.0, 250.2), -3.0, modes)
         monkeypatch.setattr(qsabine.disk, "_LATTICE_RUN", 10 ** 9)
         assert scan(TE_FAST, (200.0, 250.2), -3.0, modes) == with_lattice
@@ -1360,8 +1464,8 @@ class TestCountLattice:
         for (n, lo, hi), _, rows in tasks:
             box = (lo, hi, -3.0, self.CEILING)
             assert rows is not None and rows[0][0] > lo
-            assert (qsabine.disk._winding_number(TE_FAST, n, box, rows)
-                    == qsabine.disk._winding_number(TE_FAST, n, box))
+            assert (winding_number(TE_FAST, n, box, rows)
+                    == winding_number(TE_FAST, n, box))
 
     def test_wide_window_counts(self):
         # At Re 200..1400 a lattice ring holds about 4,800 nodes, more than
@@ -1370,8 +1474,8 @@ class TestCountLattice:
         modes = [0, 1, 2, 3, 8, 9, 10, 11, 198, 199, 200, 201]
         tasks = list(qsabine.disk._scan_tasks(TE_FAST, (200.0, 1400.0), -3.0, modes))
         boxes = [(n, (lo, hi, -3.0, self.CEILING), rows) for (n, lo, hi), _, rows in tasks]
-        counts = [qsabine.disk._winding_number(TE_FAST, n, box, rows) for n, box, rows in boxes]
-        assert counts == [qsabine.disk._winding_number(TE_FAST, n, box) for n, box, _ in boxes]
+        counts = [winding_number(TE_FAST, n, box, rows) for n, box, rows in boxes]
+        assert counts == [winding_number(TE_FAST, n, box) for n, box, _ in boxes]
         assert counts[6] == 191 and counts[10] == 132
 
     def test_short_runs_cost_no_more_amos(self, monkeypatch):
