@@ -443,6 +443,29 @@ class TestSeedPoints:
             for p in self.PROBLEMS for n in range(361)
         ) == self.PINNED
 
+    # The same pin at high frequency: one sha256 over repr(_seed_table)
+    # of each of these (law, windows) tables in order, recorded before
+    # the transparent and damping sweeps were started at the window.
+    # Each window is (n, max(lo, n/1.2), hi), as a scan clips it; the
+    # law (2, 0.5) has 1/c^2 = alpha^2.
+    HIGH_FREQUENCY = "4e89bf8b92faaf0837f21920af3091a78d418b15e3a3135df1e09b3e2f9b47ee"
+
+    @staticmethod
+    def high_frequency_tables():
+        def windows(lo, hi, modes):
+            return [(n, max(lo, n / 1.2), hi) for n in modes]
+
+        damping = [BoundaryDamping(a) for a in (2.0, 1.0, 0.5, math.sqrt(3.0) / 2.0)]
+        return ([(p, windows(800.0, 900.0, range(976))) for p in damping]
+                + [(p, windows(3200.0, 3210.0, range(0, 3401, 32))) for p in damping]
+                + [(TransparentObstacle(c, alpha), windows(800.0, 810.0, range(973)))
+                   for c, alpha in ((2.0, 1.0), (2.0, 0.5), (1.5, 0.3), (0.5, 1.3))])
+
+    def test_high_frequency_tables_are_pinned(self):
+        assert self.digest(
+            qsabine.disk._seed_table(p, windows) for p, windows in self.high_frequency_tables()
+        ) == self.HIGH_FREQUENCY
+
     def test_airy_cluster_keeps_its_far_starts(self):
         # The fifth and sixth Airy starts sit 6.305 and 7.161 n^(1/3)
         # above c n.  A cut-off at c (n + 6 n^(1/3)) = 194.7 < 200 used

@@ -5,8 +5,9 @@ and whether the SVG timestamp comment is stripped before hashing (an
 SVG differs between runs only in that comment).  The rows cover the
 Sabine bands of all three laws and of both transparent branches (total
 internal reflection, a Brewster excision), the delta glancing bands,
-each law's default scan, two turning-point scans, a wide and a sparse
-scan both serial and pooled, and the three figures.
+each law's default scan, two turning-point scans, a sampled damping
+scan at Re 3200, a wide and a sparse scan both serial and pooled, and
+the three figures.
 """
 import hashlib
 import re
@@ -47,6 +48,8 @@ PINNED = [
      "88ed85f0afa0d327867257c682a3a6ff08ae0efccf2fa8003dcebc1f53b41f14", False),
     ("turn3-scan", "resonances --c 3 --alpha 2 --re 50:120 --workers 2",
      "55bd0545a37042300c8077f759647ca3de03d938bb5f50d6e706c3128121f00d", False),
+    ("damping-3200-scan", "resonances --problem damping --re 3200:3210 --n 0:3400:32 --workers 0",
+     "4a5aba234c8a30e363da7c0ed78ceda9306078a856d46ad9f375fde1b6ce0d6d", False),
 ] + [
     (f"{name}-scan-workers{workers}", f"resonances {flags} --workers {workers}", digest, False)
     for workers in (0, 2)
