@@ -58,7 +58,6 @@ Review 9, 1967), and each task carries its modes' edge rows of f, f'/f.
 from __future__ import annotations
 
 import cmath
-import csv
 import functools
 import itertools
 import math
@@ -609,7 +608,8 @@ def _normal_seeds(c, alpha, n, re_lo, re_hi):
     if abs(alpha * c - 1.0) < 1e-14:
         return []
     base = 2.0 - _normal_sign(c, alpha) + 2.0 * n
-    k_lo = math.ceil((4.0 * re_lo / (c * pi) - base) / 4.0)
+    # from the first k inside the turning point, or the window if higher
+    k_lo = math.ceil((4.0 * max(re_lo, c * n) / (c * pi) - base) / 4.0)
     k_hi = math.floor((4.0 * re_hi / (c * pi) - base) / 4.0)
     starts = (_normal_start(c, alpha, n, k) for k in range(k_lo, k_hi + 1))
     return [(lam0, "normal", _SEED_TRUST) for lam0 in starts if lam0.real > c * n]
@@ -636,18 +636,36 @@ def _transverse_sweeps(problem, windows):
 
     Phase targets with reduced rotation denominator q <= _Q_MAX are the
     transverse family proper; the rest of the integer sweep reuses the
-    same phase condition as plain continuation starts.
+    same phase condition as plain continuation starts.  As in
+    _delta_table, each mode's sweep starts at the window: a root radius
+    below max(re_lo / n, 1) is never kept.  Each sign branch sigma is
+    swept only on its side of the radius r_b where the reflection sign
+    changes.  F is increasing, so both cuts bound the target, each
+    widened by one target spacing pi / n; the checks after the solve
+    still decide every start.
     """
-    c = problem.c
+    c, alpha = problem.c, problem.alpha
+    # sgn(nu - ww) is that of nu^2 - ww^2 = slope r^2 - offset: it is
+    # `outer` for r > r_b and the other sign inside r_b
+    slope, offset = 1.0 / (c * c) - alpha * alpha, 1.0 - alpha * alpha
+    if slope:
+        outer, r_b = math.copysign(1.0, slope), math.sqrt(max(offset / slope, 0.0))
+    else:
+        outer, r_b = -math.copysign(1.0, offset), 0.0
+    t_b = _phase_integral(c, max(r_b, c))
     rows = []
     for i, (n, re_lo, re_hi) in enumerate(windows):
         if n < 1 or re_hi / n <= c * (1.0 + 1e-9):
             continue
+        step = pi / n
         t_hi = _phase_integral(c, re_hi / n)
+        t_lo = _phase_integral(c, max(re_lo / n, 1.0, c)) - step
         for sigma in (1.0, -1.0):
-            # F(r) = -(4k - sigma) pi / (4n) in (0, t_hi]
-            k_lo = math.ceil(sigma / 4.0 - n * t_hi / pi)
-            for k in range(k_lo, 0):
+            # F(r) = -(4k - sigma) pi / (4n) in (0, t_hi], and in [lo, hi]
+            lo, hi = ((max(t_lo, t_b - step), t_hi) if sigma == outer
+                      else (t_lo, min(t_b + step, t_hi)))
+            k_lo = math.ceil(sigma / 4.0 - n * hi / pi)
+            for k in range(k_lo, min(0, math.floor(sigma / 4.0 - n * lo / pi) + 1)):
                 target = -(4.0 * k - sigma) * pi / (4.0 * n)
                 if 0.0 < target <= t_hi:
                     rows.append((i, n, k, sigma, target))
@@ -699,20 +717,31 @@ def _damping_table(problem, windows):
     exact normal-incidence family, the transparent one at c = 1,
     alpha = a; for n >= 1 it is the same condition at finite incidence.
     Nearly glancing modes get Airy starts instead:
-    lambda = n + |a_j| n^(1/3)/2^(1/3) - i/a.
+    lambda = n + |a_j| n^(1/3)/2^(1/3) - i/a.  As in _delta_table, each
+    mode's bulk sweep starts at the window, and each branch is swept
+    only on its side of the radius where the sign of the ratio changes:
+    bounds on the target widened by one spacing pi / n, as in
+    _transverse_sweeps, with the checks after the solve deciding.
     """
     a = problem.a
+    # ratio > 0, the plain phase's branch, holds where t > a r: outside
+    # r = 1/sqrt(1 - a^2), at F = t_b, for a < 1, and nowhere for a >= 1
+    t_b = _phase_integral(1.0, 1.0 / math.sqrt(1.0 - a * a)) if a < 1.0 else math.inf
     # bulk: solve Re theta = pi k (+ pi/2 on the overdamped branch)
     rows = []
     for i, (n, re_lo, re_hi) in enumerate(windows):
         if n == 0 or re_hi / n <= 1.0 + 1e-9:
             continue
+        step = pi / n
         t_hi = _phase_integral(1.0, re_hi / n)
+        t_lo = _phase_integral(1.0, max(re_lo / n, 1.0)) - step
+        k_lo = max(0, math.floor((t_lo * n - pi / 4.0) / pi))
         k_hi = math.floor((t_hi * n - pi / 4.0) / pi) + 1
-        for k in range(0, k_hi + 1):
+        for k in range(k_lo, k_hi + 1):
             for extra in (0.0, 0.5):
                 target = (pi * (k + extra) + pi / 4.0) / n
-                if 0.0 < target <= t_hi:
+                if t_lo <= target <= t_hi and (
+                        target >= t_b - step if extra == 0.0 else target <= t_b + step):
                     rows.append((i, n, extra, target))
     radii = _invert_phases(1.0, [row[-1] for row in rows]).tolist()
     out = [[] for _ in windows]
@@ -1340,12 +1369,11 @@ def write_resonance_csv(resonances, stream) -> None:
     """Dump a resonance table as CSV.
 
     Floats are written with repr so the dump round-trips exactly and is
-    byte-identical across runs of the same configuration.
+    byte-identical across runs of the same configuration.  No field
+    needs quoting: the tags are words and the numbers are reprs.
     """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(RESONANCE_CSV_HEADER)
-    for r in resonances:
-        writer.writerow([
-            r.problem, r.n, repr(r.lam.real), repr(r.lam.imag),
-            repr(r.residual), r.seed, repr(r.tangent_freq),
-        ])
+    stream.writelines(itertools.chain(
+        [",".join(RESONANCE_CSV_HEADER) + "\n"],
+        (f"{r.problem},{r.n},{r.lam.real!r},{r.lam.imag!r},{r.residual!r},{r.seed},"
+         f"{r.tangent_freq!r}\n" for r in resonances),
+    ))

@@ -450,20 +450,17 @@ class TestSeedPoints:
     # law (2, 0.5) has 1/c^2 = alpha^2.
     HIGH_FREQUENCY = "4e89bf8b92faaf0837f21920af3091a78d418b15e3a3135df1e09b3e2f9b47ee"
 
-    @staticmethod
-    def high_frequency_tables():
+    def test_high_frequency_tables_are_pinned(self):
         def windows(lo, hi, modes):
             return [(n, max(lo, n / 1.2), hi) for n in modes]
 
         damping = [BoundaryDamping(a) for a in (2.0, 1.0, 0.5, math.sqrt(3.0) / 2.0)]
-        return ([(p, windows(800.0, 900.0, range(976))) for p in damping]
-                + [(p, windows(3200.0, 3210.0, range(0, 3401, 32))) for p in damping]
-                + [(TransparentObstacle(c, alpha), windows(800.0, 810.0, range(973)))
-                   for c, alpha in ((2.0, 1.0), (2.0, 0.5), (1.5, 0.3), (0.5, 1.3))])
-
-    def test_high_frequency_tables_are_pinned(self):
+        tables = ([(p, windows(800.0, 900.0, range(976))) for p in damping]
+                  + [(p, windows(3200.0, 3210.0, range(0, 3401, 32))) for p in damping]
+                  + [(TransparentObstacle(c, alpha), windows(800.0, 810.0, range(973)))
+                     for c, alpha in ((2.0, 1.0), (2.0, 0.5), (1.5, 0.3), (0.5, 1.3))])
         assert self.digest(
-            qsabine.disk._seed_table(p, windows) for p, windows in self.high_frequency_tables()
+            qsabine.disk._seed_table(p, w) for p, w in tables
         ) == self.HIGH_FREQUENCY
 
     def test_airy_cluster_keeps_its_far_starts(self):
@@ -491,6 +488,19 @@ class TestSeedPoints:
         monkeypatch.setattr(qsabine.disk, "_invert_phases", recorded)
         for p in self.PROBLEMS:
             qsabine.disk._seed_table(p, [(n, 200.0, 300.0) for n in range(361)])
+        # The tables sweep only targets whose root can land in the window.
+        # Over the same ranges, the oracle also takes every odd multiple of
+        # pi / (4n) up to the padded window's top F(303 / n), n = 1..360, as
+        # a sweep from the turning point would, at each interior speed of
+        # the pinned problems (1 for the damping law).
+        for c in (2.0, 0.5, 1.0):
+            targets = []
+            for n in range(1, 361):
+                if 303.0 / n > c:
+                    step = math.pi / (4 * n)
+                    top = qsabine.disk._phase_integral(c, 303.0 / n)
+                    targets += [j * step for j in range(1, int(top / step) + 1, 2)]
+            calls.append((c, targets))
         assert sum(len(targets) for _, targets in calls) > 150_000
 
         def scalar(c, target):
