@@ -533,6 +533,34 @@ class TestSeedPoints:
             table = qsabine.disk._seed_table(p, clipped)
             assert repr(table) == repr([qsabine.disk._seed_points(p, *w) for w in clipped])
 
+    @pytest.mark.parametrize("law", [
+        TE_FAST, TransparentObstacle(2.0, 0.4), TransparentObstacle(0.5, 1.3),
+        BoundaryDamping(2.0), BoundaryDamping(0.5), BoundaryDamping(1.0),
+    ], ids=repr)
+    def test_chord_starts_sit_on_the_sabine_law(self, law):
+        # Every transverse and continuation start, and every damping
+        # bulk start (tag normal, n >= 1), is placed on a chord of
+        # radius ratio r = Re lambda_0 / n: its height is the one-bounce
+        # Sabine quotient q(c n / Re lambda_0) of that chord.
+        windows = [(n, max(200.0, n / 1.2), 300.0) for n in range(361)]
+        chord_tags = ("normal",) if isinstance(law, BoundaryDamping) else (
+            "transverse", "continuation")
+        starts = [(n, lam0)
+                  for (n, _, _), seeds in zip(windows, qsabine.disk._seed_table(law, windows))
+                  for lam0, tag, _ in seeds if tag in chord_tags and n >= 1]
+        assert len(starts) > 1600
+        q = one_bounce_quotients(law, [n / lam0.real for n, lam0 in starts])
+        gap = np.abs(np.array([lam0.imag for _, lam0 in starts]) - q)
+        assert gap.max() < 1e-11
+
+    def test_free_space_law_has_no_starts(self):
+        # c = alpha = 1: no reflection at normal incidence, and every
+        # chord sits on the Brewster tangent nu = ww, where the
+        # transverse reflection coefficient vanishes
+        windows = [(n, max(200.0, n / 1.2), 300.0) for n in range(361)]
+        table = qsabine.disk._seed_table(TransparentObstacle(1.0, 1.0), windows)
+        assert table == [[] for _ in windows]
+
 
 class TestDampingPhaseCondition:
     """The damping bulk's starts: e^{2 i theta} = (t + a r)/(t - a r)
