@@ -579,14 +579,6 @@ class GlancingReport:
     normal_exponent: float
     chord_exponent: float
 
-    @property
-    def normal_ratio(self):
-        return self.normal_defect / self.eps
-
-    @property
-    def chord_ratio(self):
-        return self.chord_defect / self.eps
-
 
 def glancing_expansion_check(domain: ConvexDomain,
                              q_sequence: Iterable[PhasePoint]) -> GlancingReport:

@@ -294,29 +294,38 @@ _SETTING_NAMES = {f.name for f in _SETTINGS}
 _FILE_KEYS = {key: f for f in _SETTINGS for key in (f.name, _flag(f).replace("-", "_"))}
 
 
+def _text_lines(path: str, newline=None) -> list:
+    """The lines of the UTF-8 text file path; ConfigError names the
+    file if its bytes are not UTF-8."""
+    with open(path, newline=newline, encoding="utf-8") as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}: not UTF-8 text: {err}") from None
+
+
 def _load_config_file(path: str) -> dict:
     """Flat KEY=VALUE lines; '#' starts a comment; see _FILE_KEYS."""
     values = {}
     try:
-        fh = open(path, encoding="utf-8")
+        lines = _text_lines(path)
     except OSError as err:
         raise ConfigError(f"cannot read config file: {err}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _FILE_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            setting = _FILE_KEYS[key]
-            try:
-                values[setting.name] = setting.metadata["convert"](value.strip())
-            except (argparse.ArgumentTypeError, ValueError) as err:
-                raise ConfigError(f"{path}:{lineno}: {err}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in _FILE_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        setting = _FILE_KEYS[key]
+        try:
+            values[setting.name] = setting.metadata["convert"](value.strip())
+        except (argparse.ArgumentTypeError, ValueError) as err:
+            raise ConfigError(f"{path}:{lineno}: {err}") from None
     return values
 
 
@@ -358,32 +367,38 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 def _read_resonance_csv(config: RunConfig) -> list:
     """The rows of the CSV ``config.data`` as Resonance, each of the
     problem ``config.problem``; ConfigError names the first line that
-    is not, or the law's parameters when the CSV's manifest records
-    others."""
+    is not, the law's parameters when the CSV's manifest records
+    others, or the file that is not UTF-8 text or, for the manifest,
+    not a JSON object."""
     import csv
 
     path, rows = config.data, []
-    if os.path.exists(path + ".manifest.json"):
-        with open(path + ".manifest.json", encoding="utf-8") as fh:
-            scanned = json.load(fh).get("params")
+    manifest = path + ".manifest.json"
+    if os.path.exists(manifest):
+        try:
+            recorded = json.loads("".join(_text_lines(manifest)))
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"{manifest}: {err}") from None
+        if not isinstance(recorded, dict):
+            raise ConfigError(f"{manifest}: not a JSON object")
+        scanned = recorded.get("params")
         if scanned is not None and scanned != config.params():
             raise ConfigError(f"{path}: scanned with {scanned}, not {config.params()}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(RESONANCE_CSV_HEADER) - set(reader.fieldnames or ())
-        if missing:
-            raise ConfigError(f"{path}: missing columns {sorted(missing)}")
-        for rec in reader:
-            try:
-                row = Resonance(complex(float(rec["re_lambda"]), float(rec["im_lambda"])),
-                                int(rec["n"]), float(rec["residual"]), rec["seed"],
-                                rec["problem"])
-                if row.problem != config.problem:
-                    raise ValueError(f"a {row.problem!r} row, but --problem is "
-                                     f"{config.problem!r}")
-            except (TypeError, ValueError) as err:
-                raise ConfigError(f"{path}:{reader.line_num}: {err}") from None
-            rows.append(row)
+    reader = csv.DictReader(_text_lines(path, newline=""))
+    missing = set(RESONANCE_CSV_HEADER) - set(reader.fieldnames or ())
+    if missing:
+        raise ConfigError(f"{path}: missing columns {sorted(missing)}")
+    for rec in reader:
+        try:
+            row = Resonance(complex(float(rec["re_lambda"]), float(rec["im_lambda"])),
+                            int(rec["n"]), float(rec["residual"]), rec["seed"],
+                            rec["problem"])
+            if row.problem != config.problem:
+                raise ValueError(f"a {row.problem!r} row, but --problem is "
+                                 f"{config.problem!r}")
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"{path}:{reader.line_num}: {err}") from None
+        rows.append(row)
     return rows
 
 

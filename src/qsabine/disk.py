@@ -35,11 +35,9 @@ damping problem's n = 0 family is the transparent one at c = 1,
 alpha = a.  A scan builds the seeds of all its modes first, as one
 table: the chord phase conditions F(r) = target of every mode are
 inverted together by the row-wise Brent solver of the billiard map
-(Brent 1973), each row bit-identical to a scalar brentq.  The one-mode
-seed list is the one-row table; seed_transverse solves one phase row
-per sign branch.  Modes are handed out in blocks of consecutive modes,
-one task per block, and a task refines all of its block's seeds in one
-lockstep.
+(Brent 1973), each row bit-identical to a scalar brentq.  Modes are
+handed out in blocks of consecutive modes, one task per block, and a
+task refines all of its block's seeds in one lockstep.
 The result of a windowed scan is certified complete per mode by
 argument-principle counts over the scan rectangle, with subdivision and
 reseeding where the count disagrees with the roots in hand.  A count
@@ -85,7 +83,6 @@ __all__ = [
     "IncompleteScanWarning",
     "secular",
     "seed_normal",
-    "seed_transverse",
     "seed_glancing",
     "newton_refine",
     "TANGENT_CAP",
@@ -394,45 +391,6 @@ def _transverse_start(problem: TransparentObstacle, n: int, r: float):
     if nu == ww:
         return sign, None
     return sign, complex(n * r, r / (2.0 * nu) * math.log(abs((nu - ww) / (nu + ww))))
-
-
-def seed_transverse(problem: TransparentObstacle, p: int, q: int, m: int) -> complex:
-    """Start point on the transverse family of rotation number p/q.
-
-    The footprint polygon has mq sides; the radius ratio r solves the
-    phase condition sqrt(r^2/c^2 - 1) - arcsec(r/c) =
-    -(4 p m - sgn) pi / (4 q m) on the branch whose reflection sign sgn
-    is self-consistent at the root, and lambda_0 = (qm) r + i times the
-    transverse reflection decay.  Each phase condition is a one-row
-    _invert_phases solve.
-    """
-    if not isinstance(problem, TransparentObstacle):
-        raise TypeError("transverse seeds exist for the transparent problem only")
-    if q < 1 or m < 1:
-        raise ValueError("need q >= 1 and m >= 1")
-    n = q * m
-    k = p * m
-    for sigma in (1.0, -1.0):
-        target = -(4.0 * k - sigma) * pi / (4.0 * n)
-        if target <= 0.0:
-            continue
-        r = float(_invert_phases(problem.c, [target])[0])
-        if not r > 1.0:
-            raise ValueError(
-                "totally reflecting rotation number: the chord parameter "
-                f"r = {r:.6g} <= 1 leaves no transmission loss to seed from"
-            )
-        sign, lam0 = _transverse_start(problem, n, r)
-        if sign == sigma:
-            if lam0 is None:
-                raise ValueError(
-                    "Brewster-tangent direction: the transverse reflection coefficient vanishes"
-                )
-            return lam0
-    raise ValueError(
-        f"no transverse seed for p={p}, q={q}: the phase target is not "
-        "reachable (the winding part p must be negative)"
-    )
 
 
 def seed_glancing(problem: DeltaPotential, n: int, j: int) -> complex:
@@ -871,11 +829,6 @@ def _seed_table(problem, windows):
     pad = 3.0
     table = _law(problem).seeds
     return table(problem, [(n, re_lo - pad, re_hi + pad) for n, re_lo, re_hi in windows])
-
-
-def _seed_points(problem, n, re_lo, re_hi):
-    """The seed list of one mode: the one-row seed table."""
-    return _seed_table(problem, [(n, re_lo, re_hi)])[0]
 
 
 # ---------------------------------------------------------------------------

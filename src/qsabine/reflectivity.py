@@ -74,7 +74,6 @@ __all__ = [
     "reflect",
     "brewster",
     "log_reflectivity",
-    "is_total_transmission",
 ]
 
 # Reflection coefficients degenerate at |xi| = 1 together with the
@@ -144,12 +143,6 @@ class TransparentObstacle:
         """Transverse electric regime: |r| is bounded below on [0, 1)."""
         c, alpha = self.c, self.alpha
         return (c <= 1.0 and alpha < 1.0 / c) or (c >= 1.0 and alpha > 1.0 / c)
-
-    @property
-    def is_tm(self) -> bool:
-        """Transverse magnetic regime: r vanishes at the Brewster angle
-        (for c = alpha = 1, everywhere)."""
-        return not self.is_te
 
     def zeros(self) -> Tuple[float, ...]:
         xi_b = brewster(self)
@@ -352,10 +345,9 @@ def brewster(model: TransparentObstacle) -> Optional[float]:
 def log_reflectivity(model: ReflectivityModel, xi: float, position: float = 0.0) -> float:
     """log |r|**2, the summand of the averaged reflectivity.
 
-    Returns TOTAL_TRANSMISSION (= -inf) when r vanishes exactly; checks
-    with :func:`is_total_transmission`.  Otherwise the value is finite
-    and clamped at 0 to absorb roundoff at unit modulus (|r| <= 1
-    exactly for all three models).
+    Returns TOTAL_TRANSMISSION (= -inf) when r vanishes exactly.
+    Otherwise the value is finite and clamped at 0 to absorb roundoff at
+    unit modulus (|r| <= 1 exactly for all three models).
     """
     return float(_log_reflectivities(model, [xi], [position])[0])
 
@@ -367,8 +359,3 @@ def _log_reflectivities(model: ReflectivityModel, xi, positions) -> np.ndarray:
     magnitudes = np.hypot(*_reflections(model, xi, positions)).tolist()
     logs = [2.0 * math.log(m) if m else TOTAL_TRANSMISSION for m in magnitudes]
     return np.minimum(logs, 0.0)
-
-
-def is_total_transmission(value: float) -> bool:
-    """True iff value is the total-transmission signal of log_reflectivity."""
-    return math.isinf(value) and value < 0.0

@@ -99,7 +99,9 @@ class Panel:
             pad = (hi / lo) ** 0.05
             return lo / pad, hi * pad
         if lo == hi:
-            lo, hi = lo - 0.5, hi + 0.5
+            # a half-width that survives rounding at any magnitude
+            half = max(0.5, abs(lo) * 1e-9)
+            lo, hi = lo - half, hi + half
         pad = 0.05 * (hi - lo)
         return lo - pad, hi + pad
 

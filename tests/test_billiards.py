@@ -661,8 +661,8 @@ class TestGlancingExpansion:
         assert rep.normal_exponent >= 0.9
         assert rep.chord_exponent >= 0.9
         # remainder ratios defect / eps stay bounded
-        assert rep.normal_ratio.max() < 10.0
-        assert rep.chord_ratio.max() < 10.0
+        assert (rep.normal_defect / rep.eps).max() < 10.0
+        assert (rep.chord_defect / rep.eps).max() < 10.0
 
     def test_arrays_match_stepping_each_point(self):
         # The check steps its points as one batch; recomputing each

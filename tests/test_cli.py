@@ -97,6 +97,16 @@ class TestConfigResolution:
         assert cfg2.c == 2.0
         assert cfg2.re_window == (100.0, 150.0)
 
+    def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        # the bytes fail to decode while the lines are read, after the
+        # file opened; the refusal names the file
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"c = 2\n\xff\xfe = 1\n")
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["bounds", "--config", str(path)])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}: not UTF-8 text: ")
+
     def test_config_file_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("speed = 2\n")
@@ -498,6 +508,33 @@ class TestPlotCommand:
         else:
             ET.fromstring(out)
 
+    @pytest.mark.parametrize("text", [
+        b"[1, 2]", b'"x"', b"null", b"{params", b'{"params": "\xff"}',
+    ], ids=["list", "string", "null", "unparsable", "not-utf8"])
+    def test_manifest_that_is_no_json_object_exits_2(self, tmp_path, capsys, text):
+        # the manifest must be UTF-8 text holding a JSON object; the
+        # refusal names the manifest file
+        data = self.make_csv(tmp_path, capsys)
+        manifest = tmp_path / "res.csv.manifest.json"
+        manifest.write_bytes(text)
+        status, out, err = run_argv(["plot", "--data", str(data)] + TINY, capsys)
+        assert status == 2 and out == ""
+        assert err.startswith(f"config error: {manifest}: ")
+
+    def test_manifest_without_params_plots(self, tmp_path, capsys):
+        data = self.make_csv(tmp_path, capsys)
+        (tmp_path / "res.csv.manifest.json").write_text('{"version": "0"}')
+        status, out, _ = run_argv(["plot", "--data", str(data)] + TINY, capsys)
+        assert status == 0
+        ET.fromstring(out)
+
+    def test_data_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        data = self.make_csv(tmp_path, capsys)
+        data.write_bytes(data.read_bytes() + b"\xff\xfe\n")
+        status, out, err = run_argv(["plot", "--data", str(data)] + TINY, capsys)
+        assert status == 2 and out == ""
+        assert err.startswith(f"config error: {data}: not UTF-8 text: ")
+
     def test_svg_differs_only_in_timestamp(self, tmp_path, capsys):
         data = self.make_csv(tmp_path, capsys)
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -561,12 +598,14 @@ class TestPlotCommand:
 
     @pytest.mark.parametrize("fig, flags, row", [
         ("circle", TINY, Resonance(205.0 - 1.1j, 3, 0.0, "normal", "transparent")),
+        ("circle", TINY, Resonance(1e16 - 1.1j, 3, 0.0, "normal", "transparent")),
         ("bands", ["--problem", "delta", "--v0", "1", "--v-exponent", "0.5"],
          Resonance(1010.0 - 1.0j, 1000, 0.0, "glancing", "delta")),
-    ], ids=["circle", "bands"])
+    ], ids=["circle", "circle-1e16", "bands"])
     def test_one_row_figure_from_data(self, tmp_path, capsys, fig, flags, row):
         # a lone root spans no Re lambda range: the circle figure's
-        # linear axis and the bands figure's log axis widen it themselves
+        # linear axis and the bands figure's log axis widen it themselves,
+        # by more than rounds away at Re lambda = 1e16
         data, out = tmp_path / "one.csv", tmp_path / "fig.svg"
         buf = io.StringIO()
         write_resonance_csv([row], buf)

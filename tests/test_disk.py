@@ -7,7 +7,7 @@ Independent routes used here:
   * derivative of the secular function against central differences
   * the Dirichlet limit of the delta problem (V -> infinity pins the
     n = 0 root to the first zero of J_0)
-  * one-bounce Sabine quotients for the transverse seed heights
+  * one-bounce Sabine quotients for the heights of the chord seeds
   * argument-principle counts behind scan completeness (exercised
     through the public warning machinery, and directly against counts
     confirmed by scans and mpmath, and hypothesis properties: additive
@@ -51,7 +51,6 @@ from qsabine.disk import (
     secular,
     seed_glancing,
     seed_normal,
-    seed_transverse,
     write_resonance_csv,
 )
 from qsabine.reflectivity import BoundaryDamping, DeltaPotential, TransparentObstacle
@@ -340,51 +339,6 @@ class TestSeedNormal:
             seed_normal(BoundaryDamping(2.0), 3, 1)
 
 
-class TestSeedTransverse:
-    def test_height_matches_one_bounce_quotient(self):
-        # The chord of the (p, q, m) polygon meets the circle at
-        # sin(theta) = c / r, and the seed height is the Sabine quotient
-        # of that closed orbit.
-        s = seed_transverse(TE_FAST, -1, 4, 2)
-        r = s.real / 8.0
-        model = TransparentObstacle(2.0, 1.0)
-        q = sabine_quotient(DISK, model, PhasePoint(0.0, 2.0 / r), 1)
-        assert s.imag == pytest.approx(q, abs=1e-12)
-
-    def test_footprint_refinement_converges(self):
-        # Doubling the polygon refinement moves the start point by
-        # O(1/m); at m ~ 10^6 successive heights agree to 1e-6 and the
-        # radius ratio drifts at the same rate.
-        a = seed_transverse(TE_FAST, -1, 4, 10**6)
-        b = seed_transverse(TE_FAST, -1, 4, 2 * 10**6)
-        assert abs(a.imag - b.imag) < 1e-6
-        assert abs(a.real / 4e6 - b.real / 8e6) < 1e-6
-
-    def test_positive_winding_rejected(self):
-        with pytest.raises(ValueError, match="must be negative"):
-            seed_transverse(TE_FAST, 1, 4, 1)
-
-    def test_totally_reflecting_chord_rejected(self):
-        # Slow obstacle, nearly glancing rotation number: the chord
-        # parameter lands in (c, 1) where the outside wave is evanescent.
-        with pytest.raises(ValueError, match="totally reflecting"):
-            seed_transverse(TE_SLOW, -1, 40, 1)
-
-    def test_wrong_problem_rejected(self):
-        with pytest.raises(TypeError):
-            seed_transverse(BoundaryDamping(2.0), -1, 4, 1)
-
-    def test_empty_polygon_rejected(self):
-        with pytest.raises(ValueError, match="q >= 1"):
-            seed_transverse(TE_FAST, -1, 0, 1)
-
-    def test_brewster_tangent_rejected(self):
-        # c = alpha = 1: nu = ww on every chord, so the branch of
-        # reflection sign +1 matches and its coefficient vanishes
-        with pytest.raises(ValueError, match="Brewster-tangent"):
-            seed_transverse(TransparentObstacle(1.0, 1.0), -1, 4, 1)
-
-
 class TestSeedGlancing:
     def test_frozen_start_point(self):
         s = seed_glancing(DeltaPotential(1.0, 5.0 / 6.0), 1000, 1)
@@ -424,7 +378,7 @@ class TestSeedPoints:
 
     # Every start point, tag and trust radius of the scan seed families
     # over a 200..300 window, bit for bit: one sha256 over
-    # repr(_seed_points(p, n, 200, 300)) for n = 0..360.  Re-recorded
+    # repr(_seed_table(p, [(n, 200, 300)])[0]) for n = 0..360.  Re-recorded
     # when normal-incidence starts past the interior turning point
     # (Re lambda_0 <= c n) were dropped; only the transparent lists moved
     # (TestTurningPointCut).
@@ -439,7 +393,7 @@ class TestSeedPoints:
 
     def test_seed_lists_are_pinned(self):
         assert self.digest(
-            qsabine.disk._seed_points(p, n, 200.0, 300.0)
+            qsabine.disk._seed_table(p, [(n, 200.0, 300.0)])[0]
             for p in self.PROBLEMS for n in range(361)
         ) == self.PINNED
 
@@ -531,7 +485,7 @@ class TestSeedPoints:
         clipped = [(n, max(200.0, n / 1.2), 300.0) for n in subset]
         for p in self.PROBLEMS:
             table = qsabine.disk._seed_table(p, clipped)
-            assert repr(table) == repr([qsabine.disk._seed_points(p, *w) for w in clipped])
+            assert repr(table) == repr([qsabine.disk._seed_table(p, [w])[0] for w in clipped])
 
     @pytest.mark.parametrize("law", [
         TE_FAST, TransparentObstacle(2.0, 0.4), TransparentObstacle(0.5, 1.3),
@@ -607,9 +561,9 @@ class TestDeltaPhaseCondition:
         # at v0 = 1e12 every bulk start of the mode has Im = -0.0, and
         # mode 100 has no glancing start in the window; at v0 = 1 the
         # same mode keeps its continuation starts
-        seeds = qsabine.disk._seed_points(DeltaPotential(1e12), 100, 200.0, 300.0)
+        seeds = qsabine.disk._seed_table(DeltaPotential(1e12), [(100, 200.0, 300.0)])[0]
         assert seeds == []
-        seeds = qsabine.disk._seed_points(DeltaPotential(1.0), 100, 200.0, 300.0)
+        seeds = qsabine.disk._seed_table(DeltaPotential(1.0), [(100, 200.0, 300.0)])[0]
         assert len(seeds) == 31 and {tag for _, tag, _ in seeds} == {"continuation"}
 
 
@@ -782,7 +736,8 @@ class TestNewtonRows:
         # these modes, rows of several modes in one lockstep
         rows = [(n, *seed)
                 for n in (0, 1, 40, 200, 359)
-                for seed in qsabine.disk._seed_points(problem, n, max(200.0, n / 1.2), 300.0)
+                for seed in qsabine.disk._seed_table(
+                    problem, [(n, max(200.0, n / 1.2), 300.0)])[0]
                 if seed[0].imag >= -4.0]
         if problem is TE_FAST:
             # the normal starts past the turning point that scans no

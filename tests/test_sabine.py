@@ -30,10 +30,10 @@ from qsabine import sabine
 from qsabine.billiards import GLANCING_MARGIN, ConvexDomain, GlancingError, PhasePoint
 from qsabine.reflectivity import (
     BREWSTER_WINDOW,
+    TOTAL_TRANSMISSION,
     BoundaryDamping,
     DeltaPotential,
     TransparentObstacle,
-    is_total_transmission,
 )
 from qsabine.sabine import (
     GlancingBand,
@@ -127,7 +127,7 @@ class TestSabineQuotient:
 
     def test_matched_damping_signals_total_transmission(self):
         q = sabine_quotient(DISK, BoundaryDamping(1.0), PhasePoint(0.0, 0.0), 3)
-        assert is_total_transmission(q)
+        assert q == TOTAL_TRANSMISSION
 
     def test_rejects_nonpositive_step_count(self):
         with pytest.raises(ValueError, match="positive"):

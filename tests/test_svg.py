@@ -1,6 +1,8 @@
 """SVG writer refusals: a series or layout that cannot be drawn is named
-and refused, and a refused series leaves its panel as it was."""
+and refused, and a refused series leaves its panel as it was.  A panel
+of one point is drawn on axes of nonzero width at any magnitude."""
 import math
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -32,6 +34,20 @@ def test_one_point_polyline_refused():
     with pytest.raises(ValueError, match="at least two points"):
         panel.line((1.0,), (2.0,))
     assert panel.series == []
+
+
+@pytest.mark.parametrize("value", [0.0, -3.0, 1e15, 1e16, -1e16, 1e300])
+def test_one_point_panel_spans_its_axes(value):
+    # a lone point's linear axes are widened around it; at |v| >= 1e16
+    # a half-width of 0.5 rounds away and left the axis zero wide
+    panel = svg.Panel("x", "y")
+    panel.scatter((value,), (value,))
+    for axis in ("x", "y"):
+        lo, hi = panel._extent(axis)
+        assert lo < value < hi
+    text = svg.render([panel])
+    ET.fromstring(text)
+    assert "nan" not in text and "inf" not in text
 
 
 def test_panel_without_data_refused():
